@@ -357,6 +357,12 @@ def certify_failure(dom: CounterexampleDomain, spec: QuadratureSpec = Quadrature
 # -- certification: the restricted pass side --------------------------------------
 
 
+# Relative rounding slack on a probe mean with stderr 0 in certify_restricted.
+# Exact lens-area means are good to a few ulps; 1e-12 is far below the gap
+# 1.2e-5 between 2.5575 and the sharp constant 1/lens_constant() = 2.5575302...
+EXACT_MEAN_REL_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class RestrictedProbeSpec:
     offsets: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.75, 0.85, 0.92, 0.97, 0.99, 1.0)
@@ -452,7 +458,12 @@ def certify_restricted(
     """Verify the mean inequality at K = 1/lens_constant() for admissible probes.
 
     Probes take centers in the inner disks and radii from the admissible set;
-    each must satisfy value <= K*mean + 3*K*stderr.  Radii in [b_m, ∞) must be
+    each must satisfy value <= K*mean + slack.  Probe means use ``spec.method``
+    (``"grid"`` becomes ``"mc"``).  Under the default ``"auto"`` they are the
+    exact lens-area ratios, and the slack is the floating-point tolerance
+    ``EXACT_MEAN_REL_TOL * K * mean``; the sharp probes (center on the inner
+    boundary, radius a_m) then reach the ratio 1/lens_constant() itself.
+    Sampled means get the slack 3*K*stderr.  Radii in [b_m, ∞) must be
     rejected by the geometry (the containment dichotomy): every such probe is
     certified non-containable by sequence arithmetic.  ``constant`` overrides
     the default K.
@@ -463,6 +474,7 @@ def certify_restricted(
                 f"admissible radius set intersects the avoided gap ({g_lo!r}, {g_hi!r})"
             )
     k_const = 1.0 / lens_constant() if constant is None else float(constant)
+    method = spec.method if spec.method != "grid" else "mc"
     max_ratio = -math.inf
     witness = None
     used = 0
@@ -484,7 +496,7 @@ def certify_restricted(
             for r in radii:
                 idx += 1
                 probe_spec = QuadratureSpec(
-                    method="mc",
+                    method=method,
                     target_rel_error=0.1,
                     max_samples=probes.samples_per_probe,
                     seed=derive_seed(spec.seed, f"restricted:{idx}"),
@@ -497,7 +509,11 @@ def certify_restricted(
                     max_ratio = ratio
                     witness = {"m": comp.m, "center": [cx, cy], "radius": r,
                                "mean": res.mean, "stderr": res.stderr, "ratio": ratio}
-                if 1.0 > k_const * res.mean + 3.0 * k_const * res.stderr:
+                if res.stderr > 0:
+                    slack = 3.0 * k_const * res.stderr
+                else:
+                    slack = EXACT_MEAN_REL_TOL * k_const * res.mean
+                if 1.0 > k_const * res.mean + slack:
                     violations.append({"m": comp.m, "center": [cx, cy], "radius": r,
                                        "mean": res.mean, "stderr": res.stderr})
         # the containment dichotomy: admissible radii >= b_m never fit

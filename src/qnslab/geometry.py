@@ -141,8 +141,20 @@ def apply_similarity(h: Similarity, p) -> np.ndarray:
     return h(as_point(p, h.dim))
 
 
-def _clamped_acos(x: float) -> float:
-    return math.acos(min(1.0, max(-1.0, x)))
+def _chord_segment(r: float, t: float) -> float:
+    """Area r^2 (t - sin t) / 2 of the disk segment cut off by a chord at central angle t.
+
+    For t < 1 the difference t - sin t is summed as its Taylor series (terms
+    through t^17 leave a relative error below 1e-16), since the direct form
+    loses every digit as t -> 0.
+    """
+    if t >= 1.0:
+        return 0.5 * r * r * (t - math.sin(t))
+    t2 = t * t
+    s = 1.0
+    for k in (16, 14, 12, 10, 8, 6, 4):  # Horner form of 1 - t^2/20 + t^4/840 - ...
+        s = 1.0 - t2 / (k * (k + 1)) * s
+    return 0.5 * r * r * t * t2 / 6.0 * s
 
 
 def lens_area(r1: float, r2: float, d: float) -> float:
@@ -150,8 +162,16 @@ def lens_area(r1: float, r2: float, d: float) -> float:
 
     ``r1`` and ``r2`` are the radii, ``d`` the distance between centers.
     Returns 0 for disjoint disks and the smaller disk's area when one disk
-    contains the other.  The acos arguments are clamped to [-1, 1] so the
-    formula stays finite at tangency.
+    contains the other.  The lens is the sum of the two chord segments, each
+    computed without cancellation, so the area stays accurate to a few ulps
+    for any radius ratio and up to tangency:
+
+    - the half-chord ``h`` comes from Kahan's form of Heron's product for
+      the triangle (r1, r2, d);
+    - the chord's signed distance to each center comes from sums of like-signed
+      terms (or a Sterbenz-exact difference);
+    - the half-angles are ``atan2(h, distance)`` and each segment is
+      r^2 (t - sin t) / 2 at central angle t, with a series for small t.
     """
     if r1 <= 0 or r2 <= 0:
         raise ValueError("disk radii must be positive")
@@ -159,19 +179,19 @@ def lens_area(r1: float, r2: float, d: float) -> float:
         raise ValueError("center distance must be nonnegative")
     if r1 < r2:
         r1, r2 = r2, r1  # canonical order keeps the formula exactly symmetric
-    # snap to the tangency limits: within 1e-12 relative of either limit the
-    # true area is below 1e-17 * scale^2 while acos loses ~1e-8, so the limit
-    # value is the accurate one
-    scale = r1 + r2
-    if d >= scale - 1e-12 * scale:
+    if d >= r1 + r2:
         return 0.0
-    if d <= (r1 - r2) + 1e-12 * scale:
+    if d <= r1 - r2:
         return math.pi * r2 * r2
-    d1 = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
-    d2 = d - d1
-    a1 = r1 * r1 * _clamped_acos(d1 / r1) - d1 * math.sqrt(max(r1 * r1 - d1 * d1, 0.0))
-    a2 = r2 * r2 * _clamped_acos(d2 / r2) - d2 * math.sqrt(max(r2 * r2 - d2 * d2, 0.0))
-    return max(a1 + a2, 0.0)
+    a, b, c = sorted((r1, r2, d), reverse=True)
+    heron = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
+    h = math.sqrt(max(heron, 0.0)) / (2.0 * d)
+    # chord distance from the larger disk's center: a sum of nonnegative terms
+    d1 = (d * d + (r1 - r2) * (r1 + r2)) / (2.0 * d)
+    # from the smaller disk's center (negative past it); for 2d >= r1 the
+    # difference d - r1 is exact (Sterbenz), so no digits cancel
+    d2 = ((d - r1) * (d + r1) + r2 * r2) / (2.0 * d) if 2.0 * d >= r1 else d - d1
+    return _chord_segment(r1, 2.0 * math.atan2(h, d1)) + _chord_segment(r2, 2.0 * math.atan2(h, d2))
 
 
 def lens_constant() -> float:

@@ -1,5 +1,19 @@
 """Averages of fields over balls and over similarity images of marked sets.
 
+Methods: ``"auto"`` (the default) returns a closed form where one exists and
+otherwise samples as ``"stratified"`` does; ``"stratified"``, ``"mc"`` and
+``"grid"`` always take their own sampler, which keeps them available as the
+Monte Carlo cross-check of the closed forms.  The closed forms, reported as
+method ``"exact"`` with stderr 0, are:
+
+- constant fields (under every method);
+- over a 2-D disk, the indicator of a union of pairwise-disjoint 2-D disks:
+  the mean is sum_i lens_area(r, r_i, |c - c_i|) / (pi r^2).
+
+``"auto"`` is resolved before any sampling, so no result reports it; image
+means have no closed form and sample as ``"stratified"``.  The containment
+check runs first on every path.
+
 All randomness is driven by a spec seed through ``numpy`` PCG64 streams; for a
 fixed spec (seed and worker count included) results are bit-identical across
 runs and across membership backends.  Worker chunks draw from independent
@@ -10,6 +24,7 @@ estimate.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -19,7 +34,7 @@ import numpy as np
 
 from .fields import Field
 from .geometry import Ball, Similarity
-from .regions import MarkedSet, ball_in_region
+from .regions import MarkedSet, _pair_overlap_kind, _pair_overlap_measure, ball_in_region
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -30,14 +45,14 @@ def derive_seed(seed: int, label: str) -> int:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    method: str = "stratified"  # "stratified" | "mc" | "grid"
+    method: str = "auto"  # "auto" | "stratified" | "mc" | "grid"
     target_rel_error: float = 1e-3
     max_samples: int = 10_000_000
     seed: int = 0
     workers: int = 1
 
     def __post_init__(self):
-        if self.method not in ("stratified", "mc", "grid"):
+        if self.method not in ("auto", "stratified", "mc", "grid"):
             raise ValueError(f"unknown quadrature method {self.method!r}")
         if not (0.0 < self.target_rel_error <= 0.1):
             raise ValueError("target relative error must lie in (0, 0.1]")
@@ -145,12 +160,32 @@ def _sample_mean(spec: QuadratureSpec, draw_values: Callable[[int, int, int], np
         batch_size = min(batch_size * 2, spec.max_samples - n)
 
 
+def _disk_indicator_mean(u: Field, ball: Ball) -> float | None:
+    """Closed-form mean over a 2-D ball of the indicator of pairwise-disjoint
+    2-D disks, or None when the field is not of that form."""
+    if u.kind != "indicator" or ball.dim != 2:
+        return None
+    disks = u.params["support"].primitives
+    if not all(isinstance(p, Ball) for p in disks):
+        return None
+    if any(_pair_overlap_kind(p, q) != "disjoint" for p, q in itertools.combinations(disks, 2)):
+        return None
+    covered = 0.0
+    for p in disks:
+        kind = _pair_overlap_kind(ball, p)
+        if kind != "disjoint":
+            covered += _pair_overlap_measure(ball, p, kind)
+    return covered / (math.pi * ball.radius * ball.radius)
+
+
 def mean_over_ball(u: Field, ball: Ball, spec: QuadratureSpec = QuadratureSpec()) -> MeanResult:
-    """Estimate of the average of ``u`` over the ball, with standard error.
+    """Average of ``u`` over the ball, with standard error.
 
     The closed ball must lie inside the field's domain; a violation reports
-    the offending boundary direction.  The grid method is rejected for
-    indicator-bearing fields (boundary bias); Monte Carlo is unbiased there.
+    the offending boundary direction.  Under ``"auto"`` the closed forms of
+    the module docstring are used where they apply; otherwise the mean is
+    sampled.  The grid method is rejected for indicator-bearing fields
+    (boundary bias); Monte Carlo is unbiased there.
     """
     if ball.dim != u.dim:
         raise ValueError("ball and field dimensions differ")
@@ -162,20 +197,26 @@ def mean_over_ball(u: Field, ball: Ball, spec: QuadratureSpec = QuadratureSpec()
         )
     if u.kind == "constant":
         return MeanResult(u.params["value"], 0.0, 1, "exact")
+    method = spec.method
+    if method == "auto":
+        exact = _disk_indicator_mean(u, ball)
+        if exact is not None:
+            return MeanResult(exact, 0.0, 1, "exact")
+        method = "stratified"
     center = np.asarray(ball.center, dtype=np.float64)
-    if spec.method == "grid":
+    if method == "grid":
         if u.has_indicator:
             raise ValueError("grid quadrature is biased for indicator fields; use mc or stratified")
         return _grid_ball_mean(u, center, ball.radius, spec)
 
-    stratified = spec.method == "stratified"
+    stratified = method == "stratified"
 
     def draw(batch: int, chunk: int, size: int) -> np.ndarray:
         rng = _rng(spec.seed, batch, chunk)
         pts = sample_in_ball(center, ball.radius, size, rng, stratified)
         return u.evaluate_many(pts, check_domain=False)
 
-    return _sample_mean(spec, draw, spec.method)
+    return _sample_mean(spec, draw, method)
 
 
 def _grid_ball_mean(u: Field, center: np.ndarray, radius: float, spec: QuadratureSpec) -> MeanResult:
@@ -229,7 +270,8 @@ def mean_over_image(
             raise RuntimeError("rejection sampling failed to hit the marked set")
         return vals[:size]
 
-    return _sample_mean(spec, draw, "mc" if spec.method == "grid" else spec.method)
+    # image means have no closed form and no grid rule
+    return _sample_mean(spec, draw, {"auto": "stratified", "grid": "mc"}.get(spec.method, spec.method))
 
 
 def _probe_image_containment(u: Field, d: MarkedSet, h: Similarity, spec: QuadratureSpec, n: int = 512):

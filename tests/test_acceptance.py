@@ -95,7 +95,7 @@ def test_acceptance_3_counterexample_pass_side():
         radii_per_component=19,
         samples_per_probe=4096,
     )
-    rep = certify_restricted(dom, admissible, probes, QuadratureSpec(seed=202), constant=2.5575)
+    rep = certify_restricted(dom, admissible, probes, QuadratureSpec(method="mc", seed=202), constant=2.5575)
     assert rep.probes >= 10_000, f"only {rep.probes} probes"
     assert rep.passed, f"{len(rep.violations)} probes broke the stderr-slack bound"
     assert rep.max_ratio >= 2.50, f"sharpness witness only reached {rep.max_ratio:.4f}"

@@ -179,6 +179,27 @@ class TestCertifyRestricted:
         assert rep.max_ratio <= (1.0 / lens_constant()) * 1.1
         assert rep.sharpness_witness["ratio"] >= 2.3
 
+    def test_exact_means_reach_the_sharp_constant(self):
+        dom = build_domain(default_sequences(3, 5))
+        rep = certify_restricted(dom, avoided_complement_set(dom))
+        assert rep.passed and not rep.violations
+        assert rep.probes == 10_355
+        assert rep.sharpness_witness["stderr"] == 0.0
+        assert math.isclose(rep.max_ratio, 1.0 / lens_constant(), rel_tol=0.0, abs_tol=1e-12)
+
+    def test_exact_means_break_2_5575_at_the_sharp_probes(self):
+        # 2.5575 * lens_constant() = 0.999988 < 1: with exact means only the
+        # Monte Carlo slack lets acceptance 3 pass at 2.5575
+        dom = build_domain(default_sequences(3, 5))
+        probes = RestrictedProbeSpec()
+        rep = certify_restricted(dom, avoided_complement_set(dom), probes, constant=2.5575)
+        assert not rep.passed
+        assert len(rep.violations) == len(dom.components) * probes.angles == 60
+        radius = {comp.m: comp.inner_radius for comp in dom.components}
+        for v in rep.violations:
+            assert v["radius"] == radius[v["m"]]
+            assert math.isclose(math.hypot(*v["center"]), radius[v["m"]], rel_tol=1e-12)
+
     def test_dichotomy_blocks_large_radii(self):
         from qnslab.counterexample import _certify_dichotomy
 

@@ -161,13 +161,41 @@ class TestLensArea:
         est = mc_disk_overlap_fraction(1.0)
         assert abs(est - lens_area(1.0, 1.0, 1.0) / math.pi) < 0.002
 
+    # covered fraction of a disk of radius x*R centred on the boundary of a
+    # disk of radius R, from the textbook formula at 50 digits (mpmath)
+    BOUNDARY_FRACTION = {
+        1e-3: 0.49989389670195283,
+        1e-4: 0.49998938967045786,
+        1e-5: 0.49999893896704606,
+        1e-6: 0.49999989389670463,
+        1e-7: 0.49999998938967044,
+        1e-8: 0.49999999893896707,
+        1e-9: 0.4999999998938967,
+    }
+
+    @pytest.mark.parametrize("big", [1.0, 4.0421986745463475e-13])
+    @pytest.mark.parametrize("ratio", sorted(BOUNDARY_FRACTION))
+    def test_very_unequal_radii(self, big, ratio):
+        small = ratio * big
+        frac = lens_area(small, big, big) / (math.pi * small * small)
+        assert math.isclose(frac, self.BOUNDARY_FRACTION[ratio], rel_tol=1e-14)
+
+    def test_chain_sharp_probe_input(self):
+        # the deepest restricted probe of default_sequences(3, 5) at m = 3:
+        # the direct acos form returned 219.19 here
+        a = 4.0421986745463475e-13
+        frac = lens_area(1e-19, a, a) / (math.pi * 1e-38)
+        assert math.isclose(frac, 0.4999999737510934, rel_tol=1e-14)
+        for r in (1e-25, 1e-22, 1e-16):
+            assert 0.49 < lens_area(r, a, a) / (math.pi * r * r) <= 0.5
+
 
 class TestLensConstant:
     def test_value(self):
         assert math.isclose(lens_constant(), 0.3910022, abs_tol=1e-7)
 
     def test_matches_lens_area(self):
-        assert math.isclose(lens_constant(), lens_area(1.0, 1.0, 1.0) / math.pi, rel_tol=1e-12)
+        assert math.isclose(lens_constant(), lens_area(1.0, 1.0, 1.0) / math.pi, rel_tol=0.0, abs_tol=1e-15)
 
     def test_is_infimum_over_big_radii(self):
         # the normalized overlap at distance = big radius is smallest at r = 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qnslab.fields import DomainError, constant_field, harmonic_field, indicator_field
-from qnslab.geometry import Ball, Similarity
+from qnslab.geometry import Ball, Similarity, lens_area, lens_constant
 from qnslab.quadrature import (
     ContainmentError,
     QuadratureSpec,
@@ -13,7 +13,7 @@ from qnslab.quadrature import (
     mean_over_image,
     sample_in_ball,
 )
-from qnslab.regions import MarkedSet, Rect, Region
+from qnslab.regions import MarkedSet, Polygon, Rect, Region
 
 OMEGA = Region((Ball((0.0, 0.0), 4.0),))
 SUPPORT = Region((Ball((0.0, 0.0), 1.0, closed=True),))
@@ -58,7 +58,8 @@ class TestMeanOverBall:
         assert res.mean == 5.0 and res.stderr == 0.0
 
     def test_indicator_area_ratio(self):
-        res = mean_over_ball(CHI, Ball((0.0, 0.0), 2.0), QuadratureSpec(seed=2, max_samples=300_000))
+        res = mean_over_ball(CHI, Ball((0.0, 0.0), 2.0),
+                             QuadratureSpec(method="stratified", seed=2, max_samples=300_000))
         assert abs(res.mean - 0.25) <= max(3.0 * res.stderr, 1e-3)
 
     def test_harmonic_mean_value(self):
@@ -83,18 +84,19 @@ class TestMeanOverBall:
         assert err.value.direction is not None
 
     def test_seed_determinism(self):
-        spec = QuadratureSpec(seed=7, max_samples=50_000)
+        spec = QuadratureSpec(method="stratified", seed=7, max_samples=50_000)
         a = mean_over_ball(CHI, Ball((0.2, 0.1), 1.5), spec)
         b = mean_over_ball(CHI, Ball((0.2, 0.1), 1.5), spec)
         assert a == b
 
     def test_seed_sensitivity(self):
-        a = mean_over_ball(CHI, Ball((0.2, 0.1), 1.5), QuadratureSpec(seed=7, max_samples=50_000))
-        b = mean_over_ball(CHI, Ball((0.2, 0.1), 1.5), QuadratureSpec(seed=8, max_samples=50_000))
+        ball = Ball((0.2, 0.1), 1.5)
+        a = mean_over_ball(CHI, ball, QuadratureSpec(method="stratified", seed=7, max_samples=50_000))
+        b = mean_over_ball(CHI, ball, QuadratureSpec(method="stratified", seed=8, max_samples=50_000))
         assert a.mean != b.mean
 
     def test_worker_determinism(self):
-        spec2 = QuadratureSpec(seed=7, max_samples=50_000, workers=2)
+        spec2 = QuadratureSpec(method="stratified", seed=7, max_samples=50_000, workers=2)
         a = mean_over_ball(CHI, Ball((0.2, 0.1), 1.5), spec2)
         b = mean_over_ball(CHI, Ball((0.2, 0.1), 1.5), spec2)
         assert a == b
@@ -111,6 +113,66 @@ class TestMeanOverBall:
         u3 = indicator_field(support3, omega3)
         res = mean_over_ball(u3, Ball((0.0, 0.0, 0.0), 2.0), QuadratureSpec(seed=4, max_samples=400_000))
         assert abs(res.mean - 0.125) <= max(3.0 * res.stderr, 2e-3)
+
+
+class TestExactDiskMeans:
+    TWO_DISKS = indicator_field(
+        Region((Ball((-1.5, 0.0), 1.0, closed=True), Ball((1.5, 0.0), 1.0, closed=True))), OMEGA
+    )
+
+    @pytest.mark.parametrize(
+        "u, ball, expected",
+        [
+            (CHI, Ball((0.0, 0.0), 2.0), 0.25),  # concentric
+            (CHI, Ball((1.0, 0.0), 1.0), lens_constant()),  # on the boundary, r = a
+            (CHI, Ball((0.0, 1.0), 1e-6), lens_area(1e-6, 1.0, 1.0) / (math.pi * 1e-12)),  # r/a = 1e-6
+            (TWO_DISKS, Ball((0.0, 0.0), 2.0), 2.0 * lens_area(2.0, 1.0, 1.5) / (4.0 * math.pi)),  # straddles both
+        ],
+        ids=["concentric", "boundary", "boundary-tiny", "two-disks"],
+    )
+    def test_exact_matches_mc(self, u, ball, expected):
+        exact = mean_over_ball(u, ball)
+        assert exact.method == "exact" and exact.stderr == 0.0 and exact.n_samples == 1
+        assert math.isclose(exact.mean, expected, rel_tol=1e-14)
+        mc = mean_over_ball(u, ball, QuadratureSpec(method="mc", seed=11, max_samples=200_000))
+        assert mc.method == "mc" and mc.n_samples >= 100_000
+        assert abs(exact.mean - mc.mean) <= 3.0 * mc.stderr
+
+    @pytest.mark.parametrize(
+        "support",
+        [
+            Region((Ball((-0.5, 0.0), 1.0), Ball((0.5, 0.0), 1.0))),  # overlapping disks
+            Region((Polygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))),)),
+            Region((Rect((0.0, 0.0), (1.0, 1.0)),)),
+        ],
+        ids=["overlapping-disks", "polygon", "rect"],
+    )
+    def test_other_supports_are_sampled(self, support):
+        res = mean_over_ball(indicator_field(support, OMEGA), Ball((0.0, 0.0), 1.5), QuadratureSpec(seed=1))
+        assert res.method == "stratified" and res.stderr > 0.0
+
+    def test_3d_ball_is_sampled(self):
+        omega3 = Region((Ball((0.0, 0.0, 0.0), 4.0),))
+        u3 = indicator_field(Region((Ball((0.0, 0.0, 0.0), 1.0, closed=True),)), omega3)
+        res = mean_over_ball(u3, Ball((0.5, 0.0, 0.0), 1.0), QuadratureSpec(seed=1))
+        assert res.method == "stratified"
+
+    def test_auto_checks_containment(self):
+        with pytest.raises(ContainmentError) as err:
+            mean_over_ball(CHI, Ball((3.5, 0.0), 1.0), QuadratureSpec(method="auto"))
+        assert err.value.direction is not None
+
+    def test_explicit_samplers_bypass_exact_path(self):
+        for method in ("mc", "stratified"):
+            res = mean_over_ball(CHI, Ball((1.0, 0.0), 1.0), QuadratureSpec(method=method, seed=3))
+            assert res.method == method and res.stderr > 0.0
+
+    def test_image_auto_samples_as_stratified(self):
+        d = MarkedSet(Region((Ball((0.0, 0.0), 1.0),)), (0.0, 0.0))
+        h = Similarity(1.0, np.eye(2), (1.0, 0.0))
+        res = mean_over_image(CHI, d, h, QuadratureSpec(seed=2, max_samples=50_000))
+        stratified = mean_over_image(CHI, d, h, QuadratureSpec(method="stratified", seed=2, max_samples=50_000))
+        assert res == stratified and res.method == "stratified"
 
 
 class TestMeanOverImage:
