@@ -158,7 +158,7 @@ def cmd_check_qns(config_path, max_k, seed, workers, samples, out_dir):
 def cmd_counterexample(n0, m_count, variant, seed, workers, out_dir):
     """Build the chain domain and certify both sides of its behavior."""
     spec = QuadratureSpec(
-        method="mc", target_rel_error=1e-3, max_samples=400_000,
+        method="auto", target_rel_error=1e-3, max_samples=400_000,
         seed=derive_seed(seed, "counterexample"), workers=workers,
     )
     try:

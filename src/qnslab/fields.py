@@ -63,12 +63,16 @@ class Field:
             out += w * term.values(pts)
         return out
 
+    def require_in_domain(self, pts: np.ndarray) -> None:
+        """Raise ``DomainError`` unless every point lies in the domain."""
+        mask = self.domain.contains_many(np.ascontiguousarray(pts, dtype=np.float64))
+        if not mask.all():
+            bad = np.asarray(pts)[int(np.argmin(mask))]
+            raise DomainError(f"point {tuple(bad)} lies outside the field domain")
+
     def evaluate_many(self, pts: np.ndarray, check_domain: bool = True) -> np.ndarray:
         if check_domain:
-            mask = self.domain.contains_many(np.ascontiguousarray(pts, dtype=np.float64))
-            if not mask.all():
-                bad = np.asarray(pts)[int(np.argmin(mask))]
-                raise DomainError(f"point {tuple(bad)} lies outside the field domain")
+            self.require_in_domain(pts)
         return self.values(pts)
 
 

@@ -6,6 +6,11 @@ the true constant; pass verdicts carry standard-error slack), runs the
 analogous test over similarity images of a marked set, converts between the
 ball and image constants, measures indicator densities, checks scale-function
 admissibility, and evaluates scale-homogeneous shape functionals.
+
+Each probe battery (``estimate_K``/``check_K``, ``indicator_density``,
+``generalized_test``) runs every probe on its own spec seed and shares one
+memo of base samples between its probes (common random numbers, see the
+``quadrature`` module docstring); the memo is dropped when the battery returns.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ log = logging.getLogger(__name__)
 
 from .fields import DomainError, Field
 from .geometry import Ball, Similarity, unit_ball_volume
-from .quadrature import ContainmentError, QuadratureSpec, mean_over_ball, mean_over_image
+from .quadrature import ContainmentError, QuadratureSpec, _SampleMemo, mean_over_ball, mean_over_image
 from .radius_sets import RadiusSet, log_eps_net
 from .regions import MarkedSet, Rect, Region
 
@@ -124,15 +129,15 @@ def _iter_ball_probes(u: Field, omega: Region, grid: BallProbeGrid, spec: Quadra
     """Yield (index, center, radius, value, MeanResult); skip containment violations."""
     centers = grid.centers(omega)
     radii = grid.radii(omega)
+    memo = _SampleMemo()
     idx = 0
     skipped = 0
     for c in centers:
         c_t = tuple(float(v) for v in c)
         for r in radii:
             idx += 1
-            probe_spec = spec.child(f"ball:{idx}")
             try:
-                res = mean_over_ball(u, Ball(c_t, float(r)), probe_spec)
+                res = mean_over_ball(u, Ball(c_t, float(r)), spec, _memo=memo)
             except ContainmentError as exc:
                 log.debug("probe %d skipped: %s", idx, exc)
                 skipped += 1
@@ -274,14 +279,14 @@ def indicator_density(
     skipped = 0
     centers = probes.centers(gamma)
     radii = probes.radii(omega)
+    memo = _SampleMemo()
     idx = 0
     for c in centers:
         c_t = tuple(float(v) for v in c)
         for r in radii:
             idx += 1
-            probe_spec = spec.child(f"density:{idx}")
             try:
-                res = mean_over_ball(u, Ball(c_t, float(r)), probe_spec)
+                res = mean_over_ball(u, Ball(c_t, float(r)), spec, _memo=memo)
             except ContainmentError:
                 skipped += 1
                 continue
@@ -395,7 +400,8 @@ def generalized_test(
     scales = sims.scales(omega, d)
     parts = sims.orthogonal_parts(2)
     hull = _admissibility_samples(d)
-    base_spec = spec if spec.method != "grid" else replace(spec, method="mc")
+    probe_spec = spec if spec.method != "grid" else replace(spec, method="mc")
+    memo = _SampleMemo()
     m_d = d.measure
     best = (-math.inf, -1)
     witness = None
@@ -413,9 +419,8 @@ def generalized_test(
                 if not omega.contains_many(mapped).astype(bool).all():
                     skipped += 1
                     continue
-                probe_spec = base_spec.child(f"sim:{idx}")
                 try:
-                    res = mean_over_image(u, d, h, probe_spec)
+                    res = mean_over_image(u, d, h, probe_spec, _memo=memo)
                 except DomainError:
                     skipped += 1
                     continue

@@ -19,6 +19,17 @@ fixed spec (seed and worker count included) results are bit-identical across
 runs and across membership backends.  Worker chunks draw from independent
 child streams and are reduced in a fixed order, so threading never changes the
 estimate.
+
+A sampled mean is two steps.  The base sample is a pure function of the spec
+seed, the (batch, chunk) index and the chunk size (and, for image means, of
+the marked set D): radius-free factors of uniform unit-ball points, or every
+candidate that the rejection loop accepts in D, over-draw included.  The
+per-probe step maps it by ``c + r*x`` or by ``h`` and evaluates the field.
+The probe batteries of ``qns_engine`` run every probe on the battery's own
+spec seed and pass a ``_SampleMemo`` that keeps the base samples for the
+battery's lifetime: the probes then share common random numbers.  Each
+probe's mean stays unbiased and equals a standalone call with that spec bit
+for bit, but the errors of one battery's probes are correlated.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -84,34 +96,108 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def _cube_to_ball(cube: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """Map unit-cube points to uniform points in a ball (constant Jacobian)."""
-    dim = center.size
-    if dim == 2:
-        r = radius * np.sqrt(cube[:, 0])
+def _ball_base(cube: np.ndarray) -> tuple:
+    """Radius-free factors of uniform unit-ball points, from unit-cube points.
+
+    2-D: (rho, cos theta, sin theta); 3-D: (rho, sin t, cos phi, sin phi, cos t).
+    """
+    if cube.shape[1] == 2:
         theta = 2.0 * math.pi * cube[:, 1]
-        return center + np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
-    r = radius * np.cbrt(cube[:, 0])
+        return np.sqrt(cube[:, 0]), np.cos(theta), np.sin(theta)
     cos_t = 1.0 - 2.0 * cube[:, 1]
     sin_t = np.sqrt(np.maximum(1.0 - cos_t * cos_t, 0.0))
     phi = 2.0 * math.pi * cube[:, 2]
-    return center + np.stack([r * sin_t * np.cos(phi), r * sin_t * np.sin(phi), r * cos_t], axis=1)
+    return np.cbrt(cube[:, 0]), sin_t, np.cos(phi), np.sin(phi), cos_t
+
+
+def _place_in_ball(base: tuple, center: np.ndarray, radius: float) -> np.ndarray:
+    """The points center + radius * x of the ball for unit-ball factors x.
+
+    Coordinates are written into one preallocated array, so placing a chunk
+    holds no more memory than drawing it.
+    """
+    r = radius * base[0]
+    pts = np.empty((r.size, center.size))
+    if len(base) == 3:
+        _, cos_theta, sin_theta = base
+        np.multiply(r, cos_theta, out=pts[:, 0])
+        np.multiply(r, sin_theta, out=pts[:, 1])
+    else:
+        _, sin_t, cos_phi, sin_phi, cos_t = base
+        r_sin = r * sin_t
+        np.multiply(r_sin, cos_phi, out=pts[:, 0])
+        np.multiply(r_sin, sin_phi, out=pts[:, 1])
+        np.multiply(r, cos_t, out=pts[:, 2])
+    pts += center
+    return pts
+
+
+def _cube_to_ball(cube: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+    """Map unit-cube points to uniform points in a ball (constant Jacobian)."""
+    return _place_in_ball(_ball_base(cube), center, radius)
 
 
 def _cube_samples(n: int, dim: int, rng: np.random.Generator, stratified: bool) -> np.ndarray:
+    """n points of the unit cube; stratified: one jittered point per cell of a
+    g^dim grid with g^dim <= n, and the remaining n - g^dim points uniform."""
     if not stratified:
         return rng.random((n, dim))
     g = max(int(round(n ** (1.0 / dim))), 1)
+    while g**dim > n:
+        g -= 1
     axes = np.meshgrid(*[np.arange(g)] * dim, indexing="ij")
     cells = np.stack([a.ravel() for a in axes], axis=1).astype(np.float64)
     jitter = rng.random(cells.shape)
-    return (cells + jitter) / g
+    strata = (cells + jitter) / g
+    if cells.shape[0] == n:
+        return strata
+    return np.concatenate([strata, rng.random((n - cells.shape[0], dim))])
 
 
 def sample_in_ball(center, radius: float, n: int, rng: np.random.Generator, stratified: bool = False) -> np.ndarray:
     center = np.asarray(center, dtype=np.float64)
     cube = _cube_samples(n, center.size, rng, stratified)
     return _cube_to_ball(cube, center, radius)
+
+
+# Largest number of base-sample points one memo holds; later draws are not kept.
+_MEMO_CAP_POINTS = 1 << 18
+
+
+class _SampleMemo:
+    """Base samples shared by the probes of one battery.
+
+    An entry is a pure function of its key (sampler, spec seed, batch, chunk,
+    size), so a hit returns exactly what a fresh draw would and the memo never
+    changes a result.  One memo serves one battery: one field dimension and at
+    most one marked set.  It keeps no entry past ``_MEMO_CAP_POINTS`` points
+    and is dropped with the battery that made it.  Stored arrays are made
+    read-only, since every probe receives the same ones.
+    """
+
+    def __init__(self):
+        self._entries: dict = {}
+        self._points = 0
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple, draw: Callable[[], object]):
+        hit = self._entries.get(key)
+        if hit is not None:
+            return hit
+        value = draw()
+        arrays = value if isinstance(value, tuple) else (value,)
+        for a in arrays:
+            a.setflags(write=False)
+        n = len(arrays[0])
+        with self._lock:
+            if key not in self._entries and self._points + n <= _MEMO_CAP_POINTS:
+                self._entries[key] = value
+                self._points += n
+        return value
+
+
+def _memoized(memo: "_SampleMemo | None", key: tuple, draw: Callable[[], object]):
+    return draw() if memo is None else memo.get(key, draw)
 
 
 def _reduce_chunks(spec: QuadratureSpec, chunk_fn: Callable[[int], tuple], n_chunks: int):
@@ -160,15 +246,29 @@ def _sample_mean(spec: QuadratureSpec, draw_values: Callable[[int, int, int], np
         batch_size = min(batch_size * 2, spec.max_samples - n)
 
 
-def _disk_indicator_mean(u: Field, ball: Ball) -> float | None:
-    """Closed-form mean over a 2-D ball of the indicator of pairwise-disjoint
-    2-D disks, or None when the field is not of that form."""
-    if u.kind != "indicator" or ball.dim != 2:
+def _disjoint_disk_support(u: Field) -> tuple | None:
+    """The disks of a 2-D indicator field whose support is a union of
+    pairwise-disjoint disks, or None when the field is not of that form."""
+    if u.kind != "indicator" or u.dim != 2:
         return None
     disks = u.params["support"].primitives
     if not all(isinstance(p, Ball) for p in disks):
         return None
     if any(_pair_overlap_kind(p, q) != "disjoint" for p, q in itertools.combinations(disks, 2)):
+        return None
+    return disks
+
+
+def _ball_means_exact(u: Field, method: str) -> bool:
+    """Whether ``mean_over_ball`` returns a closed form for ``u`` under ``method``."""
+    return u.kind == "constant" or (method == "auto" and _disjoint_disk_support(u) is not None)
+
+
+def _disk_indicator_mean(u: Field, ball: Ball) -> float | None:
+    """Closed-form mean over a 2-D ball of the indicator of pairwise-disjoint
+    2-D disks, or None when the field is not of that form."""
+    disks = _disjoint_disk_support(u)
+    if disks is None:
         return None
     covered = 0.0
     for p in disks:
@@ -178,14 +278,17 @@ def _disk_indicator_mean(u: Field, ball: Ball) -> float | None:
     return covered / (math.pi * ball.radius * ball.radius)
 
 
-def mean_over_ball(u: Field, ball: Ball, spec: QuadratureSpec = QuadratureSpec()) -> MeanResult:
+def mean_over_ball(
+    u: Field, ball: Ball, spec: QuadratureSpec = QuadratureSpec(), *, _memo: _SampleMemo | None = None
+) -> MeanResult:
     """Average of ``u`` over the ball, with standard error.
 
     The closed ball must lie inside the field's domain; a violation reports
     the offending boundary direction.  Under ``"auto"`` the closed forms of
     the module docstring are used where they apply; otherwise the mean is
     sampled.  The grid method is rejected for indicator-bearing fields
-    (boundary bias); Monte Carlo is unbiased there.
+    (boundary bias); Monte Carlo is unbiased there.  ``_memo`` (a battery's
+    base samples) saves work and never changes the result.
     """
     if ball.dim != u.dim:
         raise ValueError("ball and field dimensions differ")
@@ -212,8 +315,14 @@ def mean_over_ball(u: Field, ball: Ball, spec: QuadratureSpec = QuadratureSpec()
     stratified = method == "stratified"
 
     def draw(batch: int, chunk: int, size: int) -> np.ndarray:
-        rng = _rng(spec.seed, batch, chunk)
-        pts = sample_in_ball(center, ball.radius, size, rng, stratified)
+        if _memo is None:
+            pts = sample_in_ball(center, ball.radius, size, _rng(spec.seed, batch, chunk), stratified)
+        else:
+            base = _memo.get(
+                ("ball", spec.seed, stratified, batch, chunk, size),
+                lambda: _ball_base(_cube_samples(size, center.size, _rng(spec.seed, batch, chunk), stratified)),
+            )
+            pts = _place_in_ball(base, center, ball.radius)
         return u.evaluate_many(pts, check_domain=False)
 
     return _sample_mean(spec, draw, method)
@@ -239,45 +348,63 @@ def _grid_ball_mean(u: Field, center: np.ndarray, radius: float, spec: Quadratur
 
 
 def mean_over_image(
-    u: Field, d: MarkedSet, h: Similarity, spec: QuadratureSpec = QuadratureSpec()
+    u: Field, d: MarkedSet, h: Similarity, spec: QuadratureSpec = QuadratureSpec(),
+    *, _memo: _SampleMemo | None = None,
 ) -> MeanResult:
     """Average of ``u`` over h(D), sampling in D and mapping through h.
 
-    Uniform candidates are drawn in D's bounding box, rejected to D, then
-    mapped; any mapped sample outside the field domain rejects the whole call,
-    which realizes the containment precondition sample-by-sample.
+    Uniform candidates are drawn in D's bounding box and rejected to D; every
+    accepted candidate, over-draw included, is mapped and must land in the
+    field domain (else ``DomainError``), which realizes the containment
+    precondition sample-by-sample.  The field is evaluated on the first
+    ``size`` mapped points of each chunk.  ``_memo`` (a battery's base
+    samples) saves work and never changes the result.
     """
     if d.dim != u.dim or h.dim != u.dim:
         raise ValueError("marked set, similarity and field dimensions must agree")
     if u.kind == "constant":
-        _probe_image_containment(u, d, h, spec)
+        _probe_image_containment(u, d, h, spec, _memo)
         return MeanResult(u.params["value"], 0.0, 1, "exact")
-    lo, hi = d.region.bbox
-    span = hi - lo
 
     def draw(batch: int, chunk: int, size: int) -> np.ndarray:
-        rng = _rng(spec.seed, batch, chunk)
-        vals = np.empty(0)
-        attempts = 0
-        while vals.size < size and attempts < 64:
-            cand = lo + rng.random((2 * size, d.dim)) * span
-            cand = cand[d.region.contains_many(cand).astype(bool)]
-            if cand.size:
-                mapped = h.apply_many(cand)
-                vals = np.concatenate([vals, u.evaluate_many(mapped)])
-            attempts += 1
-        if vals.size < size:
-            raise RuntimeError("rejection sampling failed to hit the marked set")
-        return vals[:size]
+        cand = _memoized(_memo, ("image", spec.seed, batch, chunk, size),
+                         lambda: _image_base(d, spec.seed, batch, chunk, size))
+        mapped = h.apply_many(cand)
+        u.require_in_domain(mapped)
+        return u.evaluate_many(mapped[:size], check_domain=False)
 
     # image means have no closed form and no grid rule
     return _sample_mean(spec, draw, {"auto": "stratified", "grid": "mc"}.get(spec.method, spec.method))
 
 
-def _probe_image_containment(u: Field, d: MarkedSet, h: Similarity, spec: QuadratureSpec, n: int = 512):
+def _image_base(d: MarkedSet, seed: int, batch: int, chunk: int, size: int) -> np.ndarray:
+    """Every candidate the rejection loop accepts in D until it holds ``size``."""
+    rng = _rng(seed, batch, chunk)
     lo, hi = d.region.bbox
-    rng = _rng(derive_seed(spec.seed, "containment"), 0)
-    cand = lo + rng.random((4 * n, d.dim)) * (hi - lo)
-    cand = cand[d.region.contains_many(cand).astype(bool)][:n]
+    span = hi - lo
+    kept = []
+    n = 0
+    attempts = 0
+    while n < size and attempts < 64:
+        cand = lo + rng.random((2 * size, d.dim)) * span
+        cand = cand[d.region.contains_many(cand).astype(bool)]
+        kept.append(cand)
+        n += len(cand)
+        attempts += 1
+    if n < size:
+        raise RuntimeError("rejection sampling failed to hit the marked set")
+    return np.concatenate(kept)
+
+
+def _probe_image_containment(
+    u: Field, d: MarkedSet, h: Similarity, spec: QuadratureSpec, memo: _SampleMemo | None = None, n: int = 512
+):
+    def draw() -> np.ndarray:
+        lo, hi = d.region.bbox
+        rng = _rng(derive_seed(spec.seed, "containment"), 0)
+        cand = lo + rng.random((4 * n, d.dim)) * (hi - lo)
+        return cand[d.region.contains_many(cand).astype(bool)][:n]
+
+    cand = _memoized(memo, ("containment", spec.seed, n), draw)
     if cand.size:
         u.evaluate_many(h.apply_many(cand))  # raises DomainError on exterior hits

@@ -130,6 +130,7 @@ class TestCounterexample:
         with open(out / "implied_k.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert [round(float(r[8])) for r in rows[1:]] == [4, 16, 36, 64]
+        assert [float(r[6]) for r in rows[1:]] == [0.0] * 4  # exact lens-area means
         cert = json.loads((out / "certification.json").read_text())
         assert cert["failure_side"]["verdict"] == "unbounded-constant-confirmed"
         assert cert["restricted_side"]["verdict"] == "pass"

@@ -200,6 +200,24 @@ class TestCertifyRestricted:
             assert v["radius"] == radius[v["m"]]
             assert math.isclose(math.hypot(*v["center"]), radius[v["m"]], rel_tol=1e-12)
 
+    @pytest.mark.parametrize("method", ["auto", "mc"])
+    def test_probe_seeds_are_derived_only_for_sampled_means(self, monkeypatch, method):
+        from qnslab import counterexample, quadrature
+
+        labels = []
+
+        def counting(seed, label):
+            labels.append(label)
+            return quadrature.derive_seed(seed, label)
+
+        monkeypatch.setattr(counterexample, "derive_seed", counting)
+        dom = build_domain(default_sequences(3, 3))
+        probes = RestrictedProbeSpec(offsets=(0.0, 1.0), angles=4, radii_per_component=3,
+                                     samples_per_probe=1024)
+        rep = certify_restricted(dom, avoided_complement_set(dom), probes, QuadratureSpec(method=method, seed=5))
+        assert rep.passed
+        assert len(labels) == (0 if method == "auto" else rep.probes)
+
     def test_dichotomy_blocks_large_radii(self):
         from qnslab.counterexample import _certify_dichotomy
 

@@ -1,9 +1,13 @@
+import gc
 import math
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qnslab.fields import constant_field, indicator_field
+from qnslab import qns_engine, quadrature
+from qnslab.fields import DomainError, constant_field, indicator_field
 from qnslab.geometry import Ball, Similarity, lens_area, lens_constant
 from qnslab.qns_engine import (
     BallProbeGrid,
@@ -18,7 +22,7 @@ from qnslab.qns_engine import (
     indicator_density,
     phi_functional,
 )
-from qnslab.quadrature import QuadratureSpec
+from qnslab.quadrature import QuadratureSpec, _SampleMemo
 from qnslab.regions import MarkedSet, Polygon, Rect, Region
 
 OMEGA = Region((Ball((0.0, 0.0), 2.0),))
@@ -203,6 +207,130 @@ class TestGeneralizedTest:
         est = generalized_test(ONE, OMEGA, d, None, sims, FAST_SPEC)
         assert est.vacuous
         assert est.to_json()["verdict"] == "vacuously-true"
+
+
+def record_means(monkeypatch, name):
+    """Record (args, kwargs, result or exception) of every battery call to ``name``."""
+    calls = []
+    original = getattr(qns_engine, name)
+
+    def recording(*args, **kwargs):
+        try:
+            res = original(*args, **kwargs)
+        except Exception as exc:
+            calls.append((args, kwargs, exc))
+            raise
+        calls.append((args, kwargs, res))
+        return res
+
+    monkeypatch.setattr(qns_engine, name, recording)
+    return calls
+
+
+def standalone(fn, args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 -- compared by type below
+        return exc
+
+
+def assert_matches_standalone(calls, fn, spec):
+    """Every battery mean equals a memo-free call with the battery spec, bit for bit."""
+    assert calls
+    for args, kwargs, outcome in calls:
+        assert args[-1] == spec and kwargs["_memo"] is not None
+        alone = standalone(fn, args)
+        if isinstance(outcome, Exception):
+            assert type(alone) is type(outcome)
+        else:
+            assert alone == outcome
+
+
+# a 4x4 square with an off-center square hole, so an image h(D) can hold the
+# hole while its sampled boundary and marked point all lie in the domain
+HOLED = Region((
+    Rect((-2.0, -2.0), (0.3, 2.0)), Rect((0.5, -2.0), (2.0, 2.0)),
+    Rect((0.3, -2.0), (0.5, -0.1)), Rect((0.3, 0.1), (0.5, 2.0)),
+))
+HOLE_SIMS = SimilarityProbeGrid(center_resolution=5, scales_per_center=2, scale_range=(0.6, 1.0),
+                                rotations=1, include_reflections=False)
+
+
+class TestCommonRandomNumbers:
+    SPEC = QuadratureSpec(method="mc", target_rel_error=0.05, max_samples=16_384, seed=31)
+    GRID = BallProbeGrid(center_resolution=5, radii_per_center=4, radius_range=(0.1, 0.999))
+
+    @pytest.mark.parametrize("method", ["mc", "stratified"])
+    def test_ball_battery_means_match_standalone(self, monkeypatch, method):
+        spec = replace(self.SPEC, method=method)
+        calls = record_means(monkeypatch, "mean_over_ball")
+        estimate_K(CHI, OMEGA, self.GRID, spec)
+        assert any(isinstance(c[2], quadrature.ContainmentError) for c in calls)
+        assert_matches_standalone(calls, quadrature.mean_over_ball, spec)
+        calls.clear()
+        indicator_density(GAMMA, OMEGA, self.GRID, spec)
+        assert_matches_standalone(calls, quadrature.mean_over_ball, spec)
+
+    @pytest.mark.parametrize("u", [CHI, ONE], ids=["indicator", "constant"])
+    def test_image_battery_means_match_standalone(self, monkeypatch, u):
+        calls = record_means(monkeypatch, "mean_over_image")
+        d = MarkedSet(Region((Rect((-0.5, -0.5), (0.5, 0.5)),)), (0.0, 0.0))
+        sims = SimilarityProbeGrid(center_resolution=5, scales_per_center=3, scale_range=(0.2, 1.4))
+        generalized_test(u, OMEGA, d, None, sims, self.SPEC)
+        assert_matches_standalone(calls, quadrature.mean_over_image, self.SPEC)
+
+    @pytest.mark.parametrize("u", [indicator_field(GAMMA, HOLED), constant_field(1.0, HOLED)],
+                             ids=["indicator", "constant"])
+    def test_image_leaving_the_domain_is_skipped(self, monkeypatch, u):
+        calls = record_means(monkeypatch, "mean_over_image")
+        d = MarkedSet(Region((Ball((0.0, 0.0), 1.0),)), (0.0, 0.0))
+        est = generalized_test(u, HOLED, d, None, HOLE_SIMS, self.SPEC)
+        exterior = [c for c in calls if isinstance(c[2], DomainError)]
+        # the probes centered at the origin hold the hole: only sampling sees it
+        assert {(tuple(c[0][2].translation), c[0][2].scale) for c in exterior} >= {((0.0, 0.0), 0.6),
+                                                                                    ((0.0, 0.0), 1.0)}
+        hull_rejected = 2 * 25 - len(calls)
+        assert est.probes_skipped == hull_rejected + len(exterior)
+        assert est.probes_used == len(calls) - len(exterior)
+        assert_matches_standalone(calls, quadrature.mean_over_image, self.SPEC)
+
+    def test_rerun_is_identical_and_memo_is_dropped(self, monkeypatch):
+        memos = []
+
+        class TrackedMemo(_SampleMemo):
+            def __init__(self):
+                super().__init__()
+                memos.append(weakref.ref(self))
+
+        monkeypatch.setattr(qns_engine, "_SampleMemo", TrackedMemo)
+        d = MarkedSet(Region((Ball((0.0, 0.0), 1.0),)), (0.0, 0.0))
+        sims = SimilarityProbeGrid(center_resolution=5, scales_per_center=3, scale_range=(0.2, 0.9))
+
+        def batteries():
+            return [
+                estimate_K(CHI, OMEGA, self.GRID, self.SPEC).to_json(),
+                generalized_test(CHI, OMEGA, d, None, sims, self.SPEC).to_json(),
+                indicator_density(GAMMA, OMEGA, self.GRID, self.SPEC).to_json(),
+            ]
+
+        first = batteries()
+        # a different battery in between must leave nothing behind
+        generalized_test(CHI, OMEGA, MarkedSet(Region((Rect((-0.5, -0.5), (0.5, 0.5)),)), (0.0, 0.0)),
+                         None, sims, replace(self.SPEC, method="stratified"))
+        assert batteries() == first
+        gc.collect()
+        assert len(memos) == 7 and all(ref() is None for ref in memos)
+
+    def test_battery_derives_no_seeds(self, monkeypatch):
+        def no_seed(*args):
+            raise AssertionError("a battery derived a per-probe seed")
+
+        monkeypatch.setattr(QuadratureSpec, "child", no_seed)
+        d = MarkedSet(Region((Ball((0.0, 0.0), 1.0),)), (0.0, 0.0))
+        sims = SimilarityProbeGrid(center_resolution=5, scales_per_center=3, scale_range=(0.2, 0.9))
+        estimate_K(CHI, OMEGA, self.GRID, self.SPEC)
+        indicator_density(GAMMA, OMEGA, self.GRID, self.SPEC)
+        generalized_test(CHI, OMEGA, d, None, sims, self.SPEC)
 
 
 MU = lambda x: 0.5 * (x + 1.0 / x)  # noqa: E731

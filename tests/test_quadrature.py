@@ -1,13 +1,18 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from qnslab.fields import DomainError, constant_field, harmonic_field, indicator_field
 from qnslab.geometry import Ball, Similarity, lens_area, lens_constant
+from qnslab import quadrature
 from qnslab.quadrature import (
     ContainmentError,
     QuadratureSpec,
+    _cube_samples,
+    _SampleMemo,
     derive_seed,
     mean_over_ball,
     mean_over_image,
@@ -49,6 +54,124 @@ class TestSampling:
         pts = sample_in_ball(np.zeros(2), 1.0, 200_000, rng)
         m2 = float(np.mean(np.sum(pts * pts, axis=1)))
         assert abs(m2 - 0.5) < 0.01
+
+
+class TestStratifiedSampler:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2025, 2048, 4096, 8192, 9999])
+    def test_draws_exactly_n(self, dim, n):
+        cube = _cube_samples(n, dim, np.random.Generator(np.random.PCG64(0)), True)
+        assert cube.shape == (n, dim)
+        assert np.all((cube >= 0.0) & (cube < 1.0))
+
+    def test_perfect_square_keeps_one_point_per_cell(self):
+        cube = _cube_samples(4096, 2, np.random.Generator(np.random.PCG64(1)), True)
+        cells = np.floor(cube * 64).astype(int)
+        assert len({tuple(c) for c in cells}) == 4096
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_n_samples_is_the_requested_count(self, workers):
+        # batches of 4096 then 8192 points; 8192 is not a square, and two
+        # workers split each batch into non-square chunks
+        spec = QuadratureSpec(method="stratified", target_rel_error=1e-3, max_samples=12_288, seed=5,
+                              workers=workers)
+        res = mean_over_ball(CHI, Ball((1.0, 0.0), 1.0), spec)
+        assert res.n_samples == 12_288
+        assert abs(res.mean - lens_area(1.0, 1.0, 1.0) / math.pi) <= 4.0 * res.stderr
+
+
+class TestSampleMemo:
+    def test_hit_returns_the_stored_draw(self):
+        memo = _SampleMemo()
+        first = memo.get(("k", 1), lambda: np.arange(10.0))
+        assert memo.get(("k", 1), lambda: np.zeros(10)) is first
+
+    def test_cap_bounds_the_points_held(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MEMO_CAP_POINTS", 25)
+        memo = _SampleMemo()
+        for i in range(5):
+            assert len(memo.get(("k", i), lambda: np.zeros(10))) == 10
+        assert memo._points == 20 and len(memo._entries) == 2
+
+    def test_stored_arrays_are_read_only(self):
+        memo = _SampleMemo()
+        value = memo.get(("k",), lambda: (np.zeros(4), np.ones(4)))
+        for a in value:
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_concurrent_gets_keep_the_count(self):
+        # more threads than cores on overlapping keys, with frequent switches:
+        # a lost update would break points == 10 * entries
+        memo = _SampleMemo()
+        errors = []
+
+        def worker(offset):
+            try:
+                for i in range(200):
+                    key = ("k", (i + offset) % 50)
+                    got = memo.get(key, lambda: np.full(10, float(key[1])))
+                    if not np.all(got == key[1]):
+                        errors.append(key)
+            except Exception as exc:  # noqa: BLE001 -- reported through the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(7 * t,)) for t in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len(memo._entries) == 50 and memo._points == 500
+
+    @pytest.mark.parametrize("method", ["mc", "stratified"])
+    def test_ball_mean_with_memo_is_bit_identical(self, method):
+        spec = QuadratureSpec(method=method, target_rel_error=1e-3, max_samples=30_000, seed=11, workers=2)
+        memo = _SampleMemo()
+        for ball in (Ball((1.0, 0.0), 1.0), Ball((0.5, 0.5), 0.7), Ball((1.0, 0.0), 1.0)):
+            assert mean_over_ball(CHI, ball, spec, _memo=memo) == mean_over_ball(CHI, ball, spec)
+
+    def test_3d_ball_mean_with_memo_is_bit_identical(self):
+        omega = Region((Ball((0.0, 0.0, 0.0), 3.0),))
+        u = indicator_field(Region((Ball((0.0, 0.0, 0.0), 1.0, closed=True),)), omega)
+        spec = QuadratureSpec(method="mc", target_rel_error=0.01, max_samples=20_000, seed=12)
+        memo = _SampleMemo()
+        for ball in (Ball((0.5, 0.0, 0.0), 1.0), Ball((0.0, 0.5, 0.2), 0.8)):
+            assert mean_over_ball(u, ball, spec, _memo=memo) == mean_over_ball(u, ball, spec)
+
+    def test_image_mean_with_memo_is_bit_identical(self):
+        d = MarkedSet(Region((Rect((-0.5, -0.5), (0.5, 0.5)),)), (0.0, 0.0))
+        spec = QuadratureSpec(method="mc", target_rel_error=1e-3, max_samples=30_000, seed=13)
+        memo = _SampleMemo()
+        for h in (Similarity(2.0, np.eye(2), (0.5, 0.0)), Similarity.rotation(0.3, scale=1.2, translation=(0.2, 0.1))):
+            assert mean_over_image(CHI, d, h, spec, _memo=memo) == mean_over_image(CHI, d, h, spec)
+
+    def test_over_draw_outside_the_domain_is_rejected(self):
+        # the first `size` mapped candidates lie in the domain and one
+        # over-drawn candidate does not: the call must still fail
+        d = MarkedSet(Region((Ball((0.0, 0.0), 1.0),)), (0.0, 0.0))
+        spec = QuadratureSpec(method="mc", max_samples=4096, seed=14)
+        base = quadrature._image_base(d, spec.seed, 0, 0, 4096)
+        assert len(base) > 4096
+        for theta in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):
+            h = Similarity.rotation(float(theta))
+            x = h.apply_many(base)[:, 0]
+            if x[4096:].max() > x[:4096].max():
+                break
+        else:
+            pytest.fail("no direction puts an over-drawn candidate outermost")
+        cut = 0.5 * (x[:4096].max() + x[4096:].max())
+        u = indicator_field(SUPPORT, Region((Rect((-2.0, -2.0), (cut, 2.0)),)))
+        u.require_in_domain(h.apply_many(base[:4096]))
+        for memo in (None, _SampleMemo()):
+            with pytest.raises(DomainError):
+                mean_over_image(u, d, h, spec, _memo=memo)
 
 
 class TestMeanOverBall:
