@@ -20,16 +20,17 @@ runs and across membership backends.  Worker chunks draw from independent
 child streams and are reduced in a fixed order, so threading never changes the
 estimate.
 
-A sampled mean is two steps.  The base sample is a pure function of the spec
-seed, the (batch, chunk) index and the chunk size (and, for image means, of
-the marked set D): radius-free factors of uniform unit-ball points, or every
-candidate that the rejection loop accepts in D, over-draw included.  The
-per-probe step maps it by ``c + r*x`` or by ``h`` and evaluates the field.
-The probe batteries of ``qns_engine`` run every probe on the battery's own
-spec seed and pass a ``_SampleMemo`` that keeps the base samples for the
-battery's lifetime: the probes then share common random numbers.  Each
-probe's mean stays unbiased and equals a standalone call with that spec bit
-for bit, but the errors of one battery's probes are correlated.
+A sampled mean is two steps, on one code path with or without a memo.  The
+base sample is a pure function of the spec seed, the (batch, chunk) index and
+the chunk size (and, for image means, of the marked set D): radius-free
+factors of uniform unit-ball points (exactly the points ``sample_in_ball``
+draws from that stream), or every candidate that the rejection loop accepts in
+D, over-draw included.  The per-probe step maps it by ``c + r*x`` or by ``h``
+and evaluates the field.  The probe batteries of ``qns_engine`` run every
+probe on the battery's own spec seed and pass a ``_SampleMemo`` that keeps the
+base samples for the battery's lifetime: the probes then share common random
+numbers.  Each probe's mean stays unbiased and equals a standalone call with
+that spec bit for bit, but the errors of one battery's probes are correlated.
 """
 
 from __future__ import annotations
@@ -260,18 +261,22 @@ def _disjoint_disk_support(u: Field) -> tuple | None:
 
 
 def _ball_means_exact(u: Field, method: str) -> bool:
-    """Whether ``mean_over_ball`` returns a closed form for ``u`` under ``method``."""
+    """Whether ``mean_over_ball`` returns a closed form for ``u`` under ``method``.
+
+    The one rule for the exact path: ``mean_over_ball`` branches on it, and
+    callers use it to skip work that only sampled means need.
+    """
     return u.kind == "constant" or (method == "auto" and _disjoint_disk_support(u) is not None)
 
 
-def _disk_indicator_mean(u: Field, ball: Ball) -> float | None:
-    """Closed-form mean over a 2-D ball of the indicator of pairwise-disjoint
-    2-D disks, or None when the field is not of that form."""
-    disks = _disjoint_disk_support(u)
-    if disks is None:
-        return None
+def _exact_ball_mean(u: Field, ball: Ball) -> float:
+    """The closed-form mean over ``ball`` of a field that ``_ball_means_exact``
+    accepts: a constant, or the indicator of pairwise-disjoint 2-D disks
+    (sum of lens areas over the disk area)."""
+    if u.kind == "constant":
+        return u.params["value"]
     covered = 0.0
-    for p in disks:
+    for p in u.params["support"].primitives:
         kind = _pair_overlap_kind(ball, p)
         if kind != "disjoint":
             covered += _pair_overlap_measure(ball, p, kind)
@@ -298,14 +303,9 @@ def mean_over_ball(
             f"ball at {ball.center} with radius {ball.radius} leaves the domain near direction {direction}",
             direction,
         )
-    if u.kind == "constant":
-        return MeanResult(u.params["value"], 0.0, 1, "exact")
-    method = spec.method
-    if method == "auto":
-        exact = _disk_indicator_mean(u, ball)
-        if exact is not None:
-            return MeanResult(exact, 0.0, 1, "exact")
-        method = "stratified"
+    if _ball_means_exact(u, spec.method):
+        return MeanResult(_exact_ball_mean(u, ball), 0.0, 1, "exact")
+    method = "stratified" if spec.method == "auto" else spec.method
     center = np.asarray(ball.center, dtype=np.float64)
     if method == "grid":
         if u.has_indicator:
@@ -315,14 +315,12 @@ def mean_over_ball(
     stratified = method == "stratified"
 
     def draw(batch: int, chunk: int, size: int) -> np.ndarray:
-        if _memo is None:
-            pts = sample_in_ball(center, ball.radius, size, _rng(spec.seed, batch, chunk), stratified)
-        else:
-            base = _memo.get(
-                ("ball", spec.seed, stratified, batch, chunk, size),
-                lambda: _ball_base(_cube_samples(size, center.size, _rng(spec.seed, batch, chunk), stratified)),
-            )
-            pts = _place_in_ball(base, center, ball.radius)
+        # the base tuple is a temporary, so a memo-free chunk frees it before evaluating
+        pts = _place_in_ball(
+            _memoized(_memo, ("ball", spec.seed, stratified, batch, chunk, size),
+                      lambda: _ball_base(_cube_samples(size, center.size, _rng(spec.seed, batch, chunk), stratified))),
+            center, ball.radius,
+        )
         return u.evaluate_many(pts, check_domain=False)
 
     return _sample_mean(spec, draw, method)

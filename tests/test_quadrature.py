@@ -145,6 +145,18 @@ class TestSampleMemo:
         for ball in (Ball((0.5, 0.0, 0.0), 1.0), Ball((0.0, 0.5, 0.2), 0.8)):
             assert mean_over_ball(u, ball, spec, _memo=memo) == mean_over_ball(u, ball, spec)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("method", ["mc", "stratified"])
+    def test_ball_mean_draws_the_public_sampler_stream(self, dim, method):
+        # one chunk of 4096 points from the (seed, 0, 0) stream: the base-sample
+        # path must place exactly the points that sample_in_ball draws
+        u = indicator_field(Region((Ball((0.0,) * dim, 1.0, closed=True),)), Region((Ball((0.0,) * dim, 4.0),)))
+        ball = Ball((0.5,) + (0.25,) * (dim - 1), 1.3)
+        spec = QuadratureSpec(method=method, max_samples=4096, seed=15)
+        pts = sample_in_ball(ball.center, ball.radius, 4096, quadrature._rng(spec.seed, 0, 0), method == "stratified")
+        expected = float(u.evaluate_many(pts).sum()) / 4096
+        assert mean_over_ball(u, ball, spec).mean == expected
+
     def test_image_mean_with_memo_is_bit_identical(self):
         d = MarkedSet(Region((Rect((-0.5, -0.5), (0.5, 0.5)),)), (0.0, 0.0))
         spec = QuadratureSpec(method="mc", target_rel_error=1e-3, max_samples=30_000, seed=13)
