@@ -53,10 +53,16 @@ class Field:
             c, s = self.params["offset"], self.params["scale"]
             return c + (pts[:, 0] * pts[:, 0] - pts[:, 1] * pts[:, 1]) / s
         if self.kind == "radial_bump":
-            center = np.asarray(self.params["center"])
             radius = self.params["radius"]
             height = self.params["height"]
-            d2 = np.sum((pts - center) ** 2, axis=1)
+            # column by column: the same sum as np.sum((pts - center)**2, axis=1), without the N x dim temporaries
+            d2 = None
+            for k, c in enumerate(self.params["center"]):
+                d = pts[:, k] - c
+                if d2 is None:
+                    d2 = d * d
+                else:
+                    d2 += d * d
             return height * np.maximum(0.0, 1.0 - d2 / (radius * radius))
         out = np.zeros(pts.shape[0])
         for w, term in self.terms:

@@ -100,6 +100,7 @@ class Similarity:
         residual = np.max(np.abs(T.T @ T - np.eye(n)))
         if residual > ORTHOGONALITY_TOL:
             raise ValueError(f"orthogonality residual {residual:.3e} exceeds {ORTHOGONALITY_TOL}")
+        object.__setattr__(self, "_linear", (self.scale * T).tolist())  # rows of scale * T, for apply_many
 
     @property
     def dim(self) -> int:
@@ -114,7 +115,16 @@ class Similarity:
         pts = np.asarray(pts, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(f"expected points of shape (N, {self.dim})")
-        return self.scale * (pts @ self.orthogonal.T) + np.asarray(self.translation)
+        # Column by column, x'_i = sum_k (scale*T)_ik x_k + t_i: faster than a matmul on N x dim, and
+        # free of the BLAS kernel's fused multiply-adds, so the result does not depend on the host's BLAS.
+        out = np.empty_like(pts)
+        cols = [pts[:, k] for k in range(self.dim)]
+        for i, (row, t) in enumerate(zip(self._linear, self.translation)):
+            acc = row[0] * cols[0]
+            for a, x in zip(row[1:], cols[1:]):
+                acc += a * x
+            np.add(acc, t, out=out[:, i])
+        return out
 
     def inverse(self) -> "Similarity":
         Tinv = self.orthogonal.T

@@ -16,7 +16,7 @@ check runs first on every path.
 
 All randomness is driven by a spec seed through ``numpy`` PCG64 streams; for a
 fixed spec (seed and worker count included) results are bit-identical across
-runs and across membership backends.  Worker chunks draw from independent
+runs.  Worker chunks draw from independent
 child streams and are reduced in a fixed order, so threading never changes the
 estimate.
 

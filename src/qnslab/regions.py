@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from . import backend
+from . import _kernels_py as kernels
 from .geometry import Ball, Similarity, as_point, lens_area, unit_ball_volume
 
 DEFAULT_BOUNDARY_SAMPLES = 20_000
@@ -183,13 +183,33 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
 
 
 class RegionData(NamedTuple):
-    """Packed arrays consumed by the membership kernels."""
+    """Packed primitives consumed by the membership kernel.
+
+    ``boxes[p]`` is primitive ``p``'s bounding box ``(lo_0, hi_0, lo_1, ...)``
+    widened by ``_BOX_PAD`` of its largest coordinate on each axis.
+    """
 
     dim: int
     types: np.ndarray
     closed: np.ndarray
     offsets: np.ndarray
     payload: np.ndarray
+    boxes: tuple[tuple[float, ...], ...]
+
+
+# Relative padding of the kernel's culling boxes.  Rounding in the membership
+# tests (``s <= r**2``, a polygon edge crossing) errs by a few ulps of the
+# coordinates, far inside this margin, so a point outside a padded box is
+# never inside its primitive.
+_BOX_PAD = 1e-9
+
+
+def _padded_box(p: Primitive) -> tuple[float, ...]:
+    box = []
+    for lo, hi in zip(*_primitive_bbox(p)):
+        pad = _BOX_PAD * max(abs(lo), abs(hi))
+        box.extend((float(lo - pad), float(hi + pad)))
+    return tuple(box)
 
 
 def _pack(primitives: Sequence[Primitive], dim: int) -> RegionData:
@@ -197,17 +217,17 @@ def _pack(primitives: Sequence[Primitive], dim: int) -> RegionData:
     for p in primitives:
         offsets.append(len(payload))
         if isinstance(p, Ball):
-            types.append(backend.PRIM_BALL)
+            types.append(kernels.PRIM_BALL)
             closed.append(1 if p.closed else 0)
             payload.extend(p.center)
             payload.append(p.radius)
         elif isinstance(p, Rect):
-            types.append(backend.PRIM_RECT)
+            types.append(kernels.PRIM_RECT)
             closed.append(1 if p.closed else 0)
             for a, b in zip(p.lo, p.hi):
                 payload.extend((a, b))
         else:
-            types.append(backend.PRIM_POLYGON)
+            types.append(kernels.PRIM_POLYGON)
             closed.append(1 if p.closed else 0)
             payload.append(float(len(p.vertices)))
             for x, y in p.vertices:
@@ -218,6 +238,7 @@ def _pack(primitives: Sequence[Primitive], dim: int) -> RegionData:
         np.asarray(closed, dtype=np.uint8),
         np.asarray(offsets, dtype=np.int64),
         np.asarray(payload, dtype=np.float64),
+        tuple(_padded_box(p) for p in primitives),
     )
 
 
@@ -255,7 +276,7 @@ class Region:
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(f"expected points of shape (N, {self.dim})")
         d = self._data
-        return backend.contains_many(d.dim, d.types, d.closed, d.offsets, d.payload, pts)
+        return kernels.contains_many(d.dim, d.types, d.closed, d.offsets, d.payload, d.boxes, pts)
 
     def contains(self, p) -> bool:
         q = as_point(p, self.dim)

@@ -1,99 +1,229 @@
+"""The membership kernel: culled, copy-free masks equal the plain reference kernel's bit for bit."""
+
 import math
 
 import numpy as np
 import pytest
 
-from qnslab import backend
 from qnslab import _kernels_py
-from qnslab.geometry import Ball
-from qnslab.regions import Polygon, Rect, Region
-
-try:
-    from qnslab import _kernels  # compiled extension
-
-    HAVE_COMPILED = True
-except ImportError:
-    HAVE_COMPILED = False
+from qnslab.geometry import Ball, Similarity
+from qnslab.regions import Polygon, Rect, Region, _primitive_bbox
 
 
-def random_region(rng):
-    prims = []
-    for _ in range(rng.integers(1, 5)):
-        kind = rng.integers(0, 3)
-        if kind == 0:
-            prims.append(Ball(tuple(rng.normal(size=2)), float(rng.uniform(0.2, 1.5)),
-                              closed=bool(rng.integers(0, 2))))
-        elif kind == 1:
-            lo = rng.normal(size=2)
-            prims.append(Rect(tuple(lo), tuple(lo + rng.uniform(0.2, 2.0, size=2)),
-                              closed=bool(rng.integers(0, 2))))
+def reference_contains_many(dim, types, closed, offsets, payload, pts):
+    """The kernel before culling: every primitive on every point not yet inside."""
+    n = pts.shape[0]
+    out = np.zeros(n, dtype=np.uint8)
+    for p in range(len(types)):
+        todo = out == 0
+        if not todo.any():
+            break
+        if todo.all():
+            todo = slice(None)  # skip the fancy-index copy on untouched masks
+        sub = pts[todo]
+        off = int(offsets[p])
+        t = int(types[p])
+        is_closed = bool(closed[p])
+        if t == _kernels_py.PRIM_BALL:
+            d = sub[:, 0] - payload[off]
+            s = d * d
+            for k in range(1, dim):
+                d = sub[:, k] - payload[off + k]
+                s += d * d
+            r2 = payload[off + dim] * payload[off + dim]
+            hit = s <= r2 if is_closed else s < r2
+        elif t == _kernels_py.PRIM_RECT:
+            hit = np.ones(sub.shape[0], dtype=bool)
+            for k in range(dim):
+                lo = payload[off + 2 * k]
+                hi = payload[off + 2 * k + 1]
+                if is_closed:
+                    hit &= (lo <= sub[:, k]) & (sub[:, k] <= hi)
+                else:
+                    hit &= (lo < sub[:, k]) & (sub[:, k] < hi)
         else:
-            n = int(rng.integers(3, 8))
+            nv = int(payload[off])
+            px = sub[:, 0]
+            py = sub[:, 1]
+            hit = np.zeros(sub.shape[0], dtype=bool)
+            j = nv - 1
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for i in range(nv):
+                    xi = payload[off + 1 + 2 * i]
+                    yi = payload[off + 2 + 2 * i]
+                    xj = payload[off + 1 + 2 * j]
+                    yj = payload[off + 2 + 2 * j]
+                    cond = (yi > py) != (yj > py)
+                    cross = px < (xj - xi) * (py - yi) / (yj - yi) + xi
+                    hit ^= cond & cross
+                    j = i
+        out[todo] |= hit.astype(np.uint8)
+    return out
+
+
+def random_region(rng, dim):
+    prims = []
+    for _ in range(rng.integers(1, 6)):
+        kind = rng.integers(0, 3 if dim == 2 else 2)
+        closed = bool(rng.integers(0, 2))
+        center = rng.normal(scale=2.0, size=dim)
+        if kind == 0:
+            prims.append(Ball(tuple(center), float(rng.uniform(0.2, 1.5)), closed=closed))
+        elif kind == 1:
+            prims.append(Rect(tuple(center), tuple(center + rng.uniform(0.2, 2.0, size=dim)), closed=closed))
+        else:
+            n = int(rng.integers(3, 9))
             theta = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=n))
-            radius = rng.uniform(0.3, 1.5)
-            center = rng.normal(size=2)
-            verts = [(center[0] + radius * math.cos(t), center[1] + radius * math.sin(t)) for t in theta]
-            prims.append(Polygon(tuple(verts)))
+            radius = rng.uniform(0.3, 1.5, size=n)  # star-shaped about center, so the loop is simple
+            verts = [(center[0] + r * math.cos(t), center[1] + r * math.sin(t)) for r, t in zip(radius, theta)]
+            prims.append(Polygon(tuple(verts), closed=closed))
     return Region(tuple(prims))
+
+
+def boundary_points(region):
+    """Exact boundary points, vertices and unpadded box corners of every primitive."""
+    pts = []
+    for p in region.primitives:
+        if isinstance(p, Ball):
+            c = np.asarray(p.center)
+            for k in range(p.dim):
+                e = np.zeros(p.dim)
+                e[k] = p.radius
+                pts.extend((c + e, c - e))
+            pts.append(c + p.radius / math.sqrt(p.dim))
+        elif isinstance(p, Rect):
+            lo, hi = np.asarray(p.lo), np.asarray(p.hi)
+            mid = 0.5 * (lo + hi)
+            pts.extend((lo, hi))
+            for k in range(p.dim):
+                for v in (lo[k], hi[k]):
+                    q = mid.copy()
+                    q[k] = v
+                    pts.append(q)
+        else:
+            v = np.asarray(p.vertices)
+            pts.extend(v)
+            pts.extend(0.5 * (v + np.roll(v, -1, axis=0)))
+            lo, hi = v.min(axis=0), v.max(axis=0)
+            pts.extend(((lo[0], hi[1]), (hi[0], lo[1])))
+    return np.asarray(pts, dtype=np.float64)
+
+
+def near_boundary_points(region):
+    """Boundary points, their nextafter neighbours on every axis, and points just past each unpadded box."""
+    base = boundary_points(region)
+    out = [base]
+    for k in range(region.dim):
+        for toward in (-np.inf, np.inf):
+            q = base.copy()
+            q[:, k] = np.nextafter(q[:, k], toward)
+            out.append(q)
+    for p in region.primitives:
+        lo, hi = (np.asarray(a, dtype=np.float64) for a in _primitive_bbox(p))
+        mid = 0.5 * (lo + hi)
+        for k in range(region.dim):
+            for edge, toward in ((lo[k], -np.inf), (hi[k], np.inf)):
+                for step in (np.nextafter(edge, toward), edge + (edge - mid[k]) * 1e-12, edge + (edge - mid[k]) * 1e-6):
+                    q = mid.copy()
+                    q[k] = step
+                    out.append(q[None, :])
+    return np.ascontiguousarray(np.concatenate(out, axis=0))
+
+
+def assert_matches_reference(region, pts):
+    d = region._data
+    want = reference_contains_many(d.dim, d.types, d.closed, d.offsets, d.payload, pts)
+    got = region.contains_many(pts)
+    assert got.dtype == np.uint8 and got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 class TestFallbackKernel:
     def test_ball_membership(self):
         region = Region((Ball((0.0, 0.0), 1.0),))
-        d = region._data
         pts = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0], [2.0, 0.0]])
-        mask = _kernels_py.contains_many(d.dim, d.types, d.closed, d.offsets, d.payload, pts)
-        assert mask.tolist() == [1, 1, 0, 0]
+        assert region.contains_many(pts).tolist() == [1, 1, 0, 0]
 
     def test_closed_boundary(self):
         region = Region((Ball((0.0, 0.0), 1.0, closed=True),))
-        d = region._data
-        pts = np.array([[1.0, 0.0]])
-        assert _kernels_py.contains_many(d.dim, d.types, d.closed, d.offsets, d.payload, pts)[0] == 1
+        assert region.contains_many(np.array([[1.0, 0.0]]))[0] == 1
 
     def test_polygon_even_odd(self):
         region = Region((Polygon(((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0))),))
-        d = region._data
         pts = np.array([[1.0, 1.0], [3.0, 1.0], [-0.5, 1.0]])
-        mask = _kernels_py.contains_many(d.dim, d.types, d.closed, d.offsets, d.payload, pts)
-        assert mask.tolist() == [1, 0, 0]
+        assert region.contains_many(pts).tolist() == [1, 0, 0]
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
-class TestBackendParity:
-    def test_bit_identical_masks(self):
-        rng = np.random.Generator(np.random.PCG64(99))
-        for trial in range(25):
-            region = random_region(rng)
-            d = region._data
-            pts = rng.normal(scale=2.0, size=(5000, 2))
-            # add exact boundary points of balls to stress closed/open ties
-            for p in region.primitives:
-                if isinstance(p, Ball):
-                    pts = np.vstack([pts, [p.center[0] + p.radius, p.center[1]]])
-            pts = np.ascontiguousarray(pts)
-            a = _kernels.contains_many(d.dim, d.types, d.closed, d.offsets, d.payload, pts)
-            b = _kernels_py.contains_many(d.dim, d.types, d.closed, d.offsets, d.payload, pts)
-            assert np.array_equal(np.asarray(a), np.asarray(b)), f"mismatch in trial {trial}"
+class TestKernelParity:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_random_regions(self, dim):
+        rng = np.random.Generator(np.random.PCG64(99 + dim))
+        for _ in range(60):
+            region = random_region(rng, dim)
+            cloud = rng.normal(scale=float(rng.choice([0.5, 2.0, 6.0])), size=(int(rng.integers(1, 3000)), dim))
+            near = near_boundary_points(region)
+            pts = np.ascontiguousarray(np.concatenate([cloud, near]))
+            assert_matches_reference(region, pts)
+            # small batches cull primitives whose padded box misses them
+            for q in near:
+                assert_matches_reference(region, q[None, :])
+            for _ in range(10):
+                sub = pts[rng.choice(len(pts), size=int(rng.integers(1, 20)))]
+                assert_matches_reference(region, np.ascontiguousarray(sub))
 
-    def test_3d_parity(self):
-        rng = np.random.Generator(np.random.PCG64(7))
-        region = Region((Ball((0.0, 0.0, 0.0), 1.0), Rect((0.0, 0.0, 0.0), (1.0, 2.0, 0.5))))
+    def test_rotated_and_translated_images(self):
+        rng = np.random.Generator(np.random.PCG64(5))
+        for _ in range(20):
+            region = random_region(rng, 2).transformed(
+                Similarity.rotation(float(rng.uniform(0.0, 2.0 * math.pi)), float(rng.uniform(0.1, 5.0)),
+                                    tuple(rng.normal(scale=50.0, size=2))))
+            pts = np.ascontiguousarray(np.concatenate([near_boundary_points(region),
+                                                       region.bbox[0] + rng.random((500, 2)) * (region.bbox[1] - region.bbox[0])]))
+            assert_matches_reference(region, pts)
+            for q in pts[:200]:
+                assert_matches_reference(region, q[None, :])
+
+    @pytest.mark.parametrize("region", [
+        Region((Ball((0.0, 0.0), 1.0),)),
+        Region((Polygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))),)),
+        Region((Ball((0.0, 0.0, 0.0), 1.0), Rect((0.0, 0.0, 0.0), (1.0, 2.0, 0.5)))),
+    ])
+    def test_empty_points(self, region):
+        got = region.contains_many(np.empty((0, region.dim)))
+        assert got.dtype == np.uint8 and got.shape == (0,)
+
+
+class TestCulling:
+    def test_primitive_missing_every_point_is_never_evaluated(self, monkeypatch):
+        tested = []
+        hits = _kernels_py._hits
+
+        def counting(dim, t, is_closed, payload, off, sub):
+            tested.append(off)
+            return hits(dim, t, is_closed, payload, off, sub)
+
+        monkeypatch.setattr(_kernels_py, "_hits", counting)
+        far = Polygon(((10.0, 10.0), (12.0, 10.0), (11.0, 12.0)))
+        region = Region((Ball((0.0, 0.0), 1.0), far, Rect((0.5, -0.5), (3.0, 0.5))))
+        offsets = region._data.offsets.tolist()
+        pts = np.random.Generator(np.random.PCG64(1)).uniform(-2.0, 2.0, size=(1000, 2))
+        mask = region.contains_many(pts)
+        assert offsets[1] not in tested
+        assert tested == [offsets[0], offsets[2]]
         d = region._data
-        pts = np.ascontiguousarray(rng.normal(size=(5000, 3)))
-        a = _kernels.contains_many(d.dim, d.types, d.closed, d.offsets, d.payload, pts)
-        b = _kernels_py.contains_many(d.dim, d.types, d.closed, d.offsets, d.payload, pts)
-        assert np.array_equal(np.asarray(a), np.asarray(b))
+        assert np.array_equal(mask, reference_contains_many(d.dim, d.types, d.closed, d.offsets, d.payload, pts))
 
+    def test_lone_polygon_is_culled(self, monkeypatch):
+        tested = []
+        monkeypatch.setattr(_kernels_py, "_hits", lambda *args: tested.append(args) or None)
+        region = Region((Polygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))),))
+        assert region.contains_many(np.array([[2.0, 2.0], [3.0, -1.0]])).tolist() == [0, 0]
+        assert tested == []
 
-class TestBackendSelection:
-    def test_name_reported(self):
-        assert backend.backend_name() in ("compiled", "python")
-
-    def test_active_backend_matches_import(self):
-        import os
-
-        if os.environ.get("QNSLAB_FORCE_PYTHON") or not HAVE_COMPILED:
-            assert backend.backend_name() == "python"
-        else:
-            assert backend.backend_name() == "compiled"
+    def test_padded_boxes_hold_the_primitives(self):
+        region = Region((Ball((1e6, -2.0), 1e-3), Rect((-1.0, 0.0), (0.0, 1.0)),
+                         Polygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))))
+        for p, box in zip(region.primitives, region._data.boxes):
+            lo, hi = _primitive_bbox(p)
+            for k in range(region.dim):
+                assert box[2 * k] < lo[k] and hi[k] < box[2 * k + 1]
