@@ -1,0 +1,169 @@
+"""End-to-end benchmark of a change against its parent commit, written as BENCH_<n>.json.
+
+Run from the root of a checkout:
+
+    python3 benchmarks/bench_e2e.py --parent <commit> --out BENCH_5.json \\
+        [--pairs 10] [--seconds 30] [--seed 5150] [--workloads similarity-battery,...] \\
+        [--claim "similarity-battery wall_s"]
+
+The change is the checkout this script lives in (its working tree).  The parent
+is the given commit, extracted with ``git archive`` into a temporary directory,
+so the repository's own metadata is not touched.  For every workload the
+benchmark's runner ``e2ebench/run.py --trace 0`` runs in alternating pairs:
+the parent goes first in even-numbered pairs and the change first in odd ones,
+so a slow drift of the host counts against both sides alike.  Each side then
+makes one ``--trace 1`` run for its per-layer split.
+
+The output holds, per workload and end-to-end metric, every run of both sides,
+their medians and quartiles, the change/parent ratio of the medians, and in
+how many pairs the change was better or worse (in the direction that
+``BENCHMARK.json`` gives); also the runner's environment line, the CPU model,
+and both trace splits.  A run's operations must all be correct, else the
+script stops with the runner's output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("--parent", required=True, help="commit to compare against")
+    p.add_argument("--out", required=True, type=Path, help="BENCH_<n>.json to write")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=30.0)
+    p.add_argument("--seed", type=int, default=5150)
+    p.add_argument("--workloads", default=None, help="comma-separated names (default: all of BENCHMARK.json)")
+    p.add_argument("--claim", default=None, help='the claimed gain, e.g. "similarity-battery wall_s"')
+    p.add_argument("--no-trace", action="store_true", help="skip the --trace 1 runs")
+    return p.parse_args(argv)
+
+
+def extract(commit: str, dest: Path) -> str:
+    """Write the files of ``commit`` under ``dest``; returns the full commit id."""
+    full = subprocess.run(["git", "rev-parse", "--verify", commit + "^{commit}"], cwd=ROOT,
+                          capture_output=True, text=True, check=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", "--format=tar", full], cwd=ROOT, capture_output=True, check=True)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return full
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One runner invocation: its metrics, environment line and operation counts."""
+    cmd = [sys.executable, "e2ebench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise SystemExit(f"{checkout}: {' '.join(cmd)} exited {done.returncode}\n{done.stdout}\n{done.stderr}")
+    result = json.loads(lines[-1])
+    if not result["correct"]:
+        raise SystemExit(f"{checkout}: {workload} had failed operations\n{done.stdout}\n{done.stderr}")
+    env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
+    return {
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "env": env,
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+    }
+
+
+def summarize(parent: list[float], change: list[float], better: str) -> dict:
+    def stats(values):
+        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        return {"median": med, "q1": q1, "q3": q3}
+
+    sign = 1.0 if better == "lower" else -1.0
+    p, c = stats(parent), stats(change)
+    return {
+        "parent": p,
+        "change": c,
+        "change_over_parent": c["median"] / p["median"] if p["median"] else None,
+        "change_better_pairs": sum(sign * (b - a) < 0 for a, b in zip(parent, change)),
+        "change_worse_pairs": sum(sign * (b - a) > 0 for a, b in zip(parent, change)),
+        "parent_runs": parent,
+        "change_runs": change,
+    }
+
+
+def cpu_model() -> str | None:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return None
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
+    directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    command = "python3 e2ebench/run.py --workload {workload} --seed %d --seconds %g --trace {trace}" % (
+        args.seed, args.seconds)
+    with tempfile.TemporaryDirectory(prefix="bench_e2e_parent_") as tmp:
+        parent_dir = Path(tmp)
+        parent_commit = extract(args.parent, parent_dir)
+        sides = {"parent": parent_dir, "change": ROOT}
+        out = {
+            "parent_commit": parent_commit,
+            "change": "working tree of " + subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+                                                          text=True, check=True).stdout.strip(),
+            "claim": args.claim,
+            "command": command.format(workload="W", trace=0),
+            "environment": None,
+            "runs": {"seed": args.seed, "pairs": args.pairs, "seconds": args.seconds,
+                     "order": "parent first in even-numbered pairs (0, 2, ...), change first in odd-numbered pairs",
+                     "workloads": {}},
+            "traces": {},
+        }
+        for name in names:
+            runs = {"parent": [], "change": []}
+            for i in range(args.pairs):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                for side in order:
+                    runs[side].append(run_bench(sides[side], name, args.seed, args.seconds, 0))
+                    print(f"{name} pair {i} {side}: {runs[side][-1]['metrics']}", file=sys.stderr)
+            if out["environment"] is None:
+                env = runs["change"][0]["env"]
+                out["environment"] = {k: v for k, v in env.items() if k not in ("workload", "seed", "seconds", "trace")}
+                out["environment"]["cpu"] = cpu_model()
+            out["runs"]["workloads"][name] = {
+                side: {"operations": sum(r["attempted"] for r in rs), "failed": sum(r["failed"] for r in rs)}
+                for side, rs in runs.items()
+            }
+            out["runs"]["workloads"][name]["metrics"] = {
+                metric: summarize([r["metrics"][metric] for r in runs["parent"]],
+                                  [r["metrics"][metric] for r in runs["change"]], better)
+                for metric, better in directions.items()
+            }
+            if not args.no_trace:
+                out["traces"][name] = {
+                    "command": command.format(workload=name, trace=1),
+                    **{side: run_bench(sides[side], name, args.seed, args.seconds, 1)["metrics"] for side in sides},
+                }
+            args.out.write_text(json.dumps(out, indent=1) + "\n")  # partial results survive an interruption
+    for name, entry in out["runs"]["workloads"].items():
+        for metric, m in entry["metrics"].items():
+            print(f"{name} {metric}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g} "
+                  f"({m['change_over_parent']:.3f}x), better {m['change_better_pairs']}/{args.pairs}, "
+                  f"worse {m['change_worse_pairs']}/{args.pairs}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -102,6 +102,22 @@ class Similarity:
             raise ValueError(f"orthogonality residual {residual:.3e} exceeds {ORTHOGONALITY_TOL}")
         object.__setattr__(self, "_linear", (self.scale * T).tolist())  # rows of scale * T, for apply_many
 
+    @classmethod
+    def _trusted(cls, scale: float, orthogonal: np.ndarray, translation: tuple, linear: list) -> "Similarity":
+        """The similarity of parts that already passed the checks, without repeating them.
+
+        ``orthogonal`` is a read-only float64 part that a checked similarity
+        accepted, ``scale`` a positive finite float, ``translation`` a tuple of
+        floats and ``linear`` the rows of ``scale * orthogonal``: the object
+        then equals ``Similarity(scale, orthogonal, translation)`` field for field.
+        """
+        h = object.__new__(cls)
+        object.__setattr__(h, "scale", scale)
+        object.__setattr__(h, "orthogonal", orthogonal)
+        object.__setattr__(h, "translation", translation)
+        object.__setattr__(h, "_linear", linear)
+        return h
+
     @property
     def dim(self) -> int:
         return len(self.translation)
@@ -117,7 +133,8 @@ class Similarity:
             raise ValueError(f"expected points of shape (N, {self.dim})")
         # Column by column, x'_i = sum_k (scale*T)_ik x_k + t_i: faster than a matmul on N x dim, and
         # free of the BLAS kernel's fused multiply-adds, so the result does not depend on the host's BLAS.
-        out = np.empty_like(pts)
+        # Row-major whatever the input's layout, since Region.contains_many would copy any other layout.
+        out = np.empty(pts.shape)
         cols = [pts[:, k] for k in range(self.dim)]
         for i, (row, t) in enumerate(zip(self._linear, self.translation)):
             acc = row[0] * cols[0]
@@ -144,6 +161,56 @@ class Similarity:
     @staticmethod
     def reflection_x(scale: float = 1.0, translation=(0.0, 0.0)) -> "Similarity":
         return Similarity(scale, np.array([[1.0, 0.0], [0.0, -1.0]]), tuple(translation))
+
+
+@dataclass(frozen=True, eq=False)
+class SimilarityArray:
+    """An array of similarities h_i(x) = scale_i * T_i @ x + t_i, one row per probe.
+
+    Row i holds the numbers of ``Similarity(scale_i, T_i, t_i)``, and both
+    ``apply_many`` and ``similarities`` repeat that class's arithmetic, so
+    mapping through row i is mapping through that similarity, bit for bit.
+    Every ``T_i`` must be a read-only part that ``Similarity`` accepted.
+    """
+
+    scale: np.ndarray  # (P,)
+    orthogonal: np.ndarray  # (P, dim, dim)
+    translation: np.ndarray  # (P, dim)
+
+    @staticmethod
+    def of(h: Similarity) -> "SimilarityArray":
+        return SimilarityArray(np.array([h.scale]), h.orthogonal[None], np.array([h.translation]))
+
+    def __len__(self) -> int:
+        return self.scale.size
+
+    def take(self, idx) -> "SimilarityArray":
+        orthogonal = self.orthogonal[idx]
+        orthogonal.setflags(write=False)
+        return SimilarityArray(self.scale[idx], orthogonal, self.translation[idx])
+
+    def _linear(self) -> np.ndarray:
+        return self.scale[:, None, None] * self.orthogonal
+
+    def similarities(self) -> list[Similarity]:
+        return [
+            Similarity._trusted(k, T, tuple(t), rows)
+            for k, T, t, rows in zip(self.scale.tolist(), self.orthogonal, self.translation.tolist(),
+                                     self._linear().tolist())
+        ]
+
+    def apply_many(self, pts: np.ndarray) -> np.ndarray:
+        """Map an (N, dim) array through every row: shape (P, N, dim)."""
+        linear = self._linear()
+        dim = linear.shape[1]
+        cols = [pts[:, k] for k in range(dim)]
+        out = np.empty((len(self), pts.shape[0], dim))
+        for i in range(dim):
+            acc = linear[:, i, 0, None] * cols[0]
+            for k in range(1, dim):
+                acc += linear[:, i, k, None] * cols[k]
+            np.add(acc, self.translation[:, i, None], out=out[:, :, i])
+        return out
 
 
 def apply_similarity(h: Similarity, p) -> np.ndarray:

@@ -11,6 +11,9 @@ Each probe battery (``estimate_K``/``check_K``, ``indicator_density``,
 ``generalized_test``) runs every probe on its own spec seed and shares one
 memo of base samples between its probes (common random numbers, see the
 ``quadrature`` module docstring); the memo is dropped when the battery returns.
+The batteries work center by center: u(x) is evaluated once per center, and
+``generalized_test`` maps, pre-checks, certifies and samples each center's
+similarity probes as one ``SimilarityArray``.
 """
 
 from __future__ import annotations
@@ -18,15 +21,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 log = logging.getLogger(__name__)
 
 from .fields import DomainError, Field
-from .geometry import Ball, Similarity, unit_ball_volume
-from .quadrature import ContainmentError, QuadratureSpec, _SampleMemo, mean_over_ball, mean_over_image
+from .geometry import Ball, Similarity, SimilarityArray, unit_ball_volume
+from .quadrature import ContainmentError, MeanResult, QuadratureSpec, _image_means, _SampleMemo, mean_over_ball
 from .radius_sets import RadiusSet, log_eps_net
 from .regions import MarkedSet, Rect, Region
 
@@ -88,16 +91,6 @@ class BallProbeGrid:
 
 
 @dataclass
-class ProbeOutcome:
-    center: tuple[float, ...]
-    radius: float
-    value: float
-    mean: float
-    stderr: float
-    ratio: float
-
-
-@dataclass
 class KEstimate:
     """Supremum of u(x) / (ball mean of u) over a finite probe grid."""
 
@@ -125,26 +118,47 @@ class KEstimate:
         }
 
 
-def _iter_ball_probes(u: Field, omega: Region, grid: BallProbeGrid, spec: QuadratureSpec):
-    """Yield (index, center, radius, value, MeanResult); skip containment violations."""
-    centers = grid.centers(omega)
-    radii = grid.radii(omega)
-    memo = _SampleMemo()
-    idx = 0
-    skipped = 0
-    for c in centers:
-        c_t = tuple(float(v) for v in c)
-        for r in radii:
-            idx += 1
-            try:
-                res = mean_over_ball(u, Ball(c_t, float(r)), spec, _memo=memo)
-            except ContainmentError as exc:
-                log.debug("probe %d skipped: %s", idx, exc)
-                skipped += 1
-                continue
-            val = float(u.evaluate_many(np.asarray([c_t]), check_domain=False)[0])
-            yield idx, c_t, float(r), val, res
-    yield -skipped - 1, None, 0.0, 0.0, None  # sentinel carrying the skip count
+class BallProbe(NamedTuple):
+    """One admitted ball probe: its index in probe order, the ball, u(center) and the mean."""
+
+    idx: int
+    center: tuple[float, ...]
+    radius: float
+    value: float
+    mean: MeanResult
+
+
+class BallProbeRun:
+    """The probes of a ball battery: every (center, radius) pair, in probe order.
+
+    Iterating runs them, one ``mean_over_ball`` call each on the battery's
+    memo, and yields each admitted probe as it completes; ``skipped`` then
+    counts the probes whose ball left the domain.  u(center) is evaluated once
+    per center that admits a probe.
+    """
+
+    def __init__(self, u: Field, centers: np.ndarray, radii: list[float], spec: QuadratureSpec):
+        self.u, self.centers, self.radii, self.spec = u, centers, radii, spec
+        self.skipped = 0
+
+    def __iter__(self):
+        u = self.u
+        memo = _SampleMemo()
+        idx = 0
+        for c in self.centers:
+            c_t = tuple(float(v) for v in c)
+            val = None
+            for r in self.radii:
+                idx += 1
+                try:
+                    res = mean_over_ball(u, Ball(c_t, float(r)), self.spec, _memo=memo)
+                except ContainmentError as exc:
+                    log.debug("probe %d skipped: %s", idx, exc)
+                    self.skipped += 1
+                    continue
+                if val is None:
+                    val = float(u.evaluate_many(np.asarray([c_t]), check_domain=False)[0])
+                yield BallProbe(idx, c_t, float(r), val, res)
 
 
 def estimate_K(
@@ -163,12 +177,9 @@ def estimate_K(
     best = (-math.inf, -1)
     witness = None
     used = 0
-    skipped = 0
     stderr_max = 0.0
-    for idx, c, r, val, res in _iter_ball_probes(u, omega, probes, spec):
-        if res is None:
-            skipped = -idx - 1
-            continue
+    run = BallProbeRun(u, probes.centers(omega), probes.radii(omega), spec)
+    for idx, c, r, val, res in run:
         if res.mean <= 0.0:
             if val <= 0.0:
                 continue  # 0/0 probe: the inequality is vacuous there
@@ -181,8 +192,8 @@ def estimate_K(
             best = (ratio, idx)
             witness = {"center": list(c), "radius": r, "value": val, "mean": res.mean, "stderr": res.stderr}
     if used == 0:
-        return KEstimate(0.0, None, 0, skipped, 0.0, True, spec.seed, spec.workers, spec.method)
-    return KEstimate(best[0], witness, used, skipped, stderr_max, False, spec.seed, spec.workers, spec.method)
+        return KEstimate(0.0, None, 0, run.skipped, 0.0, True, spec.seed, spec.workers, spec.method)
+    return KEstimate(best[0], witness, used, run.skipped, stderr_max, False, spec.seed, spec.workers, spec.method)
 
 
 @dataclass
@@ -221,12 +232,9 @@ def check_K(
         raise ValueError("the mean-inequality constant must satisfy K >= 1")
     failures = []
     used = 0
-    skipped = 0
     stderr_max = 0.0
-    for idx, c, r, val, res in _iter_ball_probes(u, omega, probes, spec):
-        if res is None:
-            skipped = -idx - 1
-            continue
+    run = BallProbeRun(u, probes.centers(omega), probes.radii(omega), spec)
+    for idx, c, r, val, res in run:
         used += 1
         stderr_max = max(stderr_max, res.stderr)
         if val > k * res.mean + 3.0 * res.stderr:
@@ -234,7 +242,7 @@ def check_K(
                 {"center": list(c), "radius": r, "value": val, "mean": res.mean,
                  "stderr": res.stderr, "ratio": (val / res.mean if res.mean > 0 else math.inf)}
             )
-    return CheckReport(not failures, k, failures, used, skipped, stderr_max, spec.seed, spec.workers, spec.method)
+    return CheckReport(not failures, k, failures, used, run.skipped, stderr_max, spec.seed, spec.workers, spec.method)
 
 
 @dataclass
@@ -276,30 +284,18 @@ def indicator_density(
     worst = (math.inf, -1)
     witness = None
     used = 0
-    skipped = 0
-    centers = probes.centers(gamma)
-    radii = probes.radii(omega)
-    memo = _SampleMemo()
-    idx = 0
-    for c in centers:
-        c_t = tuple(float(v) for v in c)
-        for r in radii:
-            idx += 1
-            try:
-                res = mean_over_ball(u, Ball(c_t, float(r)), spec, _memo=memo)
-            except ContainmentError:
-                skipped += 1
-                continue
-            used += 1
-            if (res.mean, idx) < (worst[0], worst[1]):
-                worst = (res.mean, idx)
-                witness = {"center": list(c_t), "radius": float(r), "mean": res.mean, "stderr": res.stderr}
+    run = BallProbeRun(u, probes.centers(gamma), probes.radii(omega), spec)
+    for idx, c, r, _, res in run:
+        used += 1
+        if (res.mean, idx) < (worst[0], worst[1]):
+            worst = (res.mean, idx)
+            witness = {"center": list(c), "radius": r, "mean": res.mean, "stderr": res.stderr}
     inf_ratio = worst[0] if used else math.inf
     tol = 3.0 * (witness["stderr"] if witness else 0.0)
     compatible = used > 0 and inf_ratio > tol
     return DensityReport(
         inf_ratio, witness, (1.0 / inf_ratio if inf_ratio > 0 else math.inf),
-        compatible, used, skipped, spec.seed,
+        compatible, used, run.skipped, spec.seed,
     )
 
 
@@ -398,11 +394,17 @@ def generalized_test(
     grid = BallProbeGrid(center_resolution=sims.center_resolution)
     centers = grid.centers(omega)
     scales = sims.scales(omega, d)
-    parts = sims.orthogonal_parts(2)
+    parts = [Similarity(1.0, T, (0.0, 0.0)).orthogonal for T in sims.orthogonal_parts(2)]  # checked once each
     hull = _admissibility_samples(d)
     probe_spec = spec if spec.method != "grid" else replace(spec, method="mc")
     memo = _SampleMemo()
     m_d = d.measure
+    # one center's probes, scale-major: (k, T) for k in scales for T in parts
+    probe_scale = np.repeat(scales, len(parts))
+    probe_part = np.tile(np.asarray(parts), (len(scales), 1, 1))
+    probe_part.setflags(write=False)
+    # k * (T @ p_D), so that h(p_D) = x for the translation x - k * (T @ p_D)
+    probe_offset = probe_scale[:, None] * np.tile(np.asarray([T @ p_d for T in parts]), (len(scales), 1))
     best = (-math.inf, -1)
     witness = None
     used = 0
@@ -411,41 +413,41 @@ def generalized_test(
     idx = 0
     for c in centers:
         x = np.asarray(c, dtype=np.float64)
-        for k in scales:
-            for T in parts:
-                idx += 1
-                h = Similarity(float(k), T, tuple(x - float(k) * (T @ p_d)))
-                mapped = h.apply_many(hull)
-                if not omega.contains_many(mapped).astype(bool).all():
-                    skipped += 1
-                    continue
-                try:
-                    res = mean_over_image(u, d, h, probe_spec, _memo=memo)
-                except DomainError:
-                    skipped += 1
-                    continue
+        probes = SimilarityArray(probe_scale, probe_part, x - probe_offset)
+        # pre-check h(D) ⊆ Ω on D's boundary samples, for every probe of the center in one call
+        in_hull = omega.contains_many(probes.apply_many(hull).reshape(-1, 2)).astype(bool)
+        admitted = np.flatnonzero(in_hull.reshape(len(probes), -1).all(axis=1))
+        outcomes = dict(zip(admitted.tolist(), _image_means(u, d, probes.take(admitted), probe_spec, memo)))
+        val = None
+        for i, k in enumerate(probe_scale.tolist()):
+            idx += 1
+            res = outcomes.get(i)
+            if res is None or isinstance(res, DomainError):
+                skipped += 1
+                continue
+            if val is None:
                 val = float(u.evaluate_many(x[None, :], check_domain=False)[0])
-                integral = res.mean * (float(k) ** 2) * m_d
-                if f is None:
-                    norm = (float(k) ** 2) * m_d  # == m(h(D))
-                else:
-                    norm = f.fn(float(k)) ** 2
-                if integral <= 0.0:
-                    if val <= 0.0:
-                        continue
-                    ratio = math.inf
-                else:
-                    ratio = val * norm / integral
-                used += 1
-                stderr_max = max(stderr_max, res.stderr)
-                if (ratio, -idx) > (best[0], -best[1]):
-                    best = (ratio, idx)
-                    witness = {
-                        "center": [float(v) for v in x],
-                        "scale": float(k),
-                        "mean": res.mean,
-                        "stderr": res.stderr,
-                    }
+            integral = res.mean * (k**2) * m_d
+            if f is None:
+                norm = (k**2) * m_d  # == m(h(D))
+            else:
+                norm = f.fn(k) ** 2
+            if integral <= 0.0:
+                if val <= 0.0:
+                    continue
+                ratio = math.inf
+            else:
+                ratio = val * norm / integral
+            used += 1
+            stderr_max = max(stderr_max, res.stderr)
+            if (ratio, -idx) > (best[0], -best[1]):
+                best = (ratio, idx)
+                witness = {
+                    "center": [float(v) for v in x],
+                    "scale": k,
+                    "mean": res.mean,
+                    "stderr": res.stderr,
+                }
     if used == 0:
         return KEstimate(0.0, None, 0, skipped, 0.0, True, spec.seed, spec.workers, spec.method)
     return KEstimate(best[0], witness, used, skipped, stderr_max, False, spec.seed, spec.workers, spec.method)

@@ -12,7 +12,10 @@ method ``"exact"`` with stderr 0, are:
 
 ``"auto"`` is resolved before any sampling, so no result reports it; image
 means have no closed form and sample as ``"stratified"``.  The containment
-check runs first on every path.
+check runs first on every ball path.  For an image mean, h(D) inside the
+field domain is certified where simple geometry proves it
+(``_images_certified``: in 2-D, every primitive of h(D) inside one ball or
+rect primitive of the domain); otherwise it is checked sample by sample.
 
 All randomness is driven by a spec seed through ``numpy`` PCG64 streams; for a
 fixed spec (seed and worker count included) results are bit-identical across
@@ -26,11 +29,16 @@ the chunk size (and, for image means, of the marked set D): radius-free
 factors of uniform unit-ball points (exactly the points ``sample_in_ball``
 draws from that stream), or every candidate that the rejection loop accepts in
 D, over-draw included.  The per-probe step maps it by ``c + r*x`` or by ``h``
-and evaluates the field.  The probe batteries of ``qns_engine`` run every
-probe on the battery's own spec seed and pass a ``_SampleMemo`` that keeps the
-base samples for the battery's lifetime: the probes then share common random
-numbers.  Each probe's mean stays unbiased and equals a standalone call with
-that spec bit for bit, but the errors of one battery's probes are correlated.
+and evaluates the field.  An image mean maps the whole over-draw and checks it
+against the domain only when h(D) is not certified inside the domain; a
+certified image maps just the first ``size`` candidates of each chunk, the
+ones that enter the mean.  Image means take an array of probes
+(``_image_means``); ``mean_over_image`` is its one-probe case.  The probe
+batteries of ``qns_engine`` run every probe on the battery's own spec seed
+and pass a ``_SampleMemo`` that keeps the base samples for the battery's
+lifetime: the probes then share common random numbers.  Each probe's mean
+stays unbiased and equals a standalone call with that spec bit for bit, but
+the errors of one battery's probes are correlated.
 """
 
 from __future__ import annotations
@@ -45,9 +53,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fields import Field
-from .geometry import Ball, Similarity
-from .regions import MarkedSet, _pair_overlap_kind, _pair_overlap_measure, ball_in_region
+from .fields import DomainError, Field
+from .geometry import Ball, Similarity, SimilarityArray
+from .regions import MarkedSet, Rect, Region, _pair_overlap_kind, _pair_overlap_measure, ball_in_region
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -218,33 +226,51 @@ def _stat_result(s1: float, s2: float, n: int, method: str) -> MeanResult:
     return MeanResult(mean, math.sqrt(var / n), n, method)
 
 
-def _sample_mean(spec: QuadratureSpec, draw_values: Callable[[int, int, int], np.ndarray], method: str) -> MeanResult:
-    """Shared batching loop: draw_values(batch, chunk, size) -> value array."""
-    stratified = method == "stratified"
-    s1 = s2 = 0.0
-    n = 0
-    batch_size = min(4096, spec.max_samples)
-    batch_index = 0
-    while True:
-        n_chunks = min(spec.workers, max(batch_size // 512, 1))
-        sizes = [batch_size // n_chunks] * n_chunks
-        sizes[-1] += batch_size - sum(sizes)
+def _sample_means(spec: QuadratureSpec, method: str, draws: list[Callable[[int, int, int], np.ndarray]]) -> list:
+    """The batching loop of every sampled mean, run for each probe of an array in turn.
 
-        def run(i: int, _sizes=sizes, _b=batch_index):
-            vals = draw_values(_b, i, _sizes[i])
-            return float(vals.sum()), float((vals * vals).sum()), vals.size
+    ``draws[i](batch, chunk, size)`` returns probe i's field values on one
+    chunk.  Every probe sees the same chunk layout and stops on its own error
+    target or at the sample cap.  The outcome of a probe is its
+    ``MeanResult``, or the ``DomainError`` that one of its draws raised.
+    """
+    out = []
+    for draw_values in draws:
+        s1 = s2 = 0.0
+        n = 0
+        batch_size = min(4096, spec.max_samples)
+        batch_index = 0
+        try:
+            while True:
+                n_chunks = min(spec.workers, max(batch_size // 512, 1))
+                sizes = [batch_size // n_chunks] * n_chunks
+                sizes[-1] += batch_size - sum(sizes)
 
-        for cs1, cs2, cn in _reduce_chunks(spec, run, n_chunks):
-            s1 += cs1
-            s2 += cs2
-            n += cn
-        batch_index += 1
-        result = _stat_result(s1, s2, n, method)
-        if n >= spec.max_samples:
-            return result
-        if result.stderr <= spec.target_rel_error * abs(result.mean):
-            return result
-        batch_size = min(batch_size * 2, spec.max_samples - n)
+                def run(i: int, _sizes=sizes, _b=batch_index, _draw=draw_values):
+                    vals = _draw(_b, i, _sizes[i])
+                    return float(vals.sum()), float((vals * vals).sum()), vals.size
+
+                for cs1, cs2, cn in _reduce_chunks(spec, run, n_chunks):
+                    s1 += cs1
+                    s2 += cs2
+                    n += cn
+                batch_index += 1
+                result = _stat_result(s1, s2, n, method)
+                if n >= spec.max_samples or result.stderr <= spec.target_rel_error * abs(result.mean):
+                    break
+                batch_size = min(batch_size * 2, spec.max_samples - n)
+        except DomainError as exc:
+            out.append(exc)
+            continue
+        out.append(result)
+    return out
+
+
+def _outcome(res):
+    """A probe's ``MeanResult``; a probe that failed raises its error."""
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
 def _disjoint_disk_support(u: Field) -> tuple | None:
@@ -323,7 +349,7 @@ def mean_over_ball(
         )
         return u.evaluate_many(pts, check_domain=False)
 
-    return _sample_mean(spec, draw, method)
+    return _outcome(_sample_means(spec, method, [draw])[0])
 
 
 def _grid_ball_mean(u: Field, center: np.ndarray, radius: float, spec: QuadratureSpec) -> MeanResult:
@@ -351,28 +377,106 @@ def mean_over_image(
 ) -> MeanResult:
     """Average of ``u`` over h(D), sampling in D and mapping through h.
 
-    Uniform candidates are drawn in D's bounding box and rejected to D; every
-    accepted candidate, over-draw included, is mapped and must land in the
-    field domain (else ``DomainError``), which realizes the containment
-    precondition sample-by-sample.  The field is evaluated on the first
-    ``size`` mapped points of each chunk.  ``_memo`` (a battery's base
-    samples) saves work and never changes the result.
+    The one-probe case of ``_image_means``: uniform candidates are drawn in
+    D's bounding box and rejected to D, and the field is evaluated on the
+    first ``size`` mapped candidates of each chunk.  Unless h(D) inside the
+    field domain is certified (``_images_certified``), every accepted
+    candidate, over-draw included, is mapped and must land in the domain
+    (else ``DomainError``).  ``_memo`` (a battery's base samples) saves work
+    and never changes the result.
     """
-    if d.dim != u.dim or h.dim != u.dim:
-        raise ValueError("marked set, similarity and field dimensions must agree")
-    if u.kind == "constant":
-        _probe_image_containment(u, d, h, spec, _memo)
-        return MeanResult(u.params["value"], 0.0, 1, "exact")
+    return _outcome(_image_means(u, d, SimilarityArray.of(h), spec, _memo)[0])
 
-    def draw(batch: int, chunk: int, size: int) -> np.ndarray:
-        cand = _memoized(_memo, ("image", spec.seed, batch, chunk, size),
-                         lambda: _image_base(d, spec.seed, batch, chunk, size))
-        mapped = h.apply_many(cand)
-        u.require_in_domain(mapped)
-        return u.evaluate_many(mapped[:size], check_domain=False)
+
+def _image_means(u: Field, d: MarkedSet, probes: SimilarityArray, spec: QuadratureSpec,
+                 memo: _SampleMemo | None = None) -> list:
+    """Means of ``u`` over the images h_i(D) of a probe array, one outcome per
+    probe: its ``MeanResult``, or the ``DomainError`` that rejects it.
+
+    Every probe runs on ``spec``'s seed.  A probe whose image is certified
+    inside the domain maps only the candidates that enter its mean and checks
+    none of them; any other probe maps and checks the whole over-draw.
+    """
+    if d.dim != u.dim or probes.orthogonal.shape[1] != u.dim:
+        raise ValueError("marked set, similarity and field dimensions must agree")
+    certified = _images_certified(d.region, u.domain, probes).tolist()
+    sims = probes.similarities()
+    if u.kind == "constant":
+        out = []
+        for h, proven in zip(sims, certified):
+            try:
+                if not proven:
+                    _probe_image_containment(u, d, h, spec, memo)
+            except DomainError as exc:
+                out.append(exc)
+                continue
+            out.append(MeanResult(u.params["value"], 0.0, 1, "exact"))
+        return out
+
+    def drawer(h: Similarity, proven: bool) -> Callable[[int, int, int], np.ndarray]:
+        def draw(batch: int, chunk: int, size: int) -> np.ndarray:
+            cand = _memoized(memo, ("image", spec.seed, batch, chunk, size),
+                             lambda: _image_base(d, spec.seed, batch, chunk, size))
+            if proven:
+                return u.evaluate_many(h.apply_many(cand[:size]), check_domain=False)
+            mapped = h.apply_many(cand)
+            u.require_in_domain(mapped)
+            return u.evaluate_many(mapped[:size], check_domain=False)
+
+        return draw
 
     # image means have no closed form and no grid rule
-    return _sample_mean(spec, draw, {"auto": "stratified", "grid": "mc"}.get(spec.method, spec.method))
+    method = {"auto": "stratified", "grid": "mc"}.get(spec.method, spec.method)
+    return _sample_means(spec, method, [drawer(h, proven) for h, proven in zip(sims, certified)])
+
+
+# Margin, relative to the largest coordinate involved, by which a certified
+# image stays inside a domain primitive.  Rounding in mapping a point, or in a
+# membership test, errs by a few ulps of those coordinates, far inside it.
+_CERTIFY_MARGIN = 1e-9
+
+
+def _images_certified(d: Region, omega: Region, probes: SimilarityArray) -> np.ndarray:
+    """Which images h_i(D) are proven to lie inside ``omega``, as a bool per probe.
+
+    2-D only (elsewhere nothing is proven).  h_i(D) is certified when each
+    primitive of h_i(D) lies, with the margin, inside one ball or rect
+    primitive of ``omega``: a ball of D maps to a ball, and a rect or polygon
+    of D lies in the convex hull of its mapped vertices, so it is inside a
+    convex primitive when all of those vertices are.  Polygons of ``omega``
+    prove nothing.  False means "not proven", not "outside".
+    """
+    targets = [q for q in omega.primitives if isinstance(q, (Ball, Rect))]
+    if d.dim != 2 or not targets:
+        return np.zeros(len(probes), dtype=bool)
+    # the largest coordinate involved: of D scaled, of the translation, of omega
+    reach = np.maximum(probes.scale * float(np.max(np.abs(d.bbox))), np.max(np.abs(probes.translation), axis=1))
+    margin = _CERTIFY_MARGIN * np.maximum(reach, float(np.max(np.abs(omega.bbox))))
+    proven = np.ones(len(probes), dtype=bool)
+    for p in d.primitives:
+        if isinstance(p, Ball):
+            pts = probes.apply_many(np.asarray([p.center]))  # (P, 1, 2) image centers
+            room = (probes.scale * p.radius + margin)[:, None]
+        else:
+            pts = probes.apply_many(np.asarray(_vertices(p)))  # (P, V, 2) image vertices
+            room = margin[:, None]
+        x, y = pts[:, :, 0], pts[:, :, 1]
+        inside = np.zeros(len(probes), dtype=bool)
+        for q in targets:
+            if isinstance(q, Ball):
+                inside |= np.all(np.hypot(x - q.center[0], y - q.center[1]) + room <= q.radius, axis=1)
+            else:
+                inside |= np.all((x - room >= q.lo[0]) & (x + room <= q.hi[0])
+                                 & (y - room >= q.lo[1]) & (y + room <= q.hi[1]), axis=1)
+        proven &= inside
+    return proven
+
+
+def _vertices(p) -> list:
+    """Corners of a 2-D rect, or a polygon's vertices."""
+    if isinstance(p, Rect):
+        return [(p.lo[0], p.lo[1]), (p.hi[0], p.lo[1]), (p.hi[0], p.hi[1]), (p.lo[0], p.hi[1])]
+    return list(p.vertices)
 
 
 def _image_base(d: MarkedSet, seed: int, batch: int, chunk: int, size: int) -> np.ndarray:
@@ -391,7 +495,8 @@ def _image_base(d: MarkedSet, seed: int, batch: int, chunk: int, size: int) -> n
         attempts += 1
     if n < size:
         raise RuntimeError("rejection sampling failed to hit the marked set")
-    return np.concatenate(kept)
+    # column-major, so that mapping the candidates reads each coordinate contiguously
+    return np.concatenate(kept, out=np.empty((n, d.dim), order="F"))
 
 
 def _probe_image_containment(

@@ -285,7 +285,7 @@ class Region:
     def contains_interior(self, p) -> bool:
         """Membership in the union of the primitives' interiors (strict tests)."""
         q = as_point(p, self.dim)
-        opened = Region(tuple(_as_open(prim) for prim in self.primitives))
+        opened = _cached(self, "_opened", lambda: Region(tuple(_as_open(prim) for prim in self.primitives)))
         return opened.contains(q)
 
     def measure(self) -> float:
@@ -297,11 +297,7 @@ class Region:
         The result is memoized: overlap terms and Monte Carlo passes run once
         per region.
         """
-        cached = getattr(self, "_measure_cache", None)
-        if cached is None:
-            cached = self._measure_detail_uncached()
-            object.__setattr__(self, "_measure_cache", cached)
-        return cached
+        return _cached(self, "_measure_cache", self._measure_detail_uncached)
 
     def _measure_detail_uncached(self) -> tuple[float, float, str]:
         prims = self.primitives
@@ -376,6 +372,15 @@ class Region:
                 samples = samples[mask]
             kept.append(samples)
         return np.concatenate(kept, axis=0)
+
+
+def _cached(owner, attr: str, build: Callable[[], object]):
+    """``owner.attr``, built by ``build()`` on first use and kept on the (frozen) owner."""
+    value = owner.__dict__.get(attr)
+    if value is None:
+        value = build()
+        object.__setattr__(owner, attr, value)
+    return value
 
 
 def _as_open(p: Primitive) -> Primitive:
@@ -475,8 +480,7 @@ def _ball_in_primitive(p: Primitive, c: np.ndarray, r: float) -> bool:
         if p.closed:
             return all(p.lo[k] <= c[k] - r and c[k] + r <= p.hi[k] for k in range(p.dim))
         return all(p.lo[k] < c[k] - r and c[k] + r < p.hi[k] for k in range(p.dim))
-    poly_region = Region((p,))
-    if not poly_region.contains(c):
+    if not _cached(p, "_region", lambda: Region((p,))).contains(c):
         return False
     return _primitive_inner_dist(p, c) > r
 

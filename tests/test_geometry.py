@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qnslab.geometry import (
     Ball,
     Similarity,
+    SimilarityArray,
     apply_similarity,
     lens_area,
     lens_constant,
@@ -76,6 +77,34 @@ class TestSimilarity:
         h = Similarity.rotation(0.7, scale=3.0, translation=(1.0, -2.0))
         p = np.array([0.3, 0.4])
         assert np.allclose(h.inverse()(h(p)), p, atol=1e-12)
+
+
+class TestSimilarityArray:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rows_map_like_their_similarities(self, dim):
+        rng = np.random.Generator(np.random.PCG64(dim))
+        sims = []
+        for _ in range(20):
+            q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+            sims.append(Similarity(float(rng.uniform(0.01, 50.0)), q, tuple(rng.normal(scale=10.0, size=dim))))
+        parts = np.stack([h.orthogonal for h in sims])
+        parts.setflags(write=False)
+        arr = SimilarityArray(np.array([h.scale for h in sims]), parts, np.array([h.translation for h in sims]))
+        pts = rng.normal(scale=5.0, size=(300, dim))
+        mapped = arr.apply_many(pts)
+        rows = arr.similarities()
+        for i, h in enumerate(sims):
+            assert np.array_equal(mapped[i], h.apply_many(pts))
+            assert np.array_equal(rows[i].apply_many(pts), h.apply_many(pts))
+            assert (rows[i].scale, rows[i].translation, rows[i]._linear) == (h.scale, h.translation, h._linear)
+            assert np.array_equal(rows[i].orthogonal, h.orthogonal) and not rows[i].orthogonal.flags.writeable
+        column_major = sims[0].apply_many(np.asfortranarray(pts))
+        assert column_major.flags.c_contiguous and np.array_equal(column_major, sims[0].apply_many(pts))
+        one = SimilarityArray.of(sims[0])
+        assert len(one) == 1 and np.array_equal(one.apply_many(pts)[0], sims[0].apply_many(pts))
+        some = arr.take(np.array([3, 5]))
+        assert len(some) == 2 and not some.similarities()[1].orthogonal.flags.writeable
+        assert np.array_equal(some.apply_many(pts)[1], sims[5].apply_many(pts))
 
 
 class TestBall:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qnslab import qns_engine, quadrature
-from qnslab.fields import DomainError, constant_field, indicator_field
+from qnslab.fields import DomainError, Field, constant_field, indicator_field
 from qnslab.geometry import Ball, Similarity, lens_area, lens_constant
 from qnslab.qns_engine import (
     BallProbeGrid,
@@ -227,6 +227,22 @@ def record_means(monkeypatch, name):
     return calls
 
 
+def record_image_means(monkeypatch):
+    """Record every probe of the battery's ``_image_means`` calls, in the shape of
+    ``record_means``: ((u, d, h, spec), {"_memo": memo}, result or exception)."""
+    calls = []
+    original = qns_engine._image_means
+
+    def recording(u, d, probes, spec, memo=None):
+        outcomes = original(u, d, probes, spec, memo)
+        for h, outcome in zip(probes.similarities(), outcomes):
+            calls.append(((u, d, h, spec), {"_memo": memo}, outcome))
+        return outcomes
+
+    monkeypatch.setattr(qns_engine, "_image_means", recording)
+    return calls
+
+
 def standalone(fn, args):
     try:
         return fn(*args)
@@ -273,7 +289,7 @@ class TestCommonRandomNumbers:
 
     @pytest.mark.parametrize("u", [CHI, ONE], ids=["indicator", "constant"])
     def test_image_battery_means_match_standalone(self, monkeypatch, u):
-        calls = record_means(monkeypatch, "mean_over_image")
+        calls = record_image_means(monkeypatch)
         d = MarkedSet(Region((Rect((-0.5, -0.5), (0.5, 0.5)),)), (0.0, 0.0))
         sims = SimilarityProbeGrid(center_resolution=5, scales_per_center=3, scale_range=(0.2, 1.4))
         generalized_test(u, OMEGA, d, None, sims, self.SPEC)
@@ -282,7 +298,7 @@ class TestCommonRandomNumbers:
     @pytest.mark.parametrize("u", [indicator_field(GAMMA, HOLED), constant_field(1.0, HOLED)],
                              ids=["indicator", "constant"])
     def test_image_leaving_the_domain_is_skipped(self, monkeypatch, u):
-        calls = record_means(monkeypatch, "mean_over_image")
+        calls = record_image_means(monkeypatch)
         d = MarkedSet(Region((Ball((0.0, 0.0), 1.0),)), (0.0, 0.0))
         est = generalized_test(u, HOLED, d, None, HOLE_SIMS, self.SPEC)
         exterior = [c for c in calls if isinstance(c[2], DomainError)]
@@ -320,6 +336,25 @@ class TestCommonRandomNumbers:
         assert batteries() == first
         gc.collect()
         assert len(memos) == 7 and all(ref() is None for ref in memos)
+
+    def test_ball_battery_evaluates_each_center_once(self, monkeypatch):
+        evaluated = []
+        evaluate = Field.evaluate_many
+
+        def recording(self, pts, check_domain=True):
+            if len(pts) == 1:
+                evaluated.append(tuple(pts[0]))
+            return evaluate(self, pts, check_domain)
+
+        monkeypatch.setattr(Field, "evaluate_many", recording)
+        centers, radii = self.GRID.centers(OMEGA), self.GRID.radii(OMEGA)
+        run = qns_engine.BallProbeRun(CHI, centers, radii, self.SPEC)
+        admitted = list(run)
+        assert run.skipped > 0 and run.skipped + len(admitted) == len(centers) * len(radii)
+        assert [p.idx for p in admitted] == sorted({p.idx for p in admitted})
+        assert evaluated == list(dict.fromkeys(p.center for p in admitted))
+        rep = check_K(CHI, OMEGA, 3.0, self.GRID, self.SPEC)
+        assert (rep.probes_used, rep.probes_skipped) == (len(admitted), run.skipped)
 
     def test_battery_derives_no_seeds(self, monkeypatch):
         def no_seed(*args):
@@ -423,3 +458,158 @@ class TestPhiFunctional:
                 phi_functional(kind, self.SQUARE, Similarity.identity(2)),
                 rel_tol=1e-12,
             )
+
+
+# -- parity of the probe-array generalized_test with the per-probe loop it replaced --
+
+
+def reference_sample_mean(spec, draw_values, method):
+    """The batching loop as it was before probe arrays (one probe)."""
+    s1 = s2 = 0.0
+    n = 0
+    batch_size = min(4096, spec.max_samples)
+    batch_index = 0
+    while True:
+        n_chunks = min(spec.workers, max(batch_size // 512, 1))
+        sizes = [batch_size // n_chunks] * n_chunks
+        sizes[-1] += batch_size - sum(sizes)
+
+        def run(i, _sizes=sizes, _b=batch_index):
+            vals = draw_values(_b, i, _sizes[i])
+            return float(vals.sum()), float((vals * vals).sum()), vals.size
+
+        for cs1, cs2, cn in quadrature._reduce_chunks(spec, run, n_chunks):
+            s1 += cs1
+            s2 += cs2
+            n += cn
+        batch_index += 1
+        result = quadrature._stat_result(s1, s2, n, method)
+        if n >= spec.max_samples:
+            return result
+        if result.stderr <= spec.target_rel_error * abs(result.mean):
+            return result
+        batch_size = min(batch_size * 2, spec.max_samples - n)
+
+
+def reference_mean_over_image(u, d, h, spec, memo):
+    """The image mean as it was before certificates: every accepted candidate,
+    over-draw included, is mapped and checked against the domain."""
+    if u.kind == "constant":
+        quadrature._probe_image_containment(u, d, h, spec, memo)
+        return quadrature.MeanResult(u.params["value"], 0.0, 1, "exact")
+
+    def draw(batch, chunk, size):
+        cand = quadrature._memoized(memo, ("image", spec.seed, batch, chunk, size),
+                                    lambda: quadrature._image_base(d, spec.seed, batch, chunk, size))
+        mapped = h.apply_many(cand)
+        u.require_in_domain(mapped)
+        return u.evaluate_many(mapped[:size], check_domain=False)
+
+    return reference_sample_mean(spec, draw, {"auto": "stratified", "grid": "mc"}.get(spec.method, spec.method))
+
+
+def reference_generalized_test(u, omega, d, f, sims, spec):
+    """The per-probe generalized_test loop as it was before probe arrays.
+
+    Returns (k_hat, witness, used, skipped) and the counts of probes rejected
+    by the hull, rejected by DomainError, and vacuous (0/0).
+    """
+    p_d = np.asarray(d.marked_point)
+    centers = BallProbeGrid(center_resolution=sims.center_resolution).centers(omega)
+    scales = sims.scales(omega, d)
+    parts = sims.orthogonal_parts(2)
+    hull = qns_engine._admissibility_samples(d)
+    probe_spec = spec if spec.method != "grid" else replace(spec, method="mc")
+    memo = _SampleMemo()
+    m_d = d.measure
+    best = (-math.inf, -1)
+    witness = None
+    used = skipped = 0
+    counts = {"hull": 0, "domain": 0, "vacuous": 0}
+    idx = 0
+    for c in centers:
+        x = np.asarray(c, dtype=np.float64)
+        for k in scales:
+            for T in parts:
+                idx += 1
+                h = Similarity(float(k), T, tuple(x - float(k) * (T @ p_d)))
+                if not omega.contains_many(h.apply_many(hull)).astype(bool).all():
+                    skipped += 1
+                    counts["hull"] += 1
+                    continue
+                try:
+                    res = reference_mean_over_image(u, d, h, probe_spec, memo)
+                except DomainError:
+                    skipped += 1
+                    counts["domain"] += 1
+                    continue
+                val = float(u.evaluate_many(x[None, :], check_domain=False)[0])
+                integral = res.mean * (float(k) ** 2) * m_d
+                norm = (float(k) ** 2) * m_d if f is None else f.fn(float(k)) ** 2
+                if integral <= 0.0:
+                    if val <= 0.0:
+                        counts["vacuous"] += 1
+                        continue
+                    ratio = math.inf
+                else:
+                    ratio = val * norm / integral
+                used += 1
+                if (ratio, -idx) > (best[0], -best[1]):
+                    best = (ratio, idx)
+                    witness = {"center": [float(v) for v in x], "scale": float(k),
+                               "mean": res.mean, "stderr": res.stderr}
+    k_hat = best[0] if used else 0.0
+    return (k_hat, witness, used, skipped), counts
+
+
+MARKED = {
+    "ball": MarkedSet(Region((Ball((0.0, 0.0), 1.0),)), (0.0, 0.0)),
+    "square": MarkedSet(Region((Rect((-0.5, -0.5), (0.5, 0.5)),)), (0.0, 0.0)),
+    "two-balls": MarkedSet(Region((Ball((-0.5, 0.0), 1.0), Ball((0.5, 0.0), 1.0))), (0.0, 0.0)),
+    # a non-convex L shape
+    "polygon": MarkedSet(Region((Polygon(((-0.5, -0.5), (0.5, -0.5), (0.5, 0.0), (0.0, 0.0),
+                                          (0.0, 0.5), (-0.5, 0.5))),)), (-0.25, -0.25)),
+}
+PARITY_SIMS = SimilarityProbeGrid(center_resolution=5, scales_per_center=3, rotations=2, include_reflections=True)
+PARITY_F = ScaleFunction(lambda k: 1.3 * k, (1e-3, 1e3))
+
+
+class TestProbeArrayParity:
+    SPEC = QuadratureSpec(method="mc", target_rel_error=0.1, max_samples=8192, seed=41)
+
+    @staticmethod
+    def run_both(monkeypatch, u, omega, d, f, sims, spec):
+        proven = []
+        original = quadrature._images_certified
+
+        def counting(*args):
+            out = original(*args)
+            proven.append(int(out.sum()))
+            return out
+
+        monkeypatch.setattr(quadrature, "_images_certified", counting)
+        est = generalized_test(u, omega, d, f, sims, spec)
+        expected, counts = reference_generalized_test(u, omega, d, f, sims, spec)
+        assert (est.k_hat, est.witness, est.probes_used, est.probes_skipped) == expected
+        return counts, sum(proven)
+
+    @pytest.mark.parametrize("f", [None, PARITY_F], ids=["f=None", "f"])
+    @pytest.mark.parametrize("field", ["indicator", "constant"])
+    @pytest.mark.parametrize("dname", list(MARKED))
+    def test_matches_per_probe_loop(self, monkeypatch, dname, field, f):
+        u = CHI if field == "indicator" else ONE
+        counts, proven = self.run_both(monkeypatch, u, OMEGA, MARKED[dname], f, PARITY_SIMS, self.SPEC)
+        assert counts["hull"] > 0 and proven > 0
+        if field == "indicator":
+            assert counts["vacuous"] > 0
+
+    @pytest.mark.parametrize("f", [None, PARITY_F], ids=["f=None", "f"])
+    @pytest.mark.parametrize("field", ["indicator", "constant"])
+    def test_matches_per_probe_loop_with_domain_errors(self, monkeypatch, field, f):
+        u = indicator_field(GAMMA, HOLED) if field == "indicator" else constant_field(1.0, HOLED)
+        counts, proven = self.run_both(monkeypatch, u, HOLED, MARKED["ball"], f, HOLE_SIMS, self.SPEC)
+        assert counts["hull"] > 0 and counts["domain"] > 0 and proven > 0
+
+    def test_matches_per_probe_loop_stratified_two_workers(self, monkeypatch):
+        spec = replace(self.SPEC, method="stratified", workers=2, target_rel_error=0.02, max_samples=40_000)
+        self.run_both(monkeypatch, CHI, OMEGA, MARKED["polygon"], None, PARITY_SIMS, spec)

@@ -5,8 +5,8 @@ import threading
 import numpy as np
 import pytest
 
-from qnslab.fields import DomainError, constant_field, harmonic_field, indicator_field
-from qnslab.geometry import Ball, Similarity, lens_area, lens_constant
+from qnslab.fields import DomainError, Field, constant_field, harmonic_field, indicator_field
+from qnslab.geometry import Ball, Similarity, SimilarityArray, lens_area, lens_constant
 from qnslab import quadrature
 from qnslab.quadrature import (
     ContainmentError,
@@ -358,3 +358,102 @@ class TestDeriveSeed:
         assert derive_seed(1, "x") != derive_seed(1, "y")
         assert derive_seed(1, "x") != derive_seed(2, "x")
         assert 0 <= derive_seed(123, "abc") < 2**64
+
+
+class TestImageCertificate:
+    """``_images_certified`` proves h(D) ⊆ Ω from convex domain primitives."""
+
+    MARKED = [
+        Region((Ball((0.0, 0.0), 1.0),)),
+        Region((Rect((-0.5, -0.5), (0.5, 0.5)),)),
+        Region((Ball((-0.5, 0.0), 1.0), Ball((0.5, 0.0), 1.0))),
+        Region((Polygon(((-0.5, -0.5), (0.5, -0.5), (0.5, 0.0), (0.0, 0.0), (0.0, 0.5), (-0.5, 0.5))),)),
+    ]
+    DOMAINS = [
+        Region((Ball((0.0, 0.0), 2.0),)),
+        Region((Ball((-1.35, 0.0), 1.0), Ball((1.35, 0.0), 1.0), Rect((-1.35, -0.25), (1.35, 0.25)))),
+        Region((
+            Rect((-2.0, -2.0), (0.3, 2.0)), Rect((0.5, -2.0), (2.0, 2.0)),
+            Rect((0.3, -2.0), (0.5, -0.1)), Rect((0.3, 0.1), (0.5, 2.0)),
+        )),
+    ]
+
+    @staticmethod
+    def certified(d, omega, *sims):
+        return quadrature._images_certified(d, omega, SimilarityArray(
+            np.array([h.scale for h in sims]), np.stack([h.orthogonal for h in sims]),
+            np.array([h.translation for h in sims])))
+
+    @pytest.mark.parametrize("di", range(4))
+    @pytest.mark.parametrize("oi", range(3))
+    def test_never_certifies_an_image_that_leaves(self, di, oi):
+        d, omega = self.MARKED[di], self.DOMAINS[oi]
+        rng = np.random.Generator(np.random.PCG64(100 + 10 * di + oi))
+        dense = d.boundary_samples(4000)
+        lo, hi = d.bbox
+        inner = lo + rng.random((4000, 2)) * (hi - lo)
+        dense = np.concatenate([dense, inner[d.contains_many(inner).astype(bool)]])
+        o_lo, o_hi = omega.bbox
+        sims = []
+        for _ in range(400):
+            theta = float(rng.uniform(0.0, 2.0 * math.pi))
+            h = Similarity.rotation(theta, scale=float(np.exp(rng.uniform(np.log(0.05), np.log(2.0)))),
+                                    translation=tuple(o_lo + rng.random(2) * (o_hi - o_lo)))
+            if rng.random() < 0.5:
+                h = Similarity(h.scale, h.orthogonal @ np.diag([1.0, -1.0]), h.translation)
+            sims.append(h)
+        proven = self.certified(d, omega, *sims)
+        assert 0 < proven.sum() < len(sims)
+        for h, ok in zip(sims, proven):
+            if ok:
+                assert omega.contains_many(h.apply_many(dense)).all()
+
+    def test_refuses_tangent_images(self):
+        disk, square = self.MARKED[0], self.MARKED[1]
+        omega = self.DOMAINS[0]
+        # internally tangent unit disk, and the same disk a hair away from tangency
+        assert not self.certified(disk, omega, Similarity(1.0, np.eye(2), (1.0, 0.0)),
+                                  Similarity(1.0, np.eye(2), (0.0, -1.0))).any()
+        assert self.certified(disk, omega, Similarity(1.0, np.eye(2), (1.0 - 1e-6, 0.0))).all()
+        # a square whose corner touches the circle
+        corner = 2.0 - 0.5 * math.sqrt(2.0)
+        touching = Similarity.rotation(math.pi / 4.0, translation=(corner, 0.0))
+        assert not self.certified(square, omega, touching).any()
+        # a square with an edge on a rect's side
+        box = Region((Rect((0.0, 0.0), (1.0, 1.0)),))
+        assert not self.certified(square, box, Similarity(1.0, np.eye(2), (0.5, 0.5))).any()
+        assert self.certified(square, box, Similarity(0.99, np.eye(2), (0.5, 0.5))).all()
+
+    def test_refuses_images_that_hold_a_hole(self):
+        disk, holed = self.MARKED[0], self.DOMAINS[2]
+        assert not self.certified(disk, holed, Similarity(0.6, np.eye(2), (0.0, 0.0)),
+                                  Similarity(1.0, np.eye(2), (0.0, 0.0))).any()
+        # the same disk inside one rect of the domain
+        assert self.certified(disk, holed, Similarity(0.5, np.eye(2), (-1.0, 0.0))).all()
+
+    def test_polygon_domains_and_3d_prove_nothing(self):
+        tri = Region((Polygon(((-3.0, -3.0), (3.0, -3.0), (0.0, 3.0))),))
+        assert not self.certified(self.MARKED[0], tri, Similarity(0.1, np.eye(2), (0.0, 0.0))).any()
+        ball3 = Region((Ball((0.0, 0.0, 0.0), 1.0),))
+        h3 = Similarity(0.1, np.eye(3), (0.0, 0.0, 0.0))
+        assert not self.certified(ball3, Region((Ball((0.0, 0.0, 0.0), 5.0),)), h3).any()
+
+    def test_certified_image_maps_only_the_mean_samples(self, monkeypatch):
+        d = MarkedSet(self.MARKED[1], (0.0, 0.0))
+        spec = QuadratureSpec(method="mc", max_samples=8192, target_rel_error=1e-3, seed=16)
+        h = Similarity.rotation(0.4, scale=0.8, translation=(0.9, -0.2))  # straddles the support's edge
+        checks, mapped = [], []
+        require, apply_many = Field.require_in_domain, Similarity.apply_many
+        monkeypatch.setattr(Field, "require_in_domain",
+                            lambda self, pts: checks.append(len(pts)) or require(self, pts))
+        monkeypatch.setattr(Similarity, "apply_many",
+                            lambda self, pts: mapped.append(len(pts)) or apply_many(self, pts))
+        res = mean_over_image(CHI, d, h, spec)
+        assert checks == [] and sum(mapped) == res.n_samples == 8192
+        # outside the certificate every accepted candidate is mapped and checked
+        far = indicator_field(SUPPORT, Region((Rect((-4.0, -4.0), (4.0, 4.0)), Ball((0.0, 0.0), 0.1))))
+        mapped.clear()
+        near = Similarity(1.0, np.eye(2), (3.5 - 1e-12, 0.0))
+        assert not self.certified(d.region, far.domain, near).any()
+        res = mean_over_image(far, d, near, spec)
+        assert sum(checks) == sum(mapped) > res.n_samples

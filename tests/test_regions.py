@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qnslab import regions
 from qnslab.geometry import Ball, Similarity, lens_area
 from qnslab.regions import (
     MarkedSet,
@@ -196,6 +197,28 @@ class TestBallInRegion:
     def test_rejects_at_tangency(self):
         ok, _ = ball_in_region(UNIT_DISK, (0.0, 0.0), 1.0)
         assert not ok
+
+    def test_polygon_region_is_packed_once(self, monkeypatch):
+        # the square (0,0)-(2,2) as a polygon, joined to a rect: every probe
+        # ball tests the polygon primitive, and its one-primitive region and
+        # the opened region of contains_interior are built on first use only
+        square = Polygon(((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)))
+        region = Region((square, Rect((2.0, 0.5), (3.0, 1.5))))
+        packs = []
+        pack = regions._pack
+        monkeypatch.setattr(regions, "_pack", lambda prims, dim: packs.append(len(prims)) or pack(prims, dim))
+        rng = np.random.Generator(np.random.PCG64(8))
+        balls = [(tuple(rng.uniform(0.0, 3.0, 2)), float(rng.uniform(0.05, 1.0))) for _ in range(200)]
+        answers = [ball_in_region(region, c, r) for c, r in balls]
+        interior = [region.contains_interior(c) for c, _ in balls]
+        assert packs == [1, 2]
+        assert {ok for ok, _ in answers} == {True, False}
+        # the same answers as from primitives built afresh for every call
+        monkeypatch.undo()
+        for (c, r), got in zip(balls, answers):
+            assert got == ball_in_region(Region((Polygon(square.vertices), region.primitives[1])), c, r)
+        opened = Region(tuple(regions._as_open(p) for p in region.primitives))
+        assert interior == [opened.contains(c) for c, _ in balls]
 
 
 class TestRadialProfile:
