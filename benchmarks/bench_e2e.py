@@ -5,6 +5,8 @@ Run from the root of a checkout:
     python3 benchmarks/bench_e2e.py --parent <commit> --out BENCH_5.json \\
         [--pairs 10] [--seconds 30] [--seed 5150] [--workloads similarity-battery,...] \\
         [--claim "similarity-battery wall_s"]
+    python3 benchmarks/bench_e2e.py --parent <commit> --out BENCH_5.json \\
+        --pytest tests/test_acceptance.py::test_acceptance_3_counterexample_pass_side [--pairs 10]
 
 The change is the checkout this script lives in (its working tree).  The parent
 is the given commit, extracted with ``git archive`` into a temporary directory,
@@ -20,6 +22,14 @@ how many pairs the change was better or worse (in the direction that
 ``BENCHMARK.json`` gives); also the runner's environment line, the CPU model,
 and both trace splits.  A run's operations must all be correct, else the
 script stops with the runner's output.
+
+With ``--pytest NODEID`` the script times one Tier-1 target instead of the
+workloads: ``python -m pytest -q -p no:cacheprovider NODEID`` with ``src/`` on
+``PYTHONPATH``, in each tree, in the same alternating pairs.  Every wall time,
+both sides' medians and quartiles and the win counts go under
+``pytest.<NODEID>`` of the output, which is added to an existing ``--out``
+file (run the workloads first, since that mode writes the file afresh).  Every
+run must pass, else the script stops with pytest's output.
 """
 
 from __future__ import annotations
@@ -27,14 +37,18 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PYTEST_ARGS = ("-m", "pytest", "-q", "-p", "no:cacheprovider")
+ORDER = "parent first in even-numbered pairs (0, 2, ...), change first in odd-numbered pairs"
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -47,6 +61,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--workloads", default=None, help="comma-separated names (default: all of BENCHMARK.json)")
     p.add_argument("--claim", default=None, help='the claimed gain, e.g. "similarity-battery wall_s"')
     p.add_argument("--no-trace", action="store_true", help="skip the --trace 1 runs")
+    p.add_argument("--pytest", metavar="NODEID", default=None,
+                   help="time this Tier-1 test target instead of the workloads")
     return p.parse_args(argv)
 
 
@@ -80,6 +96,27 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     }
 
 
+def run_pytest(checkout: Path, nodeid: str) -> float:
+    """Wall time in seconds of one passing pytest run of ``nodeid`` in ``checkout``."""
+    cmd = [sys.executable, *PYTEST_ARGS, nodeid]
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    t0 = time.perf_counter()
+    done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    if done.returncode != 0:
+        raise SystemExit(f"{checkout}: {' '.join(cmd)} exited {done.returncode}\n{done.stdout}\n{done.stderr}")
+    return wall
+
+
+def alternating_pairs(pairs: int, run_side) -> dict:
+    """``run_side(side, pair)`` for both sides of every pair, in the order ``ORDER`` states."""
+    runs = {"parent": [], "change": []}
+    for i in range(pairs):
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            runs[side].append(run_side(side, i))
+    return runs
+
+
 def summarize(parent: list[float], change: list[float], better: str) -> dict:
     def stats(values):
         q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
@@ -108,8 +145,45 @@ def cpu_model() -> str | None:
     return None
 
 
+def print_summary(name: str, metric: str, m: dict, pairs: int) -> None:
+    print(f"{name} {metric}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g} "
+          f"({m['change_over_parent']:.3f}x), better {m['change_better_pairs']}/{pairs}, "
+          f"worse {m['change_worse_pairs']}/{pairs}")
+
+
+def time_pytest(args: argparse.Namespace) -> int:
+    """The ``--pytest`` mode: alternating pairs of one Tier-1 target, added to ``--out``."""
+    out = json.loads(args.out.read_text()) if args.out.exists() else {}
+    with tempfile.TemporaryDirectory(prefix="bench_e2e_parent_") as tmp:
+        parent_dir = Path(tmp)
+        parent_commit = extract(args.parent, parent_dir)
+        sides = {"parent": parent_dir, "change": ROOT}
+
+        def run_side(side, i):
+            wall = run_pytest(sides[side], args.pytest)
+            print(f"{args.pytest} pair {i} {side}: {wall:.3f} s", file=sys.stderr)
+            return wall
+
+        runs = alternating_pairs(args.pairs, run_side)
+    entry = {
+        "parent_commit": parent_commit,
+        "claim": args.claim,
+        "command": " ".join(["PYTHONPATH=src python", *PYTEST_ARGS, args.pytest]),
+        "pairs": args.pairs,
+        "order": ORDER,
+        "cpu": cpu_model(),
+        "metrics": {"wall_s": summarize(runs["parent"], runs["change"], "lower")},
+    }
+    out.setdefault("pytest", {})[args.pytest] = entry
+    args.out.write_text(json.dumps(out, indent=1) + "\n")
+    print_summary(args.pytest, "wall_s", entry["metrics"]["wall_s"], args.pairs)
+    return 0
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
+    if args.pytest:
+        return time_pytest(args)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
     directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
@@ -126,18 +200,17 @@ def main(argv=None) -> int:
             "claim": args.claim,
             "command": command.format(workload="W", trace=0),
             "environment": None,
-            "runs": {"seed": args.seed, "pairs": args.pairs, "seconds": args.seconds,
-                     "order": "parent first in even-numbered pairs (0, 2, ...), change first in odd-numbered pairs",
+            "runs": {"seed": args.seed, "pairs": args.pairs, "seconds": args.seconds, "order": ORDER,
                      "workloads": {}},
             "traces": {},
         }
         for name in names:
-            runs = {"parent": [], "change": []}
-            for i in range(args.pairs):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                for side in order:
-                    runs[side].append(run_bench(sides[side], name, args.seed, args.seconds, 0))
-                    print(f"{name} pair {i} {side}: {runs[side][-1]['metrics']}", file=sys.stderr)
+            def run_side(side, i, _name=name):
+                result = run_bench(sides[side], _name, args.seed, args.seconds, 0)
+                print(f"{_name} pair {i} {side}: {result['metrics']}", file=sys.stderr)
+                return result
+
+            runs = alternating_pairs(args.pairs, run_side)
             if out["environment"] is None:
                 env = runs["change"][0]["env"]
                 out["environment"] = {k: v for k, v in env.items() if k not in ("workload", "seed", "seconds", "trace")}
@@ -159,9 +232,7 @@ def main(argv=None) -> int:
             args.out.write_text(json.dumps(out, indent=1) + "\n")  # partial results survive an interruption
     for name, entry in out["runs"]["workloads"].items():
         for metric, m in entry["metrics"].items():
-            print(f"{name} {metric}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g} "
-                  f"({m['change_over_parent']:.3f}x), better {m['change_better_pairs']}/{args.pairs}, "
-                  f"worse {m['change_worse_pairs']}/{args.pairs}")
+            print_summary(name, metric, m, args.pairs)
     return 0
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -322,13 +322,7 @@ def certify_failure(dom: CounterexampleDomain, spec: QuadratureSpec = Quadrature
         ratio = comp.inner_radius / r_probe
         expected = min(1.0, ratio * ratio)
         implied = max(1.0, (r_probe / comp.inner_radius) ** 2)
-        probe_spec = QuadratureSpec(
-            method=spec.method if spec.method != "grid" else "mc",
-            target_rel_error=spec.target_rel_error,
-            max_samples=spec.max_samples,
-            seed=derive_seed(spec.seed, f"failure:{comp.m}"),
-            workers=spec.workers,
-        )
+        probe_spec = replace(spec, seed=derive_seed(spec.seed, f"failure:{comp.m}"))
         res = mean_over_ball(comp.field_local, Ball((0.0, 0.0), r_probe), probe_spec)
         consistent = abs(res.mean - expected) <= 3.0 * max(res.stderr, 1e-12)
         ok = ok and consistent
@@ -361,6 +355,10 @@ def certify_failure(dom: CounterexampleDomain, spec: QuadratureSpec = Quadrature
 # Exact lens-area means are good to a few ulps; 1e-12 is far below the gap
 # 1.2e-5 between 2.5575 and the sharp constant 1/lens_constant() = 2.5575302...
 EXACT_MEAN_REL_TOL = 1e-12
+# Probe radii below this fraction of a_m are not resolvable against the center offset.
+_MIN_RADIUS_REL = 1e-12
+# Radii from b_m up to twice the first gap top, checked per component by the containment dichotomy.
+_DICHOTOMY_RADII = 8
 
 
 @dataclass(frozen=True)
@@ -368,9 +366,7 @@ class RestrictedProbeSpec:
     offsets: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.75, 0.85, 0.92, 0.97, 0.99, 1.0)
     angles: int = 12
     radii_per_component: int = 19
-    min_radius_rel: float = 1e-12  # skip radii unresolvable against the center offset
     samples_per_probe: int = 4096
-    dichotomy_radii: int = 8
 
 
 @dataclass
@@ -406,10 +402,10 @@ def _component_probe_radii(dom: CounterexampleDomain, comp: LocalComponent, prob
     j = idx.index(comp.m)
     a_m = comp.inner_radius
     lo_block = s.b[j + 1] if j + 1 < len(idx) else a_m * 1e-6
-    lo = max(lo_block, a_m * probes.min_radius_rel)
+    lo = max(lo_block, a_m * _MIN_RADIUS_REL)
     radii = list(np.geomspace(lo, a_m, probes.radii_per_component))
     radii[-1] = a_m  # exact top: the sharp configuration
-    if lo_block >= a_m * probes.min_radius_rel:
+    if lo_block >= a_m * _MIN_RADIUS_REL:
         radii[0] = lo_block
     return radii
 
@@ -458,12 +454,15 @@ def certify_restricted(
     """Verify the mean inequality at K = 1/lens_constant() for admissible probes.
 
     Probes take centers in the inner disks and radii from the admissible set;
-    each must satisfy value <= K*mean + slack.  Probe means use ``spec.method``
-    (``"grid"`` becomes ``"mc"``).  Under the default ``"auto"`` they are the
-    exact lens-area ratios, and the slack is the floating-point tolerance
+    each must satisfy value <= K*mean + slack.  Probe means use ``spec.method``.
+    Under the default ``"auto"`` they are the exact lens-area ratios, computed
+    on ``spec`` itself (the exact path reads only the method), and the slack
+    is the floating-point tolerance
     ``EXACT_MEAN_REL_TOL * K * mean``; the sharp probes (center on the inner
     boundary, radius a_m) then reach the ratio 1/lens_constant() itself.
-    Sampled means get the slack 3*K*stderr.  Radii in [b_m, ∞) must be
+    Sampled means (``"mc"`` or ``"stratified"``) draw at most
+    ``probes.samples_per_probe`` points each, on a seed derived per probe, and
+    get the slack 3*K*stderr.  Radii in [b_m, ∞) must be
     rejected by the geometry (the containment dichotomy): every such probe is
     certified non-containable by sequence arithmetic.  ``constant`` overrides
     the default K.
@@ -474,7 +473,6 @@ def certify_restricted(
                 f"admissible radius set intersects the avoided gap ({g_lo!r}, {g_hi!r})"
             )
     k_const = 1.0 / lens_constant() if constant is None else float(constant)
-    method = spec.method if spec.method != "grid" else "mc"
     max_ratio = -math.inf
     witness = None
     used = 0
@@ -485,7 +483,7 @@ def certify_restricted(
     for comp in dom.components:
         a_m = comp.inner_radius
         radii = _component_probe_radii(dom, comp, probes)
-        exact = _ball_means_exact(comp.field_local, method)  # exact probes never read their seed
+        exact = _ball_means_exact(comp.field_local, spec.method)
         centers = [(0.0, 0.0)]
         for rho in probes.offsets:
             if rho == 0.0:
@@ -496,12 +494,9 @@ def certify_restricted(
         for cx, cy in centers:
             for r in radii:
                 idx += 1
-                probe_spec = QuadratureSpec(
-                    method=method,
-                    target_rel_error=0.1,
-                    max_samples=probes.samples_per_probe,
-                    seed=spec.seed if exact else derive_seed(spec.seed, f"restricted:{idx}"),
-                    workers=spec.workers,
+                probe_spec = spec if exact else replace(
+                    spec, target_rel_error=0.1, max_samples=probes.samples_per_probe,
+                    seed=derive_seed(spec.seed, f"restricted:{idx}"),
                 )
                 res = mean_over_ball(comp.field_local, Ball((cx, cy), r), probe_spec)
                 used += 1
@@ -521,7 +516,7 @@ def certify_restricted(
         s = dom.sequences
         j = list(s.indices()).index(comp.m)
         top = dom.avoided_gaps[0][1] * 2.0
-        for r in np.geomspace(s.b[j], max(top, s.b[j] * 2), probes.dichotomy_radii):
+        for r in np.geomspace(s.b[j], max(top, s.b[j] * 2), _DICHOTOMY_RADII):
             dichotomy_checked += 1
             if not _certify_dichotomy(dom, comp, float(r)):
                 dichotomy_ok = False
@@ -567,23 +562,19 @@ def build_f1_counterexample(
     s: SequencePair,
     d: MarkedSet,
     c: float = 1.0,
-    n0: Optional[int] = None,
 ) -> tuple[CounterexampleDomain, Field, PiecewiseScaleRule]:
     """The scale-function variant: drop the first N0 components, set b = m*a.
 
-    N0 is configurable (default from the sequences); it must satisfy
-    N0 >= 2 / inner_radius(D) so the large-scale probe case lands back inside
-    the gap where the rule takes the small branch.
+    N0 is the sequences' own; it must satisfy N0 >= 2 / inner_radius(D) so
+    the large-scale probe case lands back inside the gap where the rule
+    takes the small branch.
     """
     if s.variant != "linear-gap":
         raise ConstructionError("the scale-function variant needs linear-gap sequences (b_m = m a_m)")
-    n0 = s.n0 if n0 is None else n0
-    if n0 != s.n0:
-        raise ConstructionError("N0 must match the sequence pair")
     need = 2.0 / d.inner_radius
-    if n0 < need:
+    if s.n0 < need:
         raise ConstructionError(
-            f"N0={n0} too small for this marked set: need N0 >= 2/r_D = {need:.3f}"
+            f"N0={s.n0} too small for this marked set: need N0 >= 2/r_D = {need:.3f}"
         )
     dom = build_domain(s)
     rule = PiecewiseScaleRule(c, s.a, s.indices().start)
@@ -653,13 +644,8 @@ def certify_f1(
                 h = Similarity(float(k), np.eye(2), tuple(x - float(k) * p_d))
                 if float(k) * d.inner_radius > 2.0 * comp.m * a_m / s.n0:
                     bound_ok = False
-                probe_spec = QuadratureSpec(
-                    method="mc",
-                    target_rel_error=0.1,
-                    max_samples=4096,
-                    seed=derive_seed(spec.seed, f"f1:{idx}"),
-                    workers=spec.workers,
-                )
+                probe_spec = replace(spec, method="mc", target_rel_error=0.1, max_samples=4096,
+                                     seed=derive_seed(spec.seed, f"f1:{idx}"))
                 res = mean_over_image(comp.field_local, d, h, probe_spec)
                 integral = res.mean * float(k) ** 2 * m_d
                 integral_err = res.stderr * float(k) ** 2 * m_d

@@ -23,13 +23,6 @@ def unit_ball_volume(n: int) -> float:
         raise ValueError(f"unsupported dimension {n}; expected 2 or 3") from None
 
 
-def ball_volume(n: int, radius: float) -> float:
-    """Volume of an n-ball of the given radius."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    return unit_ball_volume(n) * radius**n
-
-
 def as_point(p, dim: int | None = None) -> np.ndarray:
     """Coerce a point-like value to a float64 vector, optionally checking its dimension."""
     q = np.asarray(p, dtype=np.float64)
@@ -157,10 +150,6 @@ class Similarity:
         """Planar rotation by ``theta`` composed with scaling and translation."""
         c, s = math.cos(theta), math.sin(theta)
         return Similarity(scale, np.array([[c, -s], [s, c]]), tuple(translation))
-
-    @staticmethod
-    def reflection_x(scale: float = 1.0, translation=(0.0, 0.0)) -> "Similarity":
-        return Similarity(scale, np.array([[1.0, 0.0], [0.0, -1.0]]), tuple(translation))
 
 
 @dataclass(frozen=True, eq=False)

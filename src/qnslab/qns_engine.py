@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -396,7 +396,6 @@ def generalized_test(
     scales = sims.scales(omega, d)
     parts = [Similarity(1.0, T, (0.0, 0.0)).orthogonal for T in sims.orthogonal_parts(2)]  # checked once each
     hull = _admissibility_samples(d)
-    probe_spec = spec if spec.method != "grid" else replace(spec, method="mc")
     memo = _SampleMemo()
     m_d = d.measure
     # one center's probes, scale-major: (k, T) for k in scales for T in parts
@@ -417,7 +416,7 @@ def generalized_test(
         # pre-check h(D) ⊆ Ω on D's boundary samples, for every probe of the center in one call
         in_hull = omega.contains_many(probes.apply_many(hull).reshape(-1, 2)).astype(bool)
         admitted = np.flatnonzero(in_hull.reshape(len(probes), -1).all(axis=1))
-        outcomes = dict(zip(admitted.tolist(), _image_means(u, d, probes.take(admitted), probe_spec, memo)))
+        outcomes = dict(zip(admitted.tolist(), _image_means(u, d, probes.take(admitted), spec, memo)))
         val = None
         for i, k in enumerate(probe_scale.tolist()):
             idx += 1

@@ -1,19 +1,22 @@
 """Averages of fields over balls and over similarity images of marked sets.
 
 Methods: ``"auto"`` (the default) returns a closed form where one exists and
-otherwise samples as ``"stratified"`` does; ``"stratified"``, ``"mc"`` and
-``"grid"`` always take their own sampler, which keeps them available as the
-Monte Carlo cross-check of the closed forms.  The closed forms, reported as
-method ``"exact"`` with stderr 0, are:
+otherwise samples as ``"stratified"`` does; ``"stratified"`` and ``"mc"``
+always take their own sampler, which keeps them available as the Monte Carlo
+cross-check of the closed forms.  The closed forms, reported as method
+``"exact"`` with stderr 0, are:
 
 - constant fields (under every method);
+- harmonic fields over a ball: the mean is the value at the center (the mean
+  value property, exact in 2-D and 3-D since x^2 - y^2 is harmonic in both);
 - over a 2-D disk, the indicator of a union of pairwise-disjoint 2-D disks:
   the mean is sum_i lens_area(r, r_i, |c - c_i|) / (pi r^2).
 
-``"auto"`` is resolved before any sampling, so no result reports it; image
-means have no closed form and sample as ``"stratified"``.  The containment
-check runs first on every ball path.  For an image mean, h(D) inside the
-field domain is certified where simple geometry proves it
+``"auto"`` is resolved before any sampling, so no result reports it.  Image
+means have no closed form besides constants: they are plain Monte Carlo under
+every method (rejection sampling in D does not stratify) and report ``"mc"``.
+The containment check runs first on every ball path.  For an image mean, h(D)
+inside the field domain is certified where simple geometry proves it
 (``_images_certified``: in 2-D, every primitive of h(D) inside one ball or
 rect primitive of the domain); otherwise it is checked sample by sample.
 
@@ -66,14 +69,14 @@ def derive_seed(seed: int, label: str) -> int:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    method: str = "auto"  # "auto" | "stratified" | "mc" | "grid"
+    method: str = "auto"  # "auto" (closed forms where they exist) | "stratified" | "mc"
     target_rel_error: float = 1e-3
     max_samples: int = 10_000_000
     seed: int = 0
     workers: int = 1
 
     def __post_init__(self):
-        if self.method not in ("auto", "stratified", "mc", "grid"):
+        if self.method not in ("auto", "stratified", "mc"):
             raise ValueError(f"unknown quadrature method {self.method!r}")
         if not (0.0 < self.target_rel_error <= 0.1):
             raise ValueError("target relative error must lie in (0, 0.1]")
@@ -141,11 +144,6 @@ def _place_in_ball(base: tuple, center: np.ndarray, radius: float) -> np.ndarray
     return pts
 
 
-def _cube_to_ball(cube: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """Map unit-cube points to uniform points in a ball (constant Jacobian)."""
-    return _place_in_ball(_ball_base(cube), center, radius)
-
-
 def _cube_samples(n: int, dim: int, rng: np.random.Generator, stratified: bool) -> np.ndarray:
     """n points of the unit cube; stratified: one jittered point per cell of a
     g^dim grid with g^dim <= n, and the remaining n - g^dim points uniform."""
@@ -165,8 +163,7 @@ def _cube_samples(n: int, dim: int, rng: np.random.Generator, stratified: bool) 
 
 def sample_in_ball(center, radius: float, n: int, rng: np.random.Generator, stratified: bool = False) -> np.ndarray:
     center = np.asarray(center, dtype=np.float64)
-    cube = _cube_samples(n, center.size, rng, stratified)
-    return _cube_to_ball(cube, center, radius)
+    return _place_in_ball(_ball_base(_cube_samples(n, center.size, rng, stratified)), center, radius)
 
 
 # Largest number of base-sample points one memo holds; later draws are not kept.
@@ -292,15 +289,20 @@ def _ball_means_exact(u: Field, method: str) -> bool:
     The one rule for the exact path: ``mean_over_ball`` branches on it, and
     callers use it to skip work that only sampled means need.
     """
-    return u.kind == "constant" or (method == "auto" and _disjoint_disk_support(u) is not None)
+    if u.kind == "constant":
+        return True
+    return method == "auto" and (u.kind == "harmonic" or _disjoint_disk_support(u) is not None)
 
 
 def _exact_ball_mean(u: Field, ball: Ball) -> float:
     """The closed-form mean over ``ball`` of a field that ``_ball_means_exact``
-    accepts: a constant, or the indicator of pairwise-disjoint 2-D disks
-    (sum of lens areas over the disk area)."""
+    accepts: a constant, a harmonic field (its value at the center), or the
+    indicator of pairwise-disjoint 2-D disks (sum of lens areas over the disk
+    area)."""
     if u.kind == "constant":
         return u.params["value"]
+    if u.kind == "harmonic":
+        return float(u.values(np.asarray([ball.center]))[0])
     covered = 0.0
     for p in u.params["support"].primitives:
         kind = _pair_overlap_kind(ball, p)
@@ -317,9 +319,8 @@ def mean_over_ball(
     The closed ball must lie inside the field's domain; a violation reports
     the offending boundary direction.  Under ``"auto"`` the closed forms of
     the module docstring are used where they apply; otherwise the mean is
-    sampled.  The grid method is rejected for indicator-bearing fields
-    (boundary bias); Monte Carlo is unbiased there.  ``_memo`` (a battery's
-    base samples) saves work and never changes the result.
+    sampled.  ``_memo`` (a battery's base samples) saves work and never
+    changes the result.
     """
     if ball.dim != u.dim:
         raise ValueError("ball and field dimensions differ")
@@ -332,13 +333,8 @@ def mean_over_ball(
     if _ball_means_exact(u, spec.method):
         return MeanResult(_exact_ball_mean(u, ball), 0.0, 1, "exact")
     method = "stratified" if spec.method == "auto" else spec.method
-    center = np.asarray(ball.center, dtype=np.float64)
-    if method == "grid":
-        if u.has_indicator:
-            raise ValueError("grid quadrature is biased for indicator fields; use mc or stratified")
-        return _grid_ball_mean(u, center, ball.radius, spec)
-
     stratified = method == "stratified"
+    center = np.asarray(ball.center, dtype=np.float64)
 
     def draw(batch: int, chunk: int, size: int) -> np.ndarray:
         # the base tuple is a temporary, so a memo-free chunk frees it before evaluating
@@ -350,25 +346,6 @@ def mean_over_ball(
         return u.evaluate_many(pts, check_domain=False)
 
     return _outcome(_sample_means(spec, method, [draw])[0])
-
-
-def _grid_ball_mean(u: Field, center: np.ndarray, radius: float, spec: QuadratureSpec) -> MeanResult:
-    dim = center.size
-    prev = None
-    k = 8
-    while True:
-        axes = [(np.arange(k) + 0.5) / k] * dim
-        mesh = np.meshgrid(*axes, indexing="ij")
-        cube = np.stack([m.ravel() for m in mesh], axis=1)
-        pts = _cube_to_ball(cube, center, radius)
-        mean = float(u.evaluate_many(pts, check_domain=False).mean())
-        n = cube.shape[0]
-        if prev is not None:
-            err = abs(mean - prev)
-            if err <= spec.target_rel_error * abs(mean) or (2 * k) ** dim > spec.max_samples:
-                return MeanResult(mean, err, n, "grid")
-        prev = mean
-        k *= 2
 
 
 def mean_over_image(
@@ -425,9 +402,7 @@ def _image_means(u: Field, d: MarkedSet, probes: SimilarityArray, spec: Quadratu
 
         return draw
 
-    # image means have no closed form and no grid rule
-    method = {"auto": "stratified", "grid": "mc"}.get(spec.method, spec.method)
-    return _sample_means(spec, method, [drawer(h, proven) for h, proven in zip(sims, certified)])
+    return _sample_means(spec, "mc", [drawer(h, proven) for h, proven in zip(sims, certified)])
 
 
 # Margin, relative to the largest coordinate involved, by which a certified

@@ -19,6 +19,8 @@ from . import _kernels_py as kernels
 from .geometry import Ball, Similarity, as_point, lens_area, unit_ball_volume
 
 DEFAULT_BOUNDARY_SAMPLES = 20_000
+# Boundary directions that ball_in_region tests when no single primitive holds the ball.
+_BALL_DIRS = 64
 _MEASURE_SEED = 20_250_809
 
 
@@ -446,11 +448,11 @@ def _has_triple_bbox_overlap(prims, overlaps) -> bool:
     return False
 
 
-def ball_in_region(region: Region, center, radius: float, n_dirs: int = 64):
+def ball_in_region(region: Region, center, radius: float):
     """Whether the closed ball lies inside the region.
 
     Exact when the ball fits in a single primitive; otherwise checked by
-    sampling boundary directions (approximate, documented).  Returns
+    sampling ``_BALL_DIRS`` boundary directions (approximate, documented).  Returns
     ``(True, None)`` or ``(False, witness_direction)``.
     """
     c = as_point(center, region.dim)
@@ -458,10 +460,10 @@ def ball_in_region(region: Region, center, radius: float, n_dirs: int = 64):
         if _ball_in_primitive(p, c, radius):
             return True, None
     if region.dim == 2:
-        theta = np.linspace(0.0, 2.0 * math.pi, n_dirs, endpoint=False)
+        theta = np.linspace(0.0, 2.0 * math.pi, _BALL_DIRS, endpoint=False)
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     else:
-        dirs = _fibonacci_sphere(n_dirs)
+        dirs = _fibonacci_sphere(_BALL_DIRS)
     for rho in (1.0, 0.7, 0.35):
         pts = c + radius * rho * dirs
         mask = region.contains_many(pts).astype(bool)
@@ -497,7 +499,6 @@ class MarkedSet:
 
     region: Region
     marked_point: tuple[float, ...]
-    boundary_samples: int = DEFAULT_BOUNDARY_SAMPLES
 
     def __post_init__(self):
         object.__setattr__(self, "marked_point", tuple(float(v) for v in self.marked_point))
@@ -508,7 +509,7 @@ class MarkedSet:
         if len(self.region.primitives) == 1:
             inner = _primitive_inner_dist(self.region.primitives[0], q)
         else:
-            pts = self.region.boundary_samples(self.boundary_samples)
+            pts = self.region.boundary_samples(DEFAULT_BOUNDARY_SAMPLES)
             inner = float(np.min(np.linalg.norm(pts - q, axis=1)))
         object.__setattr__(self, "_outer", float(outer))
         object.__setattr__(self, "_inner", float(inner))
@@ -647,12 +648,6 @@ def region_from_json(doc: dict) -> tuple[Region, tuple[float, ...] | None]:
     if marked is not None:
         marked = tuple(float(v) for v in marked)
     return region, marked
-
-
-def dump_region(region: Region, path, marked_point=None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(region_to_json(region, marked_point), fh, indent=2)
-        fh.write("\n")
 
 
 def load_region(path) -> tuple[Region, tuple[float, ...] | None]:

@@ -23,7 +23,8 @@ from qnslab.counterexample import (
     f1_sequences,
 )
 from qnslab.geometry import Ball, lens_area, lens_constant
-from qnslab.quadrature import QuadratureSpec
+from qnslab import counterexample
+from qnslab.quadrature import QuadratureSpec, derive_seed
 from qnslab.radius_sets import RadiusSet, classify
 from qnslab.regions import MarkedSet, Region
 
@@ -268,6 +269,80 @@ class TestF1Variant:
         for row in rep.rows:
             want = min(1.0, (2.0 * 3.0 / row.m) ** 2)
             assert math.isclose(row.expected_mean, want, rel_tol=1e-9)
+
+
+def record_probe_specs(monkeypatch) -> list:
+    """Record (mean function, spec, result method) for every probe mean that
+    the certify_* functions take through the counterexample module."""
+    calls = []
+    for name in ("mean_over_ball", "mean_over_image"):
+        def recording(*args, _original=getattr(counterexample, name), _name=name):
+            res = _original(*args)
+            calls.append((_name, args[-1], res.method))
+            return res
+
+        monkeypatch.setattr(counterexample, name, recording)
+    return calls
+
+
+class TestProbeSpecs:
+    """Each probe runs on the spec that certify_* built explicitly field by field:
+    the caller's settings with the probe's own derived seed and overrides."""
+
+    SPEC_FIELDS = dict(target_rel_error=0.05, max_samples=20_000, seed=11, workers=2)
+
+    @staticmethod
+    def explicit(spec, method, target, max_samples, label):
+        return QuadratureSpec(method=method, target_rel_error=target, max_samples=max_samples,
+                              seed=derive_seed(spec.seed, label), workers=spec.workers)
+
+    @staticmethod
+    def check(calls, expected):
+        assert [name for name, _, _ in calls] == [name for name, _ in expected]
+        for (_, got, result_method), (_, want) in zip(calls, expected):
+            if result_method == "exact":
+                assert got.method == want.method
+            else:
+                assert got == want
+
+    def failure_probes(self, dom, spec):
+        return [("mean_over_ball", self.explicit(spec, spec.method, spec.target_rel_error, spec.max_samples,
+                                                 f"failure:{comp.m}"))
+                for comp in dom.components]
+
+    @pytest.mark.parametrize("method", ["auto", "mc"])
+    def test_certify_failure(self, monkeypatch, method):
+        spec = QuadratureSpec(method=method, **self.SPEC_FIELDS)
+        dom = build_domain(default_sequences(3, 3))
+        calls = record_probe_specs(monkeypatch)
+        certify_failure(dom, spec)
+        self.check(calls, self.failure_probes(dom, spec))
+        assert {m for _, _, m in calls} == {"exact" if method == "auto" else "mc"}
+
+    @pytest.mark.parametrize("method", ["auto", "mc"])
+    def test_certify_restricted(self, monkeypatch, method):
+        spec = QuadratureSpec(method=method, **self.SPEC_FIELDS)
+        dom = build_domain(default_sequences(3, 3))
+        probes = RestrictedProbeSpec(offsets=(0.0, 1.0), angles=4, radii_per_component=3, samples_per_probe=1024)
+        calls = record_probe_specs(monkeypatch)
+        rep = certify_restricted(dom, avoided_complement_set(dom), probes, spec)
+        self.check(calls, [("mean_over_ball", self.explicit(spec, method, 0.1, probes.samples_per_probe,
+                                                             f"restricted:{i}"))
+                           for i in range(1, rep.probes + 1)])
+        assert {m for _, _, m in calls} == {"exact" if method == "auto" else "mc"}
+
+    @pytest.mark.parametrize("method", ["auto", "mc"])
+    def test_certify_f1(self, monkeypatch, method):
+        spec = QuadratureSpec(method=method, **self.SPEC_FIELDS)
+        d = MarkedSet(Region((Ball((0.0, 0.0), 1.0),)), (0.0, 0.0))
+        dom, _, rule = build_f1_counterexample(f1_sequences(3, 3), d)
+        calls = record_probe_specs(monkeypatch)
+        rep = certify_f1(dom, rule, d, spec, scales_per_component=2, centers_per_component=2)
+        image_probes = [("mean_over_image", self.explicit(spec, "mc", 0.1, 4096, f"f1:{i}"))
+                        for i in range(1, rep.scale_checks + 1)]
+        self.check(calls, self.failure_probes(dom, spec) + image_probes)
+        assert rep.scale_checks > 0
+        assert all(m == "mc" for name, _, m in calls if name == "mean_over_image")
 
 
 class TestExport:

@@ -505,7 +505,7 @@ def reference_mean_over_image(u, d, h, spec, memo):
         u.require_in_domain(mapped)
         return u.evaluate_many(mapped[:size], check_domain=False)
 
-    return reference_sample_mean(spec, draw, {"auto": "stratified", "grid": "mc"}.get(spec.method, spec.method))
+    return reference_sample_mean(spec, draw, "mc")
 
 
 def reference_generalized_test(u, omega, d, f, sims, spec):
@@ -519,7 +519,6 @@ def reference_generalized_test(u, omega, d, f, sims, spec):
     scales = sims.scales(omega, d)
     parts = sims.orthogonal_parts(2)
     hull = qns_engine._admissibility_samples(d)
-    probe_spec = spec if spec.method != "grid" else replace(spec, method="mc")
     memo = _SampleMemo()
     m_d = d.measure
     best = (-math.inf, -1)
@@ -538,7 +537,7 @@ def reference_generalized_test(u, omega, d, f, sims, spec):
                     counts["hull"] += 1
                     continue
                 try:
-                    res = reference_mean_over_image(u, d, h, probe_spec, memo)
+                    res = reference_mean_over_image(u, d, h, spec, memo)
                 except DomainError:
                     skipped += 1
                     counts["domain"] += 1

@@ -203,15 +203,24 @@ class TestMeanOverBall:
         res = mean_over_ball(u, Ball((2.0, 1.0), 0.5), QuadratureSpec(seed=3, max_samples=400_000))
         assert abs(res.mean - 1.3) <= max(3.0 * res.stderr, 1e-6)
 
-    def test_harmonic_grid_method(self):
-        omega = Region((Ball((2.0, 1.0), 2.0),))
+    @pytest.mark.parametrize("center", [(2.0, 1.0), (2.0, 1.0, -0.5)])
+    def test_harmonic_auto_is_the_center_value(self, center):
+        # x^2 - y^2 is harmonic in 2-D and in 3-D, so the ball mean is u(center)
+        omega = Region((Ball(center, 2.0),))
         u = harmonic_field(1.0, 10.0, omega)
-        res = mean_over_ball(u, Ball((2.0, 1.0), 0.5), QuadratureSpec(method="grid", seed=0))
-        assert abs(res.mean - 1.3) <= 1e-9  # angular rule is exact for this field
+        ball = Ball(center, 0.5)
+        value = 1.0 + (center[0] ** 2 - center[1] ** 2) / 10.0
+        res = mean_over_ball(u, ball, QuadratureSpec(seed=3))
+        assert res.method == "exact" and res.stderr == 0.0
+        assert abs(res.mean - value) <= 1e-12
+        for method in ("mc", "stratified"):
+            sampled = mean_over_ball(u, ball, QuadratureSpec(method=method, seed=3, max_samples=200_000))
+            assert sampled.method == method and sampled.stderr > 0.0
+            assert abs(sampled.mean - value) <= 3.0 * sampled.stderr
 
-    def test_grid_rejected_for_indicator(self):
+    def test_grid_method_refused(self):
         with pytest.raises(ValueError):
-            mean_over_ball(CHI, Ball((0.0, 0.0), 1.0), QuadratureSpec(method="grid"))
+            QuadratureSpec(method="grid")
 
     def test_containment_rejection_reports_direction(self):
         with pytest.raises(ContainmentError) as err:
@@ -302,12 +311,13 @@ class TestExactDiskMeans:
             res = mean_over_ball(CHI, Ball((1.0, 0.0), 1.0), QuadratureSpec(method=method, seed=3))
             assert res.method == method and res.stderr > 0.0
 
-    def test_image_auto_samples_as_stratified(self):
+    def test_image_means_are_plain_monte_carlo(self):
+        # rejection sampling in D does not stratify: every method draws the same mc samples
         d = MarkedSet(Region((Ball((0.0, 0.0), 1.0),)), (0.0, 0.0))
         h = Similarity(1.0, np.eye(2), (1.0, 0.0))
         res = mean_over_image(CHI, d, h, QuadratureSpec(seed=2, max_samples=50_000))
         stratified = mean_over_image(CHI, d, h, QuadratureSpec(method="stratified", seed=2, max_samples=50_000))
-        assert res == stratified and res.method == "stratified"
+        assert res == stratified and res.method == "mc"
 
 
 class TestMeanOverImage:
