@@ -119,6 +119,8 @@ def alternating_pairs(pairs: int, run_side) -> dict:
 
 def summarize(parent: list[float], change: list[float], better: str) -> dict:
     def stats(values):
+        if len(values) == 1:  # quantiles needs two runs; one run is its own median and quartiles
+            return {"median": values[0], "q1": values[0], "q3": values[0]}
         q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
         return {"median": med, "q1": q1, "q3": q3}
 

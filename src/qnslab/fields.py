@@ -36,12 +36,6 @@ class Field:
     def dim(self) -> int:
         return self.domain.dim
 
-    @property
-    def has_indicator(self) -> bool:
-        if self.kind == "indicator":
-            return True
-        return any(t.has_indicator for _, t in self.terms)
-
     def values(self, pts: np.ndarray) -> np.ndarray:
         """Evaluate on an (N, dim) array without domain checks."""
         pts = np.asarray(pts, dtype=np.float64)

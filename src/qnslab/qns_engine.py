@@ -8,12 +8,11 @@ ball and image constants, measures indicator densities, checks scale-function
 admissibility, and evaluates scale-homogeneous shape functionals.
 
 Each probe battery (``estimate_K``/``check_K``, ``indicator_density``,
-``generalized_test``) runs every probe on its own spec seed and shares one
-memo of base samples between its probes (common random numbers, see the
-``quadrature`` module docstring); the memo is dropped when the battery returns.
-The batteries work center by center: u(x) is evaluated once per center, and
-``generalized_test`` maps, pre-checks, certifies and samples each center's
-similarity probes as one ``SimilarityArray``.
+``generalized_test``) runs every probe on the battery's spec seed, as one
+probe array that draws each chunk's base sample once (common random numbers,
+see the ``quadrature`` module docstring).  u(x) is evaluated once per center that
+admits a probe, and ``generalized_test`` pre-checks each center's similarity
+probes as one ``SimilarityArray`` before every admitted probe is sampled.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ log = logging.getLogger(__name__)
 
 from .fields import DomainError, Field
 from .geometry import Ball, Similarity, SimilarityArray, unit_ball_volume
-from .quadrature import ContainmentError, MeanResult, QuadratureSpec, _image_means, _SampleMemo, mean_over_ball
+from .quadrature import ContainmentError, MeanResult, QuadratureSpec, _ball_means, _image_means
 from .radius_sets import RadiusSet, log_eps_net
 from .regions import MarkedSet, Rect, Region
 
@@ -128,37 +127,25 @@ class BallProbe(NamedTuple):
     mean: MeanResult
 
 
-class BallProbeRun:
-    """The probes of a ball battery: every (center, radius) pair, in probe order.
+def _ball_probes(u: Field, centers: np.ndarray, radii: list[float], spec: QuadratureSpec) -> tuple[list, int]:
+    """Run every (center, radius) probe of a ball battery as one ``_ball_means`` array.
 
-    Iterating runs them, one ``mean_over_ball`` call each on the battery's
-    memo, and yields each admitted probe as it completes; ``skipped`` then
-    counts the probes whose ball left the domain.  u(center) is evaluated once
-    per center that admits a probe.
+    Returns the admitted probes in probe order and the count of probes whose
+    ball left the domain.  u(center) is evaluated once per center that admits
+    a probe.
     """
-
-    def __init__(self, u: Field, centers: np.ndarray, radii: list[float], spec: QuadratureSpec):
-        self.u, self.centers, self.radii, self.spec = u, centers, radii, spec
-        self.skipped = 0
-
-    def __iter__(self):
-        u = self.u
-        memo = _SampleMemo()
-        idx = 0
-        for c in self.centers:
-            c_t = tuple(float(v) for v in c)
-            val = None
-            for r in self.radii:
-                idx += 1
-                try:
-                    res = mean_over_ball(u, Ball(c_t, float(r)), self.spec, _memo=memo)
-                except ContainmentError as exc:
-                    log.debug("probe %d skipped: %s", idx, exc)
-                    self.skipped += 1
-                    continue
-                if val is None:
-                    val = float(u.evaluate_many(np.asarray([c_t]), check_domain=False)[0])
-                yield BallProbe(idx, c_t, float(r), val, res)
+    pairs = [(c, float(r)) for c in map(tuple, centers.tolist()) for r in radii]
+    outcomes = _ball_means(u, [Ball(c, r) for c, r in pairs], spec)
+    admitted = []
+    values: dict = {}
+    for idx, ((c, r), res) in enumerate(zip(pairs, outcomes), start=1):
+        if isinstance(res, ContainmentError):
+            log.debug("probe %d skipped: %s", idx, res)
+            continue
+        if c not in values:
+            values[c] = float(u.evaluate_many(np.asarray([c]), check_domain=False)[0])
+        admitted.append(BallProbe(idx, c, r, values[c], res))
+    return admitted, len(pairs) - len(admitted)
 
 
 def estimate_K(
@@ -178,8 +165,8 @@ def estimate_K(
     witness = None
     used = 0
     stderr_max = 0.0
-    run = BallProbeRun(u, probes.centers(omega), probes.radii(omega), spec)
-    for idx, c, r, val, res in run:
+    admitted, skipped = _ball_probes(u, probes.centers(omega), probes.radii(omega), spec)
+    for idx, c, r, val, res in admitted:
         if res.mean <= 0.0:
             if val <= 0.0:
                 continue  # 0/0 probe: the inequality is vacuous there
@@ -192,8 +179,8 @@ def estimate_K(
             best = (ratio, idx)
             witness = {"center": list(c), "radius": r, "value": val, "mean": res.mean, "stderr": res.stderr}
     if used == 0:
-        return KEstimate(0.0, None, 0, run.skipped, 0.0, True, spec.seed, spec.workers, spec.method)
-    return KEstimate(best[0], witness, used, run.skipped, stderr_max, False, spec.seed, spec.workers, spec.method)
+        return KEstimate(0.0, None, 0, skipped, 0.0, True, spec.seed, spec.workers, spec.method)
+    return KEstimate(best[0], witness, used, skipped, stderr_max, False, spec.seed, spec.workers, spec.method)
 
 
 @dataclass
@@ -233,8 +220,8 @@ def check_K(
     failures = []
     used = 0
     stderr_max = 0.0
-    run = BallProbeRun(u, probes.centers(omega), probes.radii(omega), spec)
-    for idx, c, r, val, res in run:
+    admitted, skipped = _ball_probes(u, probes.centers(omega), probes.radii(omega), spec)
+    for idx, c, r, val, res in admitted:
         used += 1
         stderr_max = max(stderr_max, res.stderr)
         if val > k * res.mean + 3.0 * res.stderr:
@@ -242,7 +229,7 @@ def check_K(
                 {"center": list(c), "radius": r, "value": val, "mean": res.mean,
                  "stderr": res.stderr, "ratio": (val / res.mean if res.mean > 0 else math.inf)}
             )
-    return CheckReport(not failures, k, failures, used, run.skipped, stderr_max, spec.seed, spec.workers, spec.method)
+    return CheckReport(not failures, k, failures, used, skipped, stderr_max, spec.seed, spec.workers, spec.method)
 
 
 @dataclass
@@ -284,8 +271,8 @@ def indicator_density(
     worst = (math.inf, -1)
     witness = None
     used = 0
-    run = BallProbeRun(u, probes.centers(gamma), probes.radii(omega), spec)
-    for idx, c, r, _, res in run:
+    admitted, skipped = _ball_probes(u, probes.centers(gamma), probes.radii(omega), spec)
+    for idx, c, r, _, res in admitted:
         used += 1
         if (res.mean, idx) < (worst[0], worst[1]):
             worst = (res.mean, idx)
@@ -295,7 +282,7 @@ def indicator_density(
     compatible = used > 0 and inf_ratio > tol
     return DensityReport(
         inf_ratio, witness, (1.0 / inf_ratio if inf_ratio > 0 else math.inf),
-        compatible, used, run.skipped, spec.seed,
+        compatible, used, skipped, spec.seed,
     )
 
 
@@ -396,14 +383,23 @@ def generalized_test(
     scales = sims.scales(omega, d)
     parts = [Similarity(1.0, T, (0.0, 0.0)).orthogonal for T in sims.orthogonal_parts(2)]  # checked once each
     hull = _admissibility_samples(d)
-    memo = _SampleMemo()
     m_d = d.measure
-    # one center's probes, scale-major: (k, T) for k in scales for T in parts
+    # every center's probes, center-major and then scale-major: (x, k, T) for x in
+    # centers for k in scales for T in parts
+    per_center = len(scales) * len(parts)
     probe_scale = np.repeat(scales, len(parts))
-    probe_part = np.tile(np.asarray(parts), (len(scales), 1, 1))
+    probe_part = np.tile(np.asarray(parts), (len(centers) * len(scales), 1, 1))
     probe_part.setflags(write=False)
     # k * (T @ p_D), so that h(p_D) = x for the translation x - k * (T @ p_D)
     probe_offset = probe_scale[:, None] * np.tile(np.asarray([T @ p_d for T in parts]), (len(scales), 1))
+    every = SimilarityArray(np.tile(probe_scale, len(centers)), probe_part,
+                            (centers[:, None, :] - probe_offset).reshape(-1, 2))
+    admitted = []
+    for start in range(0, len(every), per_center):
+        # pre-check h(D) ⊆ Ω on D's boundary samples, for every probe of one center in one call
+        in_hull = omega.contains_many(every.take(slice(start, start + per_center)).apply_many(hull).reshape(-1, 2))
+        admitted.extend((start + np.flatnonzero(in_hull.astype(bool).reshape(per_center, -1).all(axis=1))).tolist())
+    outcomes = dict(zip(admitted, _image_means(u, d, every.take(admitted), spec)))
     best = (-math.inf, -1)
     witness = None
     used = 0
@@ -412,15 +408,10 @@ def generalized_test(
     idx = 0
     for c in centers:
         x = np.asarray(c, dtype=np.float64)
-        probes = SimilarityArray(probe_scale, probe_part, x - probe_offset)
-        # pre-check h(D) ⊆ Ω on D's boundary samples, for every probe of the center in one call
-        in_hull = omega.contains_many(probes.apply_many(hull).reshape(-1, 2)).astype(bool)
-        admitted = np.flatnonzero(in_hull.reshape(len(probes), -1).all(axis=1))
-        outcomes = dict(zip(admitted.tolist(), _image_means(u, d, probes.take(admitted), spec, memo)))
         val = None
-        for i, k in enumerate(probe_scale.tolist()):
+        for k in probe_scale.tolist():
+            res = outcomes.get(idx)
             idx += 1
-            res = outcomes.get(i)
             if res is None or isinstance(res, DomainError):
                 skipped += 1
                 continue
@@ -452,9 +443,13 @@ def generalized_test(
     return KEstimate(best[0], witness, used, skipped, stderr_max, False, spec.seed, spec.workers, spec.method)
 
 
-def _admissibility_samples(d: MarkedSet, n: int = 192) -> np.ndarray:
+# Boundary points of D in the pre-check of h(D) ⊆ Ω.
+_ADMISSIBILITY_BOUNDARY_SAMPLES = 192
+
+
+def _admissibility_samples(d: MarkedSet) -> np.ndarray:
     """Boundary plus a few interior points of D, used to pre-check h(D) ⊆ Ω."""
-    pts = d.region.boundary_samples(n)
+    pts = d.region.boundary_samples(_ADMISSIBILITY_BOUNDARY_SAMPLES)
     inner = np.asarray(d.marked_point)[None, :]
     return np.concatenate([pts, inner], axis=0)
 

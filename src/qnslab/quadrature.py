@@ -26,21 +26,22 @@ runs.  Worker chunks draw from independent
 child streams and are reduced in a fixed order, so threading never changes the
 estimate.
 
-A sampled mean is two steps, on one code path with or without a memo.  The
-base sample is a pure function of the spec seed, the (batch, chunk) index and
-the chunk size (and, for image means, of the marked set D): radius-free
-factors of uniform unit-ball points (exactly the points ``sample_in_ball``
-draws from that stream), or every candidate that the rejection loop accepts in
-D, over-draw included.  The per-probe step maps it by ``c + r*x`` or by ``h``
-and evaluates the field.  An image mean maps the whole over-draw and checks it
-against the domain only when h(D) is not certified inside the domain; a
-certified image maps just the first ``size`` candidates of each chunk, the
-ones that enter the mean.  Image means take an array of probes
-(``_image_means``); ``mean_over_image`` is its one-probe case.  The probe
-batteries of ``qns_engine`` run every probe on the battery's own spec seed
-and pass a ``_SampleMemo`` that keeps the base samples for the battery's
-lifetime: the probes then share common random numbers.  Each probe's mean
-stays unbiased and equals a standalone call with that spec bit for bit, but
+A sampled mean is two steps.  The base sample is a pure function of the spec
+seed, the (batch, chunk) index and the chunk size (and, for image means, of
+the marked set D): radius-free factors of uniform unit-ball points (exactly
+the points ``sample_in_ball`` draws from that stream), or every candidate that
+the rejection loop accepts in D, over-draw included.  The per-probe step maps
+it by ``c + r*x`` or by ``h`` and evaluates the field.  An image mean maps the
+whole over-draw and checks it against the domain only when h(D) is not
+certified inside the domain; a certified image maps just the first ``size``
+candidates of each chunk, the ones that enter the mean.  Means take an array
+of probes on one spec (``_ball_means``, ``_image_means``), and
+``mean_over_ball`` and ``mean_over_image`` are their one-probe cases.  The
+sampling loop runs batch-major: each chunk's base sample is drawn once and
+mapped to every probe of the array that is still running.  The probe
+batteries of ``qns_engine`` run each battery as one array on the battery's
+own spec seed, so its probes share common random numbers.  Each probe's mean
+stays unbiased and equals a one-probe call with that spec bit for bit, but
 the errors of one battery's probes are correlated.
 """
 
@@ -49,9 +50,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -166,46 +167,6 @@ def sample_in_ball(center, radius: float, n: int, rng: np.random.Generator, stra
     return _place_in_ball(_ball_base(_cube_samples(n, center.size, rng, stratified)), center, radius)
 
 
-# Largest number of base-sample points one memo holds; later draws are not kept.
-_MEMO_CAP_POINTS = 1 << 18
-
-
-class _SampleMemo:
-    """Base samples shared by the probes of one battery.
-
-    An entry is a pure function of its key (sampler, spec seed, batch, chunk,
-    size), so a hit returns exactly what a fresh draw would and the memo never
-    changes a result.  One memo serves one battery: one field dimension and at
-    most one marked set.  It keeps no entry past ``_MEMO_CAP_POINTS`` points
-    and is dropped with the battery that made it.  Stored arrays are made
-    read-only, since every probe receives the same ones.
-    """
-
-    def __init__(self):
-        self._entries: dict = {}
-        self._points = 0
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple, draw: Callable[[], object]):
-        hit = self._entries.get(key)
-        if hit is not None:
-            return hit
-        value = draw()
-        arrays = value if isinstance(value, tuple) else (value,)
-        for a in arrays:
-            a.setflags(write=False)
-        n = len(arrays[0])
-        with self._lock:
-            if key not in self._entries and self._points + n <= _MEMO_CAP_POINTS:
-                self._entries[key] = value
-                self._points += n
-        return value
-
-
-def _memoized(memo: "_SampleMemo | None", key: tuple, draw: Callable[[], object]):
-    return draw() if memo is None else memo.get(key, draw)
-
-
 def _reduce_chunks(spec: QuadratureSpec, chunk_fn: Callable[[int], tuple], n_chunks: int):
     """Run chunk_fn over chunk indices, reducing results in index order."""
     if spec.workers == 1 or n_chunks == 1:
@@ -223,43 +184,65 @@ def _stat_result(s1: float, s2: float, n: int, method: str) -> MeanResult:
     return MeanResult(mean, math.sqrt(var / n), n, method)
 
 
-def _sample_means(spec: QuadratureSpec, method: str, draws: list[Callable[[int, int, int], np.ndarray]]) -> list:
-    """The batching loop of every sampled mean, run for each probe of an array in turn.
+def _sample_means(spec: QuadratureSpec, method: str, u: Field, base: Callable[[int, int, int], object],
+                  places: list[Callable[[object], np.ndarray]]) -> list:
+    """The batching loop of every sampled mean, batch-major over a probe array.
 
-    ``draws[i](batch, chunk, size)`` returns probe i's field values on one
-    chunk.  Every probe sees the same chunk layout and stops on its own error
-    target or at the sample cap.  The outcome of a probe is its
-    ``MeanResult``, or the ``DomainError`` that one of its draws raised.
+    ``base(batch, chunk, size)`` draws one chunk's base sample, once for the
+    whole array; ``places[i]`` maps it to probe i's points, where ``u`` is
+    evaluated.  Every probe sees the same chunk layout and stops on its own
+    error target or at the sample cap.  The outcome of a probe is its
+    ``MeanResult``, or the ``DomainError`` that its place raised on its first
+    failing chunk.
     """
-    out = []
-    for draw_values in draws:
-        s1 = s2 = 0.0
-        n = 0
-        batch_size = min(4096, spec.max_samples)
-        batch_index = 0
-        try:
-            while True:
-                n_chunks = min(spec.workers, max(batch_size // 512, 1))
-                sizes = [batch_size // n_chunks] * n_chunks
-                sizes[-1] += batch_size - sum(sizes)
+    out: list = [None] * len(places)
+    s1 = [0.0] * len(places)
+    s2 = [0.0] * len(places)
+    running = list(range(len(places)))
+    n = 0
+    batch_size = min(4096, spec.max_samples)
+    batch_index = 0
+    while running:
+        n_chunks = min(spec.workers, max(batch_size // 512, 1))
+        sizes = [batch_size // n_chunks] * n_chunks
+        sizes[-1] += batch_size - sum(sizes)
 
-                def run(i: int, _sizes=sizes, _b=batch_index, _draw=draw_values):
-                    vals = _draw(_b, i, _sizes[i])
-                    return float(vals.sum()), float((vals * vals).sum()), vals.size
+        def run(i: int, _sizes=sizes, _b=batch_index, _running=running) -> list:
+            drawn = base(_b, i, _sizes[i])
+            sums = []
+            for k, p in enumerate(_running):
+                try:
+                    pts = places[p](drawn)
+                except DomainError as exc:
+                    sums.append(exc)
+                    continue
+                if k == len(_running) - 1:
+                    drawn = None  # the last probe evaluates without the base held, as a lone probe did
+                vals = u.evaluate_many(pts, check_domain=False)
+                sums.append((float(vals.sum()), float((vals * vals).sum())))
+            return sums
 
-                for cs1, cs2, cn in _reduce_chunks(spec, run, n_chunks):
-                    s1 += cs1
-                    s2 += cs2
-                    n += cn
-                batch_index += 1
-                result = _stat_result(s1, s2, n, method)
+        for chunk in _reduce_chunks(spec, run, n_chunks):
+            for p, sums in zip(running, chunk):
+                if out[p] is not None:
+                    continue
+                if isinstance(sums, DomainError):
+                    out[p] = sums
+                    continue
+                s1[p] += sums[0]
+                s2[p] += sums[1]
+        n += batch_size
+        batch_index += 1
+        still = []
+        for p in running:
+            if out[p] is None:
+                result = _stat_result(s1[p], s2[p], n, method)
                 if n >= spec.max_samples or result.stderr <= spec.target_rel_error * abs(result.mean):
-                    break
-                batch_size = min(batch_size * 2, spec.max_samples - n)
-        except DomainError as exc:
-            out.append(exc)
-            continue
-        out.append(result)
+                    out[p] = result
+                else:
+                    still.append(p)
+        running = still
+        batch_size = min(batch_size * 2, spec.max_samples - n)
     return out
 
 
@@ -311,47 +294,56 @@ def _exact_ball_mean(u: Field, ball: Ball) -> float:
     return covered / (math.pi * ball.radius * ball.radius)
 
 
-def mean_over_ball(
-    u: Field, ball: Ball, spec: QuadratureSpec = QuadratureSpec(), *, _memo: _SampleMemo | None = None
-) -> MeanResult:
+def mean_over_ball(u: Field, ball: Ball, spec: QuadratureSpec = QuadratureSpec()) -> MeanResult:
     """Average of ``u`` over the ball, with standard error.
 
-    The closed ball must lie inside the field's domain; a violation reports
-    the offending boundary direction.  Under ``"auto"`` the closed forms of
-    the module docstring are used where they apply; otherwise the mean is
-    sampled.  ``_memo`` (a battery's base samples) saves work and never
-    changes the result.
+    The one-probe case of ``_ball_means``.  The closed ball must lie inside
+    the field's domain; a violation reports the offending boundary direction.
+    Under ``"auto"`` the closed forms of the module docstring are used where
+    they apply; otherwise the mean is sampled.
     """
-    if ball.dim != u.dim:
-        raise ValueError("ball and field dimensions differ")
-    ok, direction = ball_in_region(u.domain, ball.center, ball.radius)
-    if not ok:
-        raise ContainmentError(
-            f"ball at {ball.center} with radius {ball.radius} leaves the domain near direction {direction}",
-            direction,
-        )
-    if _ball_means_exact(u, spec.method):
-        return MeanResult(_exact_ball_mean(u, ball), 0.0, 1, "exact")
+    return _outcome(_ball_means(u, [ball], spec)[0])
+
+
+def _ball_means(u: Field, balls: list[Ball], spec: QuadratureSpec) -> list:
+    """Means of ``u`` over an array of balls, one outcome per ball: its
+    ``MeanResult``, or the ``ContainmentError`` that refuses it.
+
+    Every probe runs on ``spec``'s seed; the sampled ones share each chunk's
+    base sample.
+    """
+    exact = _ball_means_exact(u, spec.method)
+    out: list = []
+    sampled = []
+    for ball in balls:
+        if ball.dim != u.dim:
+            raise ValueError("ball and field dimensions differ")
+        ok, direction = ball_in_region(u.domain, ball.center, ball.radius)
+        if not ok:
+            out.append(ContainmentError(
+                f"ball at {ball.center} with radius {ball.radius} leaves the domain near direction {direction}",
+                direction,
+            ))
+        elif exact:
+            out.append(MeanResult(_exact_ball_mean(u, ball), 0.0, 1, "exact"))
+        else:
+            out.append(None)
+            sampled.append(ball)
+    if not sampled:
+        return out
     method = "stratified" if spec.method == "auto" else spec.method
     stratified = method == "stratified"
-    center = np.asarray(ball.center, dtype=np.float64)
 
-    def draw(batch: int, chunk: int, size: int) -> np.ndarray:
-        # the base tuple is a temporary, so a memo-free chunk frees it before evaluating
-        pts = _place_in_ball(
-            _memoized(_memo, ("ball", spec.seed, stratified, batch, chunk, size),
-                      lambda: _ball_base(_cube_samples(size, center.size, _rng(spec.seed, batch, chunk), stratified))),
-            center, ball.radius,
-        )
-        return u.evaluate_many(pts, check_domain=False)
+    def base(batch: int, chunk: int, size: int) -> tuple:
+        return _ball_base(_cube_samples(size, u.dim, _rng(spec.seed, batch, chunk), stratified))
 
-    return _outcome(_sample_means(spec, method, [draw])[0])
+    places = [partial(_place_in_ball, center=np.asarray(b.center, dtype=np.float64), radius=b.radius)
+              for b in sampled]
+    means = iter(_sample_means(spec, method, u, base, places))
+    return [next(means) if res is None else res for res in out]
 
 
-def mean_over_image(
-    u: Field, d: MarkedSet, h: Similarity, spec: QuadratureSpec = QuadratureSpec(),
-    *, _memo: _SampleMemo | None = None,
-) -> MeanResult:
+def mean_over_image(u: Field, d: MarkedSet, h: Similarity, spec: QuadratureSpec = QuadratureSpec()) -> MeanResult:
     """Average of ``u`` over h(D), sampling in D and mapping through h.
 
     The one-probe case of ``_image_means``: uniform candidates are drawn in
@@ -359,14 +351,12 @@ def mean_over_image(
     first ``size`` mapped candidates of each chunk.  Unless h(D) inside the
     field domain is certified (``_images_certified``), every accepted
     candidate, over-draw included, is mapped and must land in the domain
-    (else ``DomainError``).  ``_memo`` (a battery's base samples) saves work
-    and never changes the result.
+    (else ``DomainError``).
     """
-    return _outcome(_image_means(u, d, SimilarityArray.of(h), spec, _memo)[0])
+    return _outcome(_image_means(u, d, SimilarityArray.of(h), spec)[0])
 
 
-def _image_means(u: Field, d: MarkedSet, probes: SimilarityArray, spec: QuadratureSpec,
-                 memo: _SampleMemo | None = None) -> list:
+def _image_means(u: Field, d: MarkedSet, probes: SimilarityArray, spec: QuadratureSpec) -> list:
     """Means of ``u`` over the images h_i(D) of a probe array, one outcome per
     probe: its ``MeanResult``, or the ``DomainError`` that rejects it.
 
@@ -379,30 +369,34 @@ def _image_means(u: Field, d: MarkedSet, probes: SimilarityArray, spec: Quadratu
     certified = _images_certified(d.region, u.domain, probes).tolist()
     sims = probes.similarities()
     if u.kind == "constant":
+        cand = None if all(certified) else _containment_sample(d, spec)
         out = []
         for h, proven in zip(sims, certified):
             try:
-                if not proven:
-                    _probe_image_containment(u, d, h, spec, memo)
+                if not proven and cand.size:
+                    u.evaluate_many(h.apply_many(cand))  # raises DomainError on exterior hits
             except DomainError as exc:
                 out.append(exc)
-                continue
-            out.append(MeanResult(u.params["value"], 0.0, 1, "exact"))
+            else:
+                out.append(MeanResult(u.params["value"], 0.0, 1, "exact"))
         return out
 
-    def drawer(h: Similarity, proven: bool) -> Callable[[int, int, int], np.ndarray]:
-        def draw(batch: int, chunk: int, size: int) -> np.ndarray:
-            cand = _memoized(memo, ("image", spec.seed, batch, chunk, size),
-                             lambda: _image_base(d, spec.seed, batch, chunk, size))
+    def base(batch: int, chunk: int, size: int) -> tuple:
+        drawn = _image_base(d, spec.seed, batch, chunk, size)
+        return drawn[:size], drawn
+
+    def place(h: Similarity, proven: bool) -> Callable[[tuple], np.ndarray]:
+        def mapped(sample: tuple) -> np.ndarray:
+            kept, drawn = sample
             if proven:
-                return u.evaluate_many(h.apply_many(cand[:size]), check_domain=False)
-            mapped = h.apply_many(cand)
-            u.require_in_domain(mapped)
-            return u.evaluate_many(mapped[:size], check_domain=False)
+                return h.apply_many(kept)
+            pts = h.apply_many(drawn)
+            u.require_in_domain(pts)
+            return pts[:len(kept)]
 
-        return draw
+        return mapped
 
-    return _sample_means(spec, "mc", [drawer(h, proven) for h, proven in zip(sims, certified)])
+    return _sample_means(spec, "mc", u, base, [place(h, proven) for h, proven in zip(sims, certified)])
 
 
 # Margin, relative to the largest coordinate involved, by which a certified
@@ -474,15 +468,13 @@ def _image_base(d: MarkedSet, seed: int, batch: int, chunk: int, size: int) -> n
     return np.concatenate(kept, out=np.empty((n, d.dim), order="F"))
 
 
-def _probe_image_containment(
-    u: Field, d: MarkedSet, h: Similarity, spec: QuadratureSpec, memo: _SampleMemo | None = None, n: int = 512
-):
-    def draw() -> np.ndarray:
-        lo, hi = d.region.bbox
-        rng = _rng(derive_seed(spec.seed, "containment"), 0)
-        cand = lo + rng.random((4 * n, d.dim)) * (hi - lo)
-        return cand[d.region.contains_many(cand).astype(bool)][:n]
+# Points of D that check an uncertified constant-field image h(D) against the domain.
+_CONTAINMENT_SAMPLES = 512
 
-    cand = _memoized(memo, ("containment", spec.seed, n), draw)
-    if cand.size:
-        u.evaluate_many(h.apply_many(cand))  # raises DomainError on exterior hits
+
+def _containment_sample(d: MarkedSet, spec: QuadratureSpec) -> np.ndarray:
+    """Up to ``_CONTAINMENT_SAMPLES`` uniform points of D, on the spec's ``"containment"`` seed."""
+    lo, hi = d.region.bbox
+    rng = _rng(derive_seed(spec.seed, "containment"), 0)
+    cand = lo + rng.random((4 * _CONTAINMENT_SAMPLES, d.dim)) * (hi - lo)
+    return cand[d.region.contains_many(cand).astype(bool)][:_CONTAINMENT_SAMPLES]

@@ -85,7 +85,6 @@ class TestOtherKinds:
         u = sum_field([(2.0, constant_field(1.0, OMEGA)), (1.0, indicator_field(SUPPORT, OMEGA))], OMEGA)
         assert evaluate(u, (0.0, 0.0)) == 3.0
         assert evaluate(u, (1.5, 0.0)) == 2.0
-        assert u.has_indicator
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):

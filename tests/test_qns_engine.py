@@ -8,7 +8,7 @@ import pytest
 
 from qnslab import qns_engine, quadrature
 from qnslab.fields import DomainError, Field, constant_field, indicator_field
-from qnslab.geometry import Ball, Similarity, lens_area, lens_constant
+from qnslab.geometry import Ball, Similarity, SimilarityArray, lens_area, lens_constant
 from qnslab.qns_engine import (
     BallProbeGrid,
     ScaleFunction,
@@ -22,7 +22,7 @@ from qnslab.qns_engine import (
     indicator_density,
     phi_functional,
 )
-from qnslab.quadrature import QuadratureSpec, _SampleMemo
+from qnslab.quadrature import QuadratureSpec
 from qnslab.regions import MarkedSet, Polygon, Rect, Region
 
 OMEGA = Region((Ball((0.0, 0.0), 2.0),))
@@ -209,37 +209,23 @@ class TestGeneralizedTest:
         assert est.to_json()["verdict"] == "vacuously-true"
 
 
-def record_means(monkeypatch, name):
-    """Record (args, kwargs, result or exception) of every battery call to ``name``."""
+def record_probe_arrays(monkeypatch, name):
+    """Record every probe of the battery's calls to ``name`` (``_ball_means`` or
+    ``_image_means``) as ((u, [d,] probe, spec), array call number, result or exception)."""
     calls = []
+    arrays = []
     original = getattr(qns_engine, name)
 
-    def recording(*args, **kwargs):
-        try:
-            res = original(*args, **kwargs)
-        except Exception as exc:
-            calls.append((args, kwargs, exc))
-            raise
-        calls.append((args, kwargs, res))
-        return res
-
-    monkeypatch.setattr(qns_engine, name, recording)
-    return calls
-
-
-def record_image_means(monkeypatch):
-    """Record every probe of the battery's ``_image_means`` calls, in the shape of
-    ``record_means``: ((u, d, h, spec), {"_memo": memo}, result or exception)."""
-    calls = []
-    original = qns_engine._image_means
-
-    def recording(u, d, probes, spec, memo=None):
-        outcomes = original(u, d, probes, spec, memo)
-        for h, outcome in zip(probes.similarities(), outcomes):
-            calls.append(((u, d, h, spec), {"_memo": memo}, outcome))
+    def recording(u, *rest):
+        *head, probes, spec = rest
+        outcomes = original(u, *rest)
+        arrays.append(len(outcomes))
+        singles = probes.similarities() if isinstance(probes, SimilarityArray) else probes
+        for probe, outcome in zip(singles, outcomes):
+            calls.append(((u, *head, probe, spec), len(arrays), outcome))
         return outcomes
 
-    monkeypatch.setattr(qns_engine, "_image_means", recording)
+    monkeypatch.setattr(qns_engine, name, recording)
     return calls
 
 
@@ -251,10 +237,12 @@ def standalone(fn, args):
 
 
 def assert_matches_standalone(calls, fn, spec):
-    """Every battery mean equals a memo-free call with the battery spec, bit for bit."""
+    """Every battery mean equals a one-probe call with the battery spec, bit for
+    bit, and the battery ran its probes as one array."""
     assert calls
-    for args, kwargs, outcome in calls:
-        assert args[-1] == spec and kwargs["_memo"] is not None
+    assert len({array for _, array, _ in calls}) == 1
+    for args, _, outcome in calls:
+        assert args[-1] == spec
         alone = standalone(fn, args)
         if isinstance(outcome, Exception):
             assert type(alone) is type(outcome)
@@ -279,7 +267,7 @@ class TestCommonRandomNumbers:
     @pytest.mark.parametrize("method", ["mc", "stratified"])
     def test_ball_battery_means_match_standalone(self, monkeypatch, method):
         spec = replace(self.SPEC, method=method)
-        calls = record_means(monkeypatch, "mean_over_ball")
+        calls = record_probe_arrays(monkeypatch, "_ball_means")
         estimate_K(CHI, OMEGA, self.GRID, spec)
         assert any(isinstance(c[2], quadrature.ContainmentError) for c in calls)
         assert_matches_standalone(calls, quadrature.mean_over_ball, spec)
@@ -289,7 +277,7 @@ class TestCommonRandomNumbers:
 
     @pytest.mark.parametrize("u", [CHI, ONE], ids=["indicator", "constant"])
     def test_image_battery_means_match_standalone(self, monkeypatch, u):
-        calls = record_image_means(monkeypatch)
+        calls = record_probe_arrays(monkeypatch, "_image_means")
         d = MarkedSet(Region((Rect((-0.5, -0.5), (0.5, 0.5)),)), (0.0, 0.0))
         sims = SimilarityProbeGrid(center_resolution=5, scales_per_center=3, scale_range=(0.2, 1.4))
         generalized_test(u, OMEGA, d, None, sims, self.SPEC)
@@ -298,7 +286,7 @@ class TestCommonRandomNumbers:
     @pytest.mark.parametrize("u", [indicator_field(GAMMA, HOLED), constant_field(1.0, HOLED)],
                              ids=["indicator", "constant"])
     def test_image_leaving_the_domain_is_skipped(self, monkeypatch, u):
-        calls = record_image_means(monkeypatch)
+        calls = record_probe_arrays(monkeypatch, "_image_means")
         d = MarkedSet(Region((Ball((0.0, 0.0), 1.0),)), (0.0, 0.0))
         est = generalized_test(u, HOLED, d, None, HOLE_SIMS, self.SPEC)
         exterior = [c for c in calls if isinstance(c[2], DomainError)]
@@ -311,14 +299,21 @@ class TestCommonRandomNumbers:
         assert_matches_standalone(calls, quadrature.mean_over_image, self.SPEC)
 
     def test_rerun_is_identical_and_memo_is_dropped(self, monkeypatch):
-        memos = []
+        # no battery keeps a base sample once it returns
+        drawn = []
 
-        class TrackedMemo(_SampleMemo):
-            def __init__(self):
-                super().__init__()
-                memos.append(weakref.ref(self))
+        def tracking(name):
+            original = getattr(quadrature, name)
 
-        monkeypatch.setattr(qns_engine, "_SampleMemo", TrackedMemo)
+            def draw(*args):
+                base = original(*args)
+                drawn.extend(weakref.ref(a) for a in (base if isinstance(base, tuple) else (base,)))
+                return base
+
+            monkeypatch.setattr(quadrature, name, draw)
+
+        tracking("_ball_base")
+        tracking("_image_base")
         d = MarkedSet(Region((Ball((0.0, 0.0), 1.0),)), (0.0, 0.0))
         sims = SimilarityProbeGrid(center_resolution=5, scales_per_center=3, scale_range=(0.2, 0.9))
 
@@ -335,7 +330,7 @@ class TestCommonRandomNumbers:
                          None, sims, replace(self.SPEC, method="stratified"))
         assert batteries() == first
         gc.collect()
-        assert len(memos) == 7 and all(ref() is None for ref in memos)
+        assert drawn and all(ref() is None for ref in drawn)
 
     def test_ball_battery_evaluates_each_center_once(self, monkeypatch):
         evaluated = []
@@ -348,13 +343,44 @@ class TestCommonRandomNumbers:
 
         monkeypatch.setattr(Field, "evaluate_many", recording)
         centers, radii = self.GRID.centers(OMEGA), self.GRID.radii(OMEGA)
-        run = qns_engine.BallProbeRun(CHI, centers, radii, self.SPEC)
-        admitted = list(run)
-        assert run.skipped > 0 and run.skipped + len(admitted) == len(centers) * len(radii)
+        admitted, skipped = qns_engine._ball_probes(CHI, centers, radii, self.SPEC)
+        assert skipped > 0 and skipped + len(admitted) == len(centers) * len(radii)
         assert [p.idx for p in admitted] == sorted({p.idx for p in admitted})
         assert evaluated == list(dict.fromkeys(p.center for p in admitted))
         rep = check_K(CHI, OMEGA, 3.0, self.GRID, self.SPEC)
-        assert (rep.probes_used, rep.probes_skipped) == (len(admitted), run.skipped)
+        assert (rep.probes_used, rep.probes_skipped) == (len(admitted), skipped)
+
+    @staticmethod
+    def chunk_pairs(spec, n_samples):
+        """The (batch, chunk) pairs that a probe of ``n_samples`` samples runs through."""
+        pairs = n = 0
+        batch = min(4096, spec.max_samples)
+        while n < n_samples:
+            pairs += min(spec.workers, max(batch // 512, 1))
+            n += batch
+            batch = min(batch * 2, spec.max_samples - n)
+        return pairs
+
+    @pytest.mark.parametrize("resolution", [3, 5])
+    def test_each_base_is_drawn_once_per_battery(self, monkeypatch, resolution):
+        spec = replace(self.SPEC, workers=2)
+        draws = {}
+        for name in ("_ball_base", "_image_base"):
+            def counting(*args, _name=name, _original=getattr(quadrature, name)):
+                draws[_name] = draws.get(_name, 0) + 1
+                return _original(*args)
+
+            monkeypatch.setattr(quadrature, name, counting)
+        ball_calls = record_probe_arrays(monkeypatch, "_ball_means")
+        image_calls = record_probe_arrays(monkeypatch, "_image_means")
+        grid = BallProbeGrid(center_resolution=resolution, radii_per_center=4, radius_range=(0.1, 0.999))
+        estimate_K(CHI, OMEGA, grid, spec)
+        sims = SimilarityProbeGrid(center_resolution=resolution, scales_per_center=3, scale_range=(0.2, 0.9))
+        generalized_test(CHI, OMEGA, MarkedSet(Region((Ball((0.0, 0.0), 1.0),)), (0.0, 0.0)), None, sims, spec)
+        for name, calls in (("_ball_base", ball_calls), ("_image_base", image_calls)):
+            sampled = [res.n_samples for _, _, res in calls if not isinstance(res, Exception)]
+            assert len(sampled) > 1
+            assert draws[name] == self.chunk_pairs(spec, max(sampled))
 
     def test_battery_derives_no_seeds(self, monkeypatch):
         def no_seed(*args):
@@ -491,16 +517,17 @@ def reference_sample_mean(spec, draw_values, method):
         batch_size = min(batch_size * 2, spec.max_samples - n)
 
 
-def reference_mean_over_image(u, d, h, spec, memo):
+def reference_mean_over_image(u, d, h, spec):
     """The image mean as it was before certificates: every accepted candidate,
     over-draw included, is mapped and checked against the domain."""
     if u.kind == "constant":
-        quadrature._probe_image_containment(u, d, h, spec, memo)
+        cand = quadrature._containment_sample(d, spec)
+        if cand.size:
+            u.evaluate_many(h.apply_many(cand))
         return quadrature.MeanResult(u.params["value"], 0.0, 1, "exact")
 
     def draw(batch, chunk, size):
-        cand = quadrature._memoized(memo, ("image", spec.seed, batch, chunk, size),
-                                    lambda: quadrature._image_base(d, spec.seed, batch, chunk, size))
+        cand = quadrature._image_base(d, spec.seed, batch, chunk, size)
         mapped = h.apply_many(cand)
         u.require_in_domain(mapped)
         return u.evaluate_many(mapped[:size], check_domain=False)
@@ -519,7 +546,6 @@ def reference_generalized_test(u, omega, d, f, sims, spec):
     scales = sims.scales(omega, d)
     parts = sims.orthogonal_parts(2)
     hull = qns_engine._admissibility_samples(d)
-    memo = _SampleMemo()
     m_d = d.measure
     best = (-math.inf, -1)
     witness = None
@@ -537,7 +563,7 @@ def reference_generalized_test(u, omega, d, f, sims, spec):
                     counts["hull"] += 1
                     continue
                 try:
-                    res = reference_mean_over_image(u, d, h, spec, memo)
+                    res = reference_mean_over_image(u, d, h, spec)
                 except DomainError:
                     skipped += 1
                     counts["domain"] += 1

@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -12,7 +10,6 @@ from qnslab.quadrature import (
     ContainmentError,
     QuadratureSpec,
     _cube_samples,
-    _SampleMemo,
     derive_seed,
     mean_over_ball,
     mean_over_image,
@@ -81,69 +78,53 @@ class TestStratifiedSampler:
 
 
 class TestSampleMemo:
-    def test_hit_returns_the_stored_draw(self):
-        memo = _SampleMemo()
-        first = memo.get(("k", 1), lambda: np.arange(10.0))
-        assert memo.get(("k", 1), lambda: np.zeros(10)) is first
+    """Probe arrays: every probe maps the one base sample drawn per chunk."""
 
-    def test_cap_bounds_the_points_held(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "_MEMO_CAP_POINTS", 25)
-        memo = _SampleMemo()
-        for i in range(5):
-            assert len(memo.get(("k", i), lambda: np.zeros(10))) == 10
-        assert memo._points == 20 and len(memo._entries) == 2
+    # balls that stop after different numbers of batches, and one the domain refuses
+    BALLS = (Ball((1.0, 0.0), 1.0), Ball((0.5, 0.5), 0.7), Ball((1.8, 0.0), 1.0), Ball((3.5, 0.0), 1.0),
+             Ball((1.0, 0.0), 1.0))
 
-    def test_stored_arrays_are_read_only(self):
-        memo = _SampleMemo()
-        value = memo.get(("k",), lambda: (np.zeros(4), np.ones(4)))
-        for a in value:
-            with pytest.raises(ValueError):
-                a[0] = 1.0
-
-    def test_concurrent_gets_keep_the_count(self):
-        # more threads than cores on overlapping keys, with frequent switches:
-        # a lost update would break points == 10 * entries
-        memo = _SampleMemo()
-        errors = []
-
-        def worker(offset):
+    @staticmethod
+    def assert_matches_one_probe_calls(outcomes, one_probe, probes):
+        assert len(outcomes) == len(probes)
+        for outcome, probe in zip(outcomes, probes):
             try:
-                for i in range(200):
-                    key = ("k", (i + offset) % 50)
-                    got = memo.get(key, lambda: np.full(10, float(key[1])))
-                    if not np.all(got == key[1]):
-                        errors.append(key)
-            except Exception as exc:  # noqa: BLE001 -- reported through the assertion below
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(7 * t,)) for t in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert not errors
-        assert len(memo._entries) == 50 and memo._points == 500
+                alone = one_probe(probe)
+            except (ContainmentError, DomainError) as exc:
+                assert type(outcome) is type(exc) and str(outcome) == str(exc)
+            else:
+                assert outcome == alone
 
     @pytest.mark.parametrize("method", ["mc", "stratified"])
-    def test_ball_mean_with_memo_is_bit_identical(self, method):
-        spec = QuadratureSpec(method=method, target_rel_error=1e-3, max_samples=30_000, seed=11, workers=2)
-        memo = _SampleMemo()
-        for ball in (Ball((1.0, 0.0), 1.0), Ball((0.5, 0.5), 0.7), Ball((1.0, 0.0), 1.0)):
-            assert mean_over_ball(CHI, ball, spec, _memo=memo) == mean_over_ball(CHI, ball, spec)
+    def test_ball_array_matches_one_probe_calls(self, method):
+        spec = QuadratureSpec(method=method, target_rel_error=0.01, max_samples=30_000, seed=11, workers=2)
+        outcomes = quadrature._ball_means(CHI, list(self.BALLS), spec)
+        assert isinstance(outcomes[3], ContainmentError)
+        assert len({res.n_samples for res in outcomes if not isinstance(res, Exception)}) > 1
+        self.assert_matches_one_probe_calls(outcomes, lambda b: mean_over_ball(CHI, b, spec), self.BALLS)
 
-    def test_3d_ball_mean_with_memo_is_bit_identical(self):
+    def test_3d_ball_array_matches_one_probe_calls(self):
         omega = Region((Ball((0.0, 0.0, 0.0), 3.0),))
         u = indicator_field(Region((Ball((0.0, 0.0, 0.0), 1.0, closed=True),)), omega)
         spec = QuadratureSpec(method="mc", target_rel_error=0.01, max_samples=20_000, seed=12)
-        memo = _SampleMemo()
-        for ball in (Ball((0.5, 0.0, 0.0), 1.0), Ball((0.0, 0.5, 0.2), 0.8)):
-            assert mean_over_ball(u, ball, spec, _memo=memo) == mean_over_ball(u, ball, spec)
+        balls = [Ball((0.5, 0.0, 0.0), 1.0), Ball((0.0, 0.5, 0.2), 0.8), Ball((1.2, 0.0, 0.0), 0.6)]
+        outcomes = quadrature._ball_means(u, balls, spec)
+        self.assert_matches_one_probe_calls(outcomes, lambda b: mean_over_ball(u, b, spec), balls)
+
+    def test_image_array_matches_one_probe_calls(self):
+        # a domain of two rects: an image that straddles x = 0 is not certified,
+        # so its probe maps and checks the whole over-draw
+        u = indicator_field(SUPPORT, Region((Rect((-4.0, -4.0), (0.0, 4.0)), Rect((0.0, -4.0), (4.0, 4.0)))))
+        d = MarkedSet(Region((Rect((-0.5, -0.5), (0.5, 0.5)),)), (0.0, 0.0))
+        spec = QuadratureSpec(method="mc", target_rel_error=0.01, max_samples=30_000, seed=13, workers=2)
+        sims = [Similarity(2.0, np.eye(2), (0.5, 0.0)), Similarity.rotation(0.3, scale=1.2, translation=(0.2, 0.1)),
+                Similarity(0.5, np.eye(2), (-1.0, 0.5)), Similarity(1.0, np.eye(2), (2.0, 0.0))]
+        probes = SimilarityArray(np.array([h.scale for h in sims]), np.stack([h.orthogonal for h in sims]),
+                                 np.array([h.translation for h in sims]))
+        assert quadrature._images_certified(d.region, u.domain, probes).tolist() == [False, False, True, True]
+        outcomes = quadrature._image_means(u, d, probes, spec)
+        assert len({res.n_samples for res in outcomes}) > 1
+        self.assert_matches_one_probe_calls(outcomes, lambda h: mean_over_image(u, d, h, spec), sims)
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("method", ["mc", "stratified"])
@@ -156,13 +137,6 @@ class TestSampleMemo:
         pts = sample_in_ball(ball.center, ball.radius, 4096, quadrature._rng(spec.seed, 0, 0), method == "stratified")
         expected = float(u.evaluate_many(pts).sum()) / 4096
         assert mean_over_ball(u, ball, spec).mean == expected
-
-    def test_image_mean_with_memo_is_bit_identical(self):
-        d = MarkedSet(Region((Rect((-0.5, -0.5), (0.5, 0.5)),)), (0.0, 0.0))
-        spec = QuadratureSpec(method="mc", target_rel_error=1e-3, max_samples=30_000, seed=13)
-        memo = _SampleMemo()
-        for h in (Similarity(2.0, np.eye(2), (0.5, 0.0)), Similarity.rotation(0.3, scale=1.2, translation=(0.2, 0.1))):
-            assert mean_over_image(CHI, d, h, spec, _memo=memo) == mean_over_image(CHI, d, h, spec)
 
     def test_over_draw_outside_the_domain_is_rejected(self):
         # the first `size` mapped candidates lie in the domain and one
@@ -181,9 +155,15 @@ class TestSampleMemo:
         cut = 0.5 * (x[:4096].max() + x[4096:].max())
         u = indicator_field(SUPPORT, Region((Rect((-2.0, -2.0), (cut, 2.0)),)))
         u.require_in_domain(h.apply_many(base[:4096]))
-        for memo in (None, _SampleMemo()):
-            with pytest.raises(DomainError):
-                mean_over_image(u, d, h, spec, _memo=memo)
+        with pytest.raises(DomainError):
+            mean_over_image(u, d, h, spec)
+        # in an array, only that probe fails
+        sims = [Similarity(0.5, np.eye(2), (-1.0, 0.0)), h, Similarity.rotation(0.2, scale=0.8)]
+        probes = SimilarityArray(np.array([g.scale for g in sims]), np.stack([g.orthogonal for g in sims]),
+                                 np.array([g.translation for g in sims]))
+        outcomes = quadrature._image_means(u, d, probes, spec)
+        assert isinstance(outcomes[1], DomainError)
+        self.assert_matches_one_probe_calls(outcomes, lambda g: mean_over_image(u, d, g, spec), sims)
 
 
 class TestMeanOverBall:
