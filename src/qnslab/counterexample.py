@@ -26,8 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .fields import Field, indicator_field
-from .geometry import Ball, Similarity, lens_constant
-from .quadrature import QuadratureSpec, _ball_means_exact, derive_seed, mean_over_ball, mean_over_image
+from .geometry import Ball, SimilarityArray, lens_constant
+from .quadrature import QuadratureSpec, _ball_means, _image_means, _outcome, mean_over_ball
 from .radius_sets import GapComplementFamily, RadiusSet
 from .regions import MarkedSet, Rect, Region, region_to_json
 
@@ -322,8 +322,7 @@ def certify_failure(dom: CounterexampleDomain, spec: QuadratureSpec = Quadrature
         ratio = comp.inner_radius / r_probe
         expected = min(1.0, ratio * ratio)
         implied = max(1.0, (r_probe / comp.inner_radius) ** 2)
-        probe_spec = replace(spec, seed=derive_seed(spec.seed, f"failure:{comp.m}"))
-        res = mean_over_ball(comp.field_local, Ball((0.0, 0.0), r_probe), probe_spec)
+        res = mean_over_ball(comp.field_local, Ball((0.0, 0.0), r_probe), spec.child(f"failure:{comp.m}"))
         consistent = abs(res.mean - expected) <= 3.0 * max(res.stderr, 1e-12)
         ok = ok and consistent
         j = list(s.indices()).index(comp.m)
@@ -454,18 +453,17 @@ def certify_restricted(
     """Verify the mean inequality at K = 1/lens_constant() for admissible probes.
 
     Probes take centers in the inner disks and radii from the admissible set;
-    each must satisfy value <= K*mean + slack.  Probe means use ``spec.method``.
-    Under the default ``"auto"`` they are the exact lens-area ratios, computed
-    on ``spec`` itself (the exact path reads only the method), and the slack
-    is the floating-point tolerance
+    each must satisfy value <= K*mean + slack.  Probe means use ``spec.method``
+    and run as one probe array per component, each probe on its own label.
+    Under the default ``"auto"`` they are the exact lens-area ratios, and the
+    slack is the floating-point tolerance
     ``EXACT_MEAN_REL_TOL * K * mean``; the sharp probes (center on the inner
     boundary, radius a_m) then reach the ratio 1/lens_constant() itself.
     Sampled means (``"mc"`` or ``"stratified"``) draw at most
-    ``probes.samples_per_probe`` points each, on a seed derived per probe, and
-    get the slack 3*K*stderr.  Radii in [b_m, ∞) must be
-    rejected by the geometry (the containment dichotomy): every such probe is
-    certified non-containable by sequence arithmetic.  ``constant`` overrides
-    the default K.
+    ``probes.samples_per_probe`` points each and get the slack 3*K*stderr.
+    Radii in [b_m, ∞) must be rejected by the geometry (the containment
+    dichotomy): every such probe is certified non-containable by sequence
+    arithmetic.  ``constant`` overrides the default K.
     """
     for g_lo, g_hi in dom.avoided_gaps:
         if admissible.intersects_open_interval(g_lo, g_hi):
@@ -475,62 +473,44 @@ def certify_restricted(
     k_const = 1.0 / lens_constant() if constant is None else float(constant)
     max_ratio = -math.inf
     witness = None
-    used = 0
     violations = []
     dichotomy_checked = 0
     dichotomy_ok = True
     idx = 0
+    probe_spec = replace(spec, target_rel_error=0.1, max_samples=probes.samples_per_probe)
     for comp in dom.components:
         a_m = comp.inner_radius
         radii = _component_probe_radii(dom, comp, probes)
-        exact = _ball_means_exact(comp.field_local, spec.method)
-        centers = [(0.0, 0.0)]
-        for rho in probes.offsets:
-            if rho == 0.0:
-                continue
-            for t in range(probes.angles):
-                theta = 2.0 * math.pi * t / probes.angles
-                centers.append((rho * a_m * math.cos(theta), rho * a_m * math.sin(theta)))
-        for cx, cy in centers:
-            for r in radii:
-                idx += 1
-                probe_spec = spec if exact else replace(
-                    spec, target_rel_error=0.1, max_samples=probes.samples_per_probe,
-                    seed=derive_seed(spec.seed, f"restricted:{idx}"),
-                )
-                res = mean_over_ball(comp.field_local, Ball((cx, cy), r), probe_spec)
-                used += 1
-                ratio = 1.0 / res.mean if res.mean > 0 else math.inf
-                if res.mean > 0 and (ratio, -idx) > (max_ratio, 0):
-                    max_ratio = ratio
-                    witness = {"m": comp.m, "center": [cx, cy], "radius": r,
-                               "mean": res.mean, "stderr": res.stderr, "ratio": ratio}
-                if res.stderr > 0:
-                    slack = 3.0 * k_const * res.stderr
-                else:
-                    slack = EXACT_MEAN_REL_TOL * k_const * res.mean
-                if 1.0 > k_const * res.mean + slack:
-                    violations.append({"m": comp.m, "center": [cx, cy], "radius": r,
-                                       "mean": res.mean, "stderr": res.stderr})
+        thetas = [2.0 * math.pi * t / probes.angles for t in range(probes.angles)]
+        centers = [(0.0, 0.0)] + [(rho * a_m * math.cos(theta), rho * a_m * math.sin(theta))
+                                  for rho in probes.offsets if rho != 0.0 for theta in thetas]
+        grid = [(cx, cy, r) for cx, cy in centers for r in radii]
+        labels = [f"restricted:{idx + i}" for i in range(1, len(grid) + 1)]
+        outcomes = _ball_means(comp.field_local, [Ball((cx, cy), r) for cx, cy, r in grid], probe_spec, labels)
+        for (cx, cy, r), res in zip(grid, outcomes):
+            idx += 1
+            res = _outcome(res)
+            ratio = 1.0 / res.mean if res.mean > 0 else math.inf
+            if res.mean > 0 and (ratio, -idx) > (max_ratio, 0):
+                max_ratio = ratio
+                witness = {"m": comp.m, "center": [cx, cy], "radius": r,
+                           "mean": res.mean, "stderr": res.stderr, "ratio": ratio}
+            if res.stderr > 0:
+                slack = 3.0 * k_const * res.stderr
+            else:
+                slack = EXACT_MEAN_REL_TOL * k_const * res.mean
+            if 1.0 > k_const * res.mean + slack:
+                violations.append({"m": comp.m, "center": [cx, cy], "radius": r,
+                                   "mean": res.mean, "stderr": res.stderr})
         # the containment dichotomy: admissible radii >= b_m never fit
         s = dom.sequences
         j = list(s.indices()).index(comp.m)
         top = dom.avoided_gaps[0][1] * 2.0
-        for r in np.geomspace(s.b[j], max(top, s.b[j] * 2), _DICHOTOMY_RADII):
-            dichotomy_checked += 1
-            if not _certify_dichotomy(dom, comp, float(r)):
-                dichotomy_ok = False
-    return RestrictedReport(
-        not violations and dichotomy_ok,
-        max_ratio,
-        witness,
-        used,
-        violations,
-        dichotomy_checked,
-        dichotomy_ok,
-        k_const,
-        spec.seed,
-    )
+        dichotomy_checked += _DICHOTOMY_RADII
+        dichotomy_ok &= all(_certify_dichotomy(dom, comp, float(r))
+                            for r in np.geomspace(s.b[j], max(top, s.b[j] * 2), _DICHOTOMY_RADII))
+    return RestrictedReport(not violations and dichotomy_ok, max_ratio, witness, idx, violations,
+                            dichotomy_checked, dichotomy_ok, k_const, spec.seed)
 
 
 # -- the scale-function variant ----------------------------------------------------
@@ -625,8 +605,8 @@ def certify_f1(
     failure = certify_failure(dom, spec)
     k_const = rule.c**2 / (math.pi * min(d.inner_radius, 1.0) ** 2 * lens_constant())
     p_d = np.asarray(d.marked_point)
+    probe_spec = replace(spec, method="mc", target_rel_error=0.1, max_samples=4096)
     violations = []
-    checks = 0
     bound_ok = True
     idx = 0
     m_d = d.measure
@@ -637,25 +617,24 @@ def certify_f1(
             continue
         scales = np.geomspace(k_cap * 1e-4, k_cap, scales_per_component)
         offsets = np.linspace(0.0, a_m, centers_per_component)
-        for off in offsets:
-            x = np.array([off, 0.0])
-            for k in scales:
-                idx += 1
-                h = Similarity(float(k), np.eye(2), tuple(x - float(k) * p_d))
-                if float(k) * d.inner_radius > 2.0 * comp.m * a_m / s.n0:
-                    bound_ok = False
-                probe_spec = replace(spec, method="mc", target_rel_error=0.1, max_samples=4096,
-                                     seed=derive_seed(spec.seed, f"f1:{idx}"))
-                res = mean_over_image(comp.field_local, d, h, probe_spec)
-                integral = res.mean * float(k) ** 2 * m_d
-                integral_err = res.stderr * float(k) ** 2 * m_d
-                lhs = rule(float(k)) ** 2
-                checks += 1
-                if lhs > k_const * integral + 3.0 * k_const * integral_err:
-                    violations.append({"m": comp.m, "scale": float(k), "lhs": lhs,
-                                       "integral": integral, "stderr": integral_err})
+        # every (offset, scale) probe, offset-major: h(p_D) = (offset, 0) for the translation x - k * p_D
+        ks = np.tile(scales, len(offsets))
+        xs = np.stack([np.repeat(offsets, len(scales)), np.zeros(len(ks))], axis=1)
+        sims = SimilarityArray(ks, np.broadcast_to(np.eye(2), (len(ks), 2, 2)), xs - ks[:, None] * p_d)
+        labels = [f"f1:{idx + i}" for i in range(1, len(ks) + 1)]
+        for k, res in zip(ks.tolist(), _image_means(comp.field_local, d, sims, probe_spec, labels)):
+            idx += 1
+            if k * d.inner_radius > 2.0 * comp.m * a_m / s.n0:
+                bound_ok = False
+            res = _outcome(res)
+            integral = res.mean * k**2 * m_d
+            integral_err = res.stderr * k**2 * m_d
+            lhs = rule(k) ** 2
+            if lhs > k_const * integral + 3.0 * k_const * integral_err:
+                violations.append({"m": comp.m, "scale": k, "lhs": lhs,
+                                   "integral": integral, "stderr": integral_err})
     return F1Report(
-        failure, checks, violations, bound_ok,
+        failure, idx, violations, bound_ok,
         k_const, failure.passed and not violations and bound_ok, spec.seed,
     )
 

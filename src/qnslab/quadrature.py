@@ -20,29 +20,30 @@ inside the field domain is certified where simple geometry proves it
 (``_images_certified``: in 2-D, every primitive of h(D) inside one ball or
 rect primitive of the domain); otherwise it is checked sample by sample.
 
-All randomness is driven by a spec seed through ``numpy`` PCG64 streams; for a
-fixed spec (seed and worker count included) results are bit-identical across
-runs.  Worker chunks draw from independent
-child streams and are reduced in a fixed order, so threading never changes the
-estimate.
+All randomness is driven by PCG64 streams keyed on a seed, so results are
+bit-identical across runs and depend on the seed, not on the worker count: a
+batch splits into chunks of ``_CHUNK`` samples (one chunk below twice that),
+each chunk draws its own child stream, and chunk sums are reduced in index
+order; ``spec.workers`` only sizes the thread pool that runs the chunks.
 
-A sampled mean is two steps.  The base sample is a pure function of the spec
-seed, the (batch, chunk) index and the chunk size (and, for image means, of
-the marked set D): radius-free factors of uniform unit-ball points (exactly
-the points ``sample_in_ball`` draws from that stream), or every candidate that
-the rejection loop accepts in D, over-draw included.  The per-probe step maps
-it by ``c + r*x`` or by ``h`` and evaluates the field.  An image mean maps the
-whole over-draw and checks it against the domain only when h(D) is not
-certified inside the domain; a certified image maps just the first ``size``
-candidates of each chunk, the ones that enter the mean.  Means take an array
-of probes on one spec (``_ball_means``, ``_image_means``), and
-``mean_over_ball`` and ``mean_over_image`` are their one-probe cases.  The
-sampling loop runs batch-major: each chunk's base sample is drawn once and
-mapped to every probe of the array that is still running.  The probe
-batteries of ``qns_engine`` run each battery as one array on the battery's
-own spec seed, so its probes share common random numbers.  Each probe's mean
-stays unbiased and equals a one-probe call with that spec bit for bit, but
-the errors of one battery's probes are correlated.
+A sampled mean is two steps.  The base sample is a pure function of the seed,
+the (batch, chunk) index and the chunk size (and, for image means, of the
+marked set D): radius-free factors of uniform unit-ball points (exactly the
+points ``sample_in_ball`` draws from that stream), or every candidate that the
+rejection loop accepts in D, over-draw included.  The per-probe step maps it by
+``c + r*x`` or by ``h`` and evaluates the field.  An image mean maps the whole
+over-draw and checks it against the domain only when h(D) is not certified
+inside the domain; a certified image maps just the first ``size`` candidates
+of each chunk, the ones that enter the mean.  Means take an array of probes
+(``_ball_means``, ``_image_means``); ``mean_over_ball`` and ``mean_over_image``
+are their one-probe cases.  The loop runs batch-major and draws each chunk's
+base sample once per seed.  Without labels every probe runs on the spec seed:
+each ``qns_engine`` battery is one such array, so its probes share common
+random numbers and their errors are correlated.  The ``counterexample``
+certificates are arrays with per-probe labels: probe i runs on the seed of
+``spec.child(labels[i])``, independent of the others, and only a probe that
+samples derives a seed.  Either way a probe's outcome equals a one-probe call
+on its spec bit for bit.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .fields import DomainError, Field
-from .geometry import Ball, Similarity, SimilarityArray
-from .regions import MarkedSet, Rect, Region, _pair_overlap_kind, _pair_overlap_measure, ball_in_region
+from .geometry import Ball, Similarity, SimilarityArray, lens_area
+from .regions import MarkedSet, Rect, Region, _pair_overlap_kind, ball_in_region
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -98,11 +99,14 @@ class MeanResult(NamedTuple):
 
 
 class ContainmentError(ValueError):
-    """The probe ball (or image) is not contained in the field's domain."""
+    """The probe ball is not contained in the field's domain; the message is built when read."""
 
-    def __init__(self, message: str, direction=None):
-        super().__init__(message)
-        self.direction = direction
+    def __init__(self, center, radius: float, direction):
+        super().__init__(center, radius, direction)
+        self.center, self.radius, self.direction = center, radius, direction
+
+    def __str__(self) -> str:
+        return f"ball at {self.center} with radius {self.radius} leaves the domain near direction {self.direction}"
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -184,16 +188,22 @@ def _stat_result(s1: float, s2: float, n: int, method: str) -> MeanResult:
     return MeanResult(mean, math.sqrt(var / n), n, method)
 
 
-def _sample_means(spec: QuadratureSpec, method: str, u: Field, base: Callable[[int, int, int], object],
-                  places: list[Callable[[object], np.ndarray]]) -> list:
+# Samples per chunk of a batch.  The chunk layout depends on the batch size
+# alone, so the worker count schedules chunks and never changes a result.
+_CHUNK = 2**17
+
+
+def _sample_means(spec: QuadratureSpec, method: str, u: Field, base: Callable[[int, int, int, int], object],
+                  seeds: list[int], places: list[Callable[[object], np.ndarray]]) -> list:
     """The batching loop of every sampled mean, batch-major over a probe array.
 
-    ``base(batch, chunk, size)`` draws one chunk's base sample, once for the
-    whole array; ``places[i]`` maps it to probe i's points, where ``u`` is
-    evaluated.  Every probe sees the same chunk layout and stops on its own
-    error target or at the sample cap.  The outcome of a probe is its
-    ``MeanResult``, or the ``DomainError`` that its place raised on its first
-    failing chunk.
+    ``base(seed, batch, chunk, size)`` draws one chunk's base sample on a
+    seed; probe i runs on ``seeds[i]``, and the probes that share a seed share
+    each chunk's draw, which is dropped before the last of them is evaluated.
+    ``places[i]`` maps the draw to probe i's points, where ``u`` is evaluated.
+    Every probe sees the same chunk layout and stops on its own error target
+    or at the sample cap.  The outcome of a probe is its ``MeanResult``, or
+    the ``DomainError`` that its place raised on its first failing chunk.
     """
     out: list = [None] * len(places)
     s1 = [0.0] * len(places)
@@ -203,21 +213,24 @@ def _sample_means(spec: QuadratureSpec, method: str, u: Field, base: Callable[[i
     batch_size = min(4096, spec.max_samples)
     batch_index = 0
     while running:
-        n_chunks = min(spec.workers, max(batch_size // 512, 1))
+        n_chunks = max(batch_size // _CHUNK, 1)
         sizes = [batch_size // n_chunks] * n_chunks
         sizes[-1] += batch_size - sum(sizes)
+        last = {seeds[p]: p for p in running}  # the last running probe on each seed
 
-        def run(i: int, _sizes=sizes, _b=batch_index, _running=running) -> list:
-            drawn = base(_b, i, _sizes[i])
+        def run(i: int, _sizes=sizes, _b=batch_index, _running=running, _last=last) -> list:
+            held = {}
             sums = []
-            for k, p in enumerate(_running):
+            for p in _running:
+                seed = seeds[p]
+                if seed not in held:
+                    held[seed] = base(seed, _b, i, _sizes[i])
                 try:
-                    pts = places[p](drawn)
+                    # the last probe on a seed evaluates without its base held
+                    pts = places[p](held.pop(seed) if _last[seed] == p else held[seed])
                 except DomainError as exc:
                     sums.append(exc)
                     continue
-                if k == len(_running) - 1:
-                    drawn = None  # the last probe evaluates without the base held, as a lone probe did
                 vals = u.evaluate_many(pts, check_domain=False)
                 sums.append((float(vals.sum()), float((vals * vals).sum())))
             return sums
@@ -266,32 +279,28 @@ def _disjoint_disk_support(u: Field) -> tuple | None:
     return disks
 
 
-def _ball_means_exact(u: Field, method: str) -> bool:
-    """Whether ``mean_over_ball`` returns a closed form for ``u`` under ``method``.
-
-    The one rule for the exact path: ``mean_over_ball`` branches on it, and
-    callers use it to skip work that only sampled means need.
-    """
-    if u.kind == "constant":
-        return True
-    return method == "auto" and (u.kind == "harmonic" or _disjoint_disk_support(u) is not None)
-
-
 def _exact_ball_mean(u: Field, ball: Ball) -> float:
-    """The closed-form mean over ``ball`` of a field that ``_ball_means_exact``
-    accepts: a constant, a harmonic field (its value at the center), or the
-    indicator of pairwise-disjoint 2-D disks (sum of lens areas over the disk
-    area)."""
+    """The closed-form mean over ``ball`` of a field with one (see
+    ``_ball_means``): a constant, a harmonic field (its value at the center),
+    or the indicator of pairwise-disjoint 2-D disks (sum of lens areas over
+    the disk area; ``lens_area`` is 0 for a disjoint disk)."""
     if u.kind == "constant":
         return u.params["value"]
     if u.kind == "harmonic":
         return float(u.values(np.asarray([ball.center]))[0])
     covered = 0.0
     for p in u.params["support"].primitives:
-        kind = _pair_overlap_kind(ball, p)
-        if kind != "disjoint":
-            covered += _pair_overlap_measure(ball, p, kind)
+        d = float(np.linalg.norm(np.asarray(ball.center) - np.asarray(p.center)))
+        covered += lens_area(ball.radius, p.radius, d)
     return covered / (math.pi * ball.radius * ball.radius)
+
+
+def _seeds(spec: QuadratureSpec, labels: list[str] | None, indices) -> list[int]:
+    """The seed of each probe i in ``indices``: the spec seed, or with labels
+    the seed of ``spec.child(labels[i])``."""
+    if labels is None:
+        return [spec.seed] * len(indices)
+    return [derive_seed(spec.seed, labels[i]) for i in indices]
 
 
 def mean_over_ball(u: Field, ball: Ball, spec: QuadratureSpec = QuadratureSpec()) -> MeanResult:
@@ -305,41 +314,42 @@ def mean_over_ball(u: Field, ball: Ball, spec: QuadratureSpec = QuadratureSpec()
     return _outcome(_ball_means(u, [ball], spec)[0])
 
 
-def _ball_means(u: Field, balls: list[Ball], spec: QuadratureSpec) -> list:
+def _ball_means(u: Field, balls: list[Ball], spec: QuadratureSpec, labels: list[str] | None = None) -> list:
     """Means of ``u`` over an array of balls, one outcome per ball: its
     ``MeanResult``, or the ``ContainmentError`` that refuses it.
 
-    Every probe runs on ``spec``'s seed; the sampled ones share each chunk's
-    base sample.
+    A mean is closed-form for a constant field under every method, and under
+    ``"auto"`` for a harmonic field or the indicator of disjoint 2-D disks.
+    Without ``labels`` every probe runs on ``spec``'s seed and the sampled ones
+    share each chunk's base sample; with them, outcome i equals a one-probe
+    call on ``spec.child(labels[i])``.
     """
-    exact = _ball_means_exact(u, spec.method)
+    exact = u.kind == "constant" or spec.method == "auto" and (
+        u.kind == "harmonic" or _disjoint_disk_support(u) is not None)
     out: list = []
     sampled = []
-    for ball in balls:
+    for i, ball in enumerate(balls):
         if ball.dim != u.dim:
             raise ValueError("ball and field dimensions differ")
         ok, direction = ball_in_region(u.domain, ball.center, ball.radius)
         if not ok:
-            out.append(ContainmentError(
-                f"ball at {ball.center} with radius {ball.radius} leaves the domain near direction {direction}",
-                direction,
-            ))
+            out.append(ContainmentError(ball.center, ball.radius, direction))
         elif exact:
             out.append(MeanResult(_exact_ball_mean(u, ball), 0.0, 1, "exact"))
         else:
             out.append(None)
-            sampled.append(ball)
+            sampled.append(i)
     if not sampled:
         return out
     method = "stratified" if spec.method == "auto" else spec.method
     stratified = method == "stratified"
 
-    def base(batch: int, chunk: int, size: int) -> tuple:
-        return _ball_base(_cube_samples(size, u.dim, _rng(spec.seed, batch, chunk), stratified))
+    def base(seed: int, batch: int, chunk: int, size: int) -> tuple:
+        return _ball_base(_cube_samples(size, u.dim, _rng(seed, batch, chunk), stratified))
 
-    places = [partial(_place_in_ball, center=np.asarray(b.center, dtype=np.float64), radius=b.radius)
-              for b in sampled]
-    means = iter(_sample_means(spec, method, u, base, places))
+    places = [partial(_place_in_ball, center=np.asarray(balls[i].center, dtype=np.float64), radius=balls[i].radius)
+              for i in sampled]
+    means = iter(_sample_means(spec, method, u, base, _seeds(spec, labels, sampled), places))
     return [next(means) if res is None else res for res in out]
 
 
@@ -356,22 +366,26 @@ def mean_over_image(u: Field, d: MarkedSet, h: Similarity, spec: QuadratureSpec 
     return _outcome(_image_means(u, d, SimilarityArray.of(h), spec)[0])
 
 
-def _image_means(u: Field, d: MarkedSet, probes: SimilarityArray, spec: QuadratureSpec) -> list:
+def _image_means(u: Field, d: MarkedSet, probes: SimilarityArray, spec: QuadratureSpec,
+                 labels: list[str] | None = None) -> list:
     """Means of ``u`` over the images h_i(D) of a probe array, one outcome per
     probe: its ``MeanResult``, or the ``DomainError`` that rejects it.
 
-    Every probe runs on ``spec``'s seed.  A probe whose image is certified
-    inside the domain maps only the candidates that enter its mean and checks
-    none of them; any other probe maps and checks the whole over-draw.
+    Without ``labels`` every probe runs on ``spec``'s seed; with them, outcome
+    i equals a one-probe call on ``spec.child(labels[i])``.  A probe whose
+    image is certified inside the domain maps only the candidates that enter
+    its mean and checks none of them; any other probe maps and checks the
+    whole over-draw.
     """
     if d.dim != u.dim or probes.orthogonal.shape[1] != u.dim:
         raise ValueError("marked set, similarity and field dimensions must agree")
     certified = _images_certified(d.region, u.domain, probes).tolist()
     sims = probes.similarities()
     if u.kind == "constant":
-        cand = None if all(certified) else _containment_sample(d, spec)
+        shared = None if labels is not None or all(certified) else _containment_sample(d, spec)
         out = []
-        for h, proven in zip(sims, certified):
+        for i, (h, proven) in enumerate(zip(sims, certified)):
+            cand = shared if proven or labels is None else _containment_sample(d, spec.child(labels[i]))
             try:
                 if not proven and cand.size:
                     u.evaluate_many(h.apply_many(cand))  # raises DomainError on exterior hits
@@ -381,8 +395,8 @@ def _image_means(u: Field, d: MarkedSet, probes: SimilarityArray, spec: Quadratu
                 out.append(MeanResult(u.params["value"], 0.0, 1, "exact"))
         return out
 
-    def base(batch: int, chunk: int, size: int) -> tuple:
-        drawn = _image_base(d, spec.seed, batch, chunk, size)
+    def base(seed: int, batch: int, chunk: int, size: int) -> tuple:
+        drawn = _image_base(d, seed, batch, chunk, size)
         return drawn[:size], drawn
 
     def place(h: Similarity, proven: bool) -> Callable[[tuple], np.ndarray]:
@@ -396,7 +410,8 @@ def _image_means(u: Field, d: MarkedSet, probes: SimilarityArray, spec: Quadratu
 
         return mapped
 
-    return _sample_means(spec, "mc", u, base, [place(h, proven) for h, proven in zip(sims, certified)])
+    return _sample_means(spec, "mc", u, base, _seeds(spec, labels, range(len(sims))),
+                         [place(h, proven) for h, proven in zip(sims, certified)])
 
 
 # Margin, relative to the largest coordinate involved, by which a certified

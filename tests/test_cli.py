@@ -106,6 +106,14 @@ class TestCheckQns:
         b = strip_stamp(runner.invoke(main, args).output)
         assert a == b
 
+    def test_worker_count_does_not_change_the_report(self, runner, tmp_path):
+        cfg = write_json(tmp_path / "p.json", PROBLEM)
+        args = ["check-qns", "--config", cfg, "--seed", "5"]
+        one, two = (strip_stamp(runner.invoke(main, args + ["--workers", w]).output) for w in ("1", "2"))
+        for doc in (one, two):
+            doc.pop("worker_count", None)
+        assert one == two
+
     def test_restricted_radius_set(self, runner, tmp_path):
         doc = json.loads(json.dumps(PROBLEM))
         doc["radius_set"] = {"form": "elements", "window": [0.05, 1.0],

@@ -203,15 +203,15 @@ class TestCertifyRestricted:
 
     @pytest.mark.parametrize("method", ["auto", "mc"])
     def test_probe_seeds_are_derived_only_for_sampled_means(self, monkeypatch, method):
-        from qnslab import counterexample, quadrature
+        from qnslab import quadrature
 
         labels = []
 
-        def counting(seed, label):
+        def counting(seed, label, _original=quadrature.derive_seed):
             labels.append(label)
-            return quadrature.derive_seed(seed, label)
+            return _original(seed, label)
 
-        monkeypatch.setattr(counterexample, "derive_seed", counting)
+        monkeypatch.setattr(quadrature, "derive_seed", counting)
         dom = build_domain(default_sequences(3, 3))
         probes = RestrictedProbeSpec(offsets=(0.0, 1.0), angles=4, radii_per_component=3,
                                      samples_per_probe=1024)
@@ -273,15 +273,28 @@ class TestF1Variant:
 
 def record_probe_specs(monkeypatch) -> list:
     """Record (mean function, spec, result method) for every probe mean that
-    the certify_* functions take through the counterexample module."""
+    the certify_* functions take through the counterexample module.  A probe
+    of a labeled array call (``_ball_means``, ``_image_means``) is recorded on
+    ``spec.child(label)``, the spec of the one-probe call that it equals."""
     calls = []
-    for name in ("mean_over_ball", "mean_over_image"):
-        def recording(*args, _original=getattr(counterexample, name), _name=name):
-            res = _original(*args)
-            calls.append((_name, args[-1], res.method))
-            return res
 
-        monkeypatch.setattr(counterexample, name, recording)
+    def one_probe(*args, _original=counterexample.mean_over_ball):
+        res = _original(*args)
+        calls.append(("mean_over_ball", args[-1], res.method))
+        return res
+
+    def array(name):
+        def recording(*args, _original=getattr(counterexample, name)):
+            *_, spec, labels = args
+            outcomes = _original(*args)
+            calls.extend((name, spec.child(label), res.method) for label, res in zip(labels, outcomes))
+            return outcomes
+
+        return recording
+
+    monkeypatch.setattr(counterexample, "mean_over_ball", one_probe)
+    for name in ("_ball_means", "_image_means"):
+        monkeypatch.setattr(counterexample, name, array(name))
     return calls
 
 
@@ -326,7 +339,7 @@ class TestProbeSpecs:
         probes = RestrictedProbeSpec(offsets=(0.0, 1.0), angles=4, radii_per_component=3, samples_per_probe=1024)
         calls = record_probe_specs(monkeypatch)
         rep = certify_restricted(dom, avoided_complement_set(dom), probes, spec)
-        self.check(calls, [("mean_over_ball", self.explicit(spec, method, 0.1, probes.samples_per_probe,
+        self.check(calls, [("_ball_means", self.explicit(spec, method, 0.1, probes.samples_per_probe,
                                                              f"restricted:{i}"))
                            for i in range(1, rep.probes + 1)])
         assert {m for _, _, m in calls} == {"exact" if method == "auto" else "mc"}
@@ -338,11 +351,11 @@ class TestProbeSpecs:
         dom, _, rule = build_f1_counterexample(f1_sequences(3, 3), d)
         calls = record_probe_specs(monkeypatch)
         rep = certify_f1(dom, rule, d, spec, scales_per_component=2, centers_per_component=2)
-        image_probes = [("mean_over_image", self.explicit(spec, "mc", 0.1, 4096, f"f1:{i}"))
+        image_probes = [("_image_means", self.explicit(spec, "mc", 0.1, 4096, f"f1:{i}"))
                         for i in range(1, rep.scale_checks + 1)]
         self.check(calls, self.failure_probes(dom, spec) + image_probes)
         assert rep.scale_checks > 0
-        assert all(m == "mc" for name, _, m in calls if name == "mean_over_image")
+        assert all(m == "mc" for name, _, m in calls if name == "_image_means")
 
 
 class TestExport:

@@ -356,7 +356,7 @@ class TestCommonRandomNumbers:
         pairs = n = 0
         batch = min(4096, spec.max_samples)
         while n < n_samples:
-            pairs += min(spec.workers, max(batch // 512, 1))
+            pairs += max(batch // quadrature._CHUNK, 1)
             n += batch
             batch = min(batch * 2, spec.max_samples - n)
         return pairs
@@ -490,13 +490,14 @@ class TestPhiFunctional:
 
 
 def reference_sample_mean(spec, draw_values, method):
-    """The batching loop as it was before probe arrays (one probe)."""
+    """The batching loop as it was before probe arrays (one probe), on the
+    worker-independent chunk layout."""
     s1 = s2 = 0.0
     n = 0
     batch_size = min(4096, spec.max_samples)
     batch_index = 0
     while True:
-        n_chunks = min(spec.workers, max(batch_size // 512, 1))
+        n_chunks = max(batch_size // quadrature._CHUNK, 1)
         sizes = [batch_size // n_chunks] * n_chunks
         sizes[-1] += batch_size - sum(sizes)
 

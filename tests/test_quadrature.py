@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,12 +69,27 @@ class TestStratifiedSampler:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_n_samples_is_the_requested_count(self, workers):
-        # batches of 4096 then 8192 points; 8192 is not a square, and two
-        # workers split each batch into non-square chunks
+        # batches of 4096 then 8192 points; 8192 is not a square
         spec = QuadratureSpec(method="stratified", target_rel_error=1e-3, max_samples=12_288, seed=5,
                               workers=workers)
         res = mean_over_ball(CHI, Ball((1.0, 0.0), 1.0), spec)
         assert res.n_samples == 12_288
+        assert abs(res.mean - lens_area(1.0, 1.0, 1.0) / math.pi) <= 4.0 * res.stderr
+
+    def test_large_batches_split_into_non_square_chunks(self, monkeypatch):
+        # batches of 4096 up to 2^17 points (258,048 in all), then 2^18 and
+        # 400,001 points, which split into 2 and 3 chunks of non-square sizes
+        sizes = []
+
+        def recording(n, *args, _original=_cube_samples):
+            sizes.append(n)
+            return _original(n, *args)
+
+        monkeypatch.setattr(quadrature, "_cube_samples", recording)
+        spec = QuadratureSpec(method="stratified", target_rel_error=1e-4, max_samples=920_193, seed=5)
+        res = mean_over_ball(CHI, Ball((1.0, 0.0), 1.0), spec)
+        assert sizes == [4096 * 2**k for k in range(6)] + [2**17] * 2 + [133_333, 133_333, 133_335]
+        assert res.n_samples == 920_193
         assert abs(res.mean - lens_area(1.0, 1.0, 1.0) / math.pi) <= 4.0 * res.stderr
 
 
@@ -126,6 +142,48 @@ class TestSampleMemo:
         assert len({res.n_samples for res in outcomes}) > 1
         self.assert_matches_one_probe_calls(outcomes, lambda h: mean_over_image(u, d, h, spec), sims)
 
+    @pytest.mark.parametrize("method", ["mc", "stratified", "auto"])
+    def test_labeled_ball_array_matches_one_probe_calls_on_child_specs(self, monkeypatch, method):
+        # under "auto" every contained probe is an exact disk mean; only
+        # sampled probes derive a seed
+        spec = QuadratureSpec(method=method, target_rel_error=0.01, max_samples=30_000, seed=11, workers=2)
+        labels = [f"ball:{i}" for i in range(len(self.BALLS))]
+        derived = []
+
+        def counting(seed, label, _original=derive_seed):
+            derived.append(label)
+            return _original(seed, label)
+
+        monkeypatch.setattr(quadrature, "derive_seed", counting)
+        outcomes = quadrature._ball_means(CHI, list(self.BALLS), spec, labels)
+        assert isinstance(outcomes[3], ContainmentError)
+        methods = {res.method for res in outcomes if not isinstance(res, Exception)}
+        assert methods == ({"exact"} if method == "auto" else {method})
+        assert derived == [label for label, res in zip(labels, outcomes)
+                           if not isinstance(res, Exception) and res.method != "exact"]
+        self.assert_matches_one_probe_calls(
+            outcomes, lambda probe: mean_over_ball(CHI, probe[1], spec.child(probe[0])), list(zip(labels, self.BALLS)))
+
+    @pytest.mark.parametrize("field", ["indicator", "constant"])
+    def test_labeled_image_array_matches_one_probe_calls_on_child_specs(self, field):
+        # certified and uncertified images, and one that leaves the domain;
+        # an uncertified constant-field image checks its own containment sample
+        omega = Region((Rect((-4.0, -4.0), (0.0, 4.0)), Rect((0.0, -4.0), (4.0, 4.0))))
+        u = indicator_field(SUPPORT, omega) if field == "indicator" else constant_field(1.0, omega)
+        d = MarkedSet(Region((Rect((-0.5, -0.5), (0.5, 0.5)),)), (0.0, 0.0))
+        spec = QuadratureSpec(method="mc", target_rel_error=0.01, max_samples=30_000, seed=13)
+        sims = [Similarity(2.0, np.eye(2), (0.5, 0.0)), Similarity.rotation(0.3, scale=1.2, translation=(0.2, 0.1)),
+                Similarity(0.5, np.eye(2), (-1.0, 0.5)), Similarity(1.0, np.eye(2), (2.0, 0.0)),
+                Similarity(2.0, np.eye(2), (3.5, 0.0))]
+        probes = SimilarityArray(np.array([h.scale for h in sims]), np.stack([h.orthogonal for h in sims]),
+                                 np.array([h.translation for h in sims]))
+        assert quadrature._images_certified(d.region, omega, probes).tolist() == [False, False, True, True, False]
+        labels = [f"image:{i}" for i in range(len(sims))]
+        outcomes = quadrature._image_means(u, d, probes, spec, labels)
+        assert isinstance(outcomes[4], DomainError)
+        self.assert_matches_one_probe_calls(
+            outcomes, lambda probe: mean_over_image(u, d, probe[1], spec.child(probe[0])), list(zip(labels, sims)))
+
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("method", ["mc", "stratified"])
     def test_ball_mean_draws_the_public_sampler_stream(self, dim, method):
@@ -164,6 +222,44 @@ class TestSampleMemo:
         outcomes = quadrature._image_means(u, d, probes, spec)
         assert isinstance(outcomes[1], DomainError)
         self.assert_matches_one_probe_calls(outcomes, lambda g: mean_over_image(u, d, g, spec), sims)
+
+
+# the indicator of an overlapping disk and rect: sampled under every method
+DISK_RECT = indicator_field(Region((Ball((-0.5, 0.0), 1.0, closed=True), Rect((0.0, -0.5), (1.5, 0.5)))), OMEGA)
+
+
+def comparable(outcomes):
+    return [(type(res), str(res)) if isinstance(res, Exception) else res for res in outcomes]
+
+
+class TestWorkerIndependence:
+    """The worker count only schedules chunks: results depend on the seed alone."""
+
+    @pytest.mark.parametrize("method", ["mc", "stratified"])
+    def test_two_million_sample_means(self, method):
+        spec = QuadratureSpec(method=method, target_rel_error=1e-4, max_samples=2_000_000, seed=3)
+        ball = Ball((0.2, 0.1), 2.0)
+        one, two, four = (mean_over_ball(DISK_RECT, ball, replace(spec, workers=w)) for w in (1, 2, 4))
+        assert one.n_samples == 2_000_000
+        assert one == two == four
+
+    @pytest.mark.parametrize("labels", [None, ["a", "b", "c"]], ids=["shared", "labeled"])
+    def test_probe_arrays(self, labels):
+        # 530,000 samples: the batch of 2^18 points splits into two chunks
+        spec = QuadratureSpec(method="mc", target_rel_error=1e-4, max_samples=530_000, seed=21)
+        balls = [Ball((0.0, 0.0), 2.0), Ball((0.5, 0.5), 1.0), Ball((3.5, 0.0), 1.0)]
+        d = MarkedSet(Region((Ball((0.0, 0.0), 1.0),)), (0.0, 0.0))
+        probes = SimilarityArray(np.array([1.5, 0.8, 1.0]), np.stack([np.eye(2)] * 3),
+                                 np.array([[0.0, 0.0], [0.5, -0.5], [3.5, 0.0]]))
+
+        def outcomes(workers):
+            w = replace(spec, workers=workers)
+            return (comparable(quadrature._ball_means(DISK_RECT, balls, w, labels)),
+                    comparable(quadrature._image_means(DISK_RECT, d, probes, w, labels)))
+
+        balls_out, images_out = outcomes(1)
+        assert balls_out[0].n_samples == images_out[0].n_samples == 530_000
+        assert outcomes(2) == (balls_out, images_out)
 
 
 class TestMeanOverBall:
