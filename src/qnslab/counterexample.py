@@ -317,7 +317,7 @@ def certify_failure(dom: CounterexampleDomain, spec: QuadratureSpec = Quadrature
     s = dom.sequences
     rows = []
     ok = True
-    for comp in dom.components:
+    for j, comp in enumerate(dom.components):
         r_probe = 0.5 * comp.omega_radius
         ratio = comp.inner_radius / r_probe
         expected = min(1.0, ratio * ratio)
@@ -325,21 +325,8 @@ def certify_failure(dom: CounterexampleDomain, spec: QuadratureSpec = Quadrature
         res = mean_over_ball(comp.field_local, Ball((0.0, 0.0), r_probe), spec.child(f"failure:{comp.m}"))
         consistent = abs(res.mean - expected) <= 3.0 * max(res.stderr, 1e-12)
         ok = ok and consistent
-        j = list(s.indices()).index(comp.m)
-        rows.append(
-            FailureRow(
-                comp.m,
-                s.a[j],
-                s.b[j],
-                dom.centers[j],
-                r_probe,
-                res.mean,
-                res.stderr,
-                expected,
-                implied,
-                consistent,
-            )
-        )
+        rows.append(FailureRow(comp.m, s.a[j], s.b[j], dom.centers[j], r_probe, res.mean, res.stderr,
+                               expected, implied, consistent))
     ks = [r.implied_k for r in rows]
     # nondecreasing with genuine growth; early linear-gap components tie at 1
     # while the probe disk still sits inside the inner disk
@@ -366,6 +353,10 @@ class RestrictedProbeSpec:
     angles: int = 12
     radii_per_component: int = 19
     samples_per_probe: int = 4096
+
+    def __post_init__(self):
+        if self.samples_per_probe < 1000:
+            raise ValueError("samples_per_probe must be at least 1000")
 
 
 @dataclass
@@ -503,12 +494,11 @@ def certify_restricted(
                 violations.append({"m": comp.m, "center": [cx, cy], "radius": r,
                                    "mean": res.mean, "stderr": res.stderr})
         # the containment dichotomy: admissible radii >= b_m never fit
-        s = dom.sequences
-        j = list(s.indices()).index(comp.m)
+        b_m = dom.sequences.b_of(comp.m)
         top = dom.avoided_gaps[0][1] * 2.0
         dichotomy_checked += _DICHOTOMY_RADII
         dichotomy_ok &= all(_certify_dichotomy(dom, comp, float(r))
-                            for r in np.geomspace(s.b[j], max(top, s.b[j] * 2), _DICHOTOMY_RADII))
+                            for r in np.geomspace(b_m, max(top, b_m * 2), _DICHOTOMY_RADII))
     return RestrictedReport(not violations and dichotomy_ok, max_ratio, witness, idx, violations,
                             dichotomy_checked, dichotomy_ok, k_const, spec.seed)
 
@@ -633,10 +623,8 @@ def certify_f1(
             if lhs > k_const * integral + 3.0 * k_const * integral_err:
                 violations.append({"m": comp.m, "scale": k, "lhs": lhs,
                                    "integral": integral, "stderr": integral_err})
-    return F1Report(
-        failure, idx, violations, bound_ok,
-        k_const, failure.passed and not violations and bound_ok, spec.seed,
-    )
+    return F1Report(failure, idx, violations, bound_ok, k_const,
+                    failure.passed and not violations and bound_ok, spec.seed)
 
 
 # -- export ------------------------------------------------------------------------

@@ -24,7 +24,8 @@ All randomness is driven by PCG64 streams keyed on a seed, so results are
 bit-identical across runs and depend on the seed, not on the worker count: a
 batch splits into chunks of ``_CHUNK`` samples (one chunk below twice that),
 each chunk draws its own child stream, and chunk sums are reduced in index
-order; ``spec.workers`` only sizes the thread pool that runs the chunks.
+order.  ``spec.workers`` only sizes the thread pool that runs the chunks, or
+slices of each chunk's probes when a batch has fewer chunks than workers.
 
 A sampled mean is two steps.  The base sample is a pure function of the seed,
 the (batch, chunk) index and the chunk size (and, for image means, of the
@@ -171,12 +172,12 @@ def sample_in_ball(center, radius: float, n: int, rng: np.random.Generator, stra
     return _place_in_ball(_ball_base(_cube_samples(n, center.size, rng, stratified)), center, radius)
 
 
-def _reduce_chunks(spec: QuadratureSpec, chunk_fn: Callable[[int], tuple], n_chunks: int):
-    """Run chunk_fn over chunk indices, reducing results in index order."""
-    if spec.workers == 1 or n_chunks == 1:
-        return [chunk_fn(i) for i in range(n_chunks)]
+def _reduce_chunks(spec: QuadratureSpec, task_fn: Callable[[int], object], n_tasks: int) -> list:
+    """Run task_fn over task indices on ``spec.workers`` threads; results in index order."""
+    if spec.workers == 1 or n_tasks == 1:
+        return [task_fn(i) for i in range(n_tasks)]
     with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-        return list(pool.map(chunk_fn, range(n_chunks)))
+        return list(pool.map(task_fn, range(n_tasks)))
 
 
 def _stat_result(s1: float, s2: float, n: int, method: str) -> MeanResult:
@@ -198,12 +199,16 @@ def _sample_means(spec: QuadratureSpec, method: str, u: Field, base: Callable[[i
     """The batching loop of every sampled mean, batch-major over a probe array.
 
     ``base(seed, batch, chunk, size)`` draws one chunk's base sample on a
-    seed; probe i runs on ``seeds[i]``, and the probes that share a seed share
-    each chunk's draw, which is dropped before the last of them is evaluated.
-    ``places[i]`` maps the draw to probe i's points, where ``u`` is evaluated.
-    Every probe sees the same chunk layout and stops on its own error target
-    or at the sample cap.  The outcome of a probe is its ``MeanResult``, or
-    the ``DomainError`` that its place raised on its first failing chunk.
+    seed, and probe i runs on ``seeds[i]``.  A task runs one chunk for the
+    running probes, or for a slice of them when the batch has fewer chunks
+    than workers.  Each chunk is drawn once per seed: the probes of a task
+    that share a seed share its draw, which is dropped before the last of
+    them is evaluated, and a seed shared across slices is drawn before the
+    tasks start and held until they end.  ``places[i]`` maps the draw to
+    probe i's points, where ``u`` is evaluated.  Every probe sees the same
+    chunk layout and stops on its own error target or at the sample cap.
+    The outcome of a probe is its ``MeanResult``, or the ``DomainError``
+    that its place raised on its first failing chunk.
     """
     out: list = [None] * len(places)
     s1 = [0.0] * len(places)
@@ -216,18 +221,30 @@ def _sample_means(spec: QuadratureSpec, method: str, u: Field, base: Callable[[i
         n_chunks = max(batch_size // _CHUNK, 1)
         sizes = [batch_size // n_chunks] * n_chunks
         sizes[-1] += batch_size - sum(sizes)
-        last = {seeds[p]: p for p in running}  # the last running probe on each seed
+        # a probe's chunk sums are computed whole in one task, so slicing only schedules
+        n_slices = min(len(running), -(-spec.workers // n_chunks))
+        cuts = [len(running) * j // n_slices for j in range(n_slices + 1)]
+        slices = [running[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        seen, spanning = set(), set()
+        for probes in slices:
+            here = {seeds[p] for p in probes}
+            spanning |= seen & here
+            seen |= here
+        # a seed whose probes fall in several slices is drawn once per chunk, up front
+        shared = [{seed: base(seed, batch_index, i, sizes[i]) for seed in spanning} for i in range(n_chunks)]
 
-        def run(i: int, _sizes=sizes, _b=batch_index, _running=running, _last=last) -> list:
-            held = {}
+        def run(task: int, _sizes=sizes, _b=batch_index, _slices=slices, _shared=shared) -> list:
+            i, probes = task // len(_slices), _slices[task % len(_slices)]
+            last = {seeds[p]: p for p in probes}  # the last probe of the task on each seed
+            held = dict(_shared[i])
             sums = []
-            for p in _running:
+            for p in probes:
                 seed = seeds[p]
                 if seed not in held:
                     held[seed] = base(seed, _b, i, _sizes[i])
                 try:
                     # the last probe on a seed evaluates without its base held
-                    pts = places[p](held.pop(seed) if _last[seed] == p else held[seed])
+                    pts = places[p](held.pop(seed) if last[seed] == p else held[seed])
                 except DomainError as exc:
                     sums.append(exc)
                     continue
@@ -235,8 +252,9 @@ def _sample_means(spec: QuadratureSpec, method: str, u: Field, base: Callable[[i
                 sums.append((float(vals.sum()), float((vals * vals).sum())))
             return sums
 
-        for chunk in _reduce_chunks(spec, run, n_chunks):
-            for p, sums in zip(running, chunk):
+        # tasks run chunk-major, so each probe's chunk sums add in chunk order
+        for task, task_sums in enumerate(_reduce_chunks(spec, run, n_chunks * n_slices)):
+            for p, sums in zip(slices[task % n_slices], task_sums):
                 if out[p] is not None:
                     continue
                 if isinstance(sums, DomainError):
@@ -382,17 +400,17 @@ def _image_means(u: Field, d: MarkedSet, probes: SimilarityArray, spec: Quadratu
     certified = _images_certified(d.region, u.domain, probes).tolist()
     sims = probes.similarities()
     if u.kind == "constant":
-        shared = None if labels is not None or all(certified) else _containment_sample(d, spec)
-        out = []
-        for i, (h, proven) in enumerate(zip(sims, certified)):
-            cand = shared if proven or labels is None else _containment_sample(d, spec.child(labels[i]))
+        out: list = [MeanResult(u.params["value"], 0.0, 1, "exact")] * len(sims)
+        unproven = [i for i, proven in enumerate(certified) if not proven]
+        samples = {}  # one containment sample per seed
+        for i, seed in zip(unproven, _seeds(spec, labels, unproven)):
+            if seed not in samples:
+                samples[seed] = _containment_sample(d, seed)
             try:
-                if not proven and cand.size:
-                    u.evaluate_many(h.apply_many(cand))  # raises DomainError on exterior hits
+                if samples[seed].size:
+                    u.evaluate_many(sims[i].apply_many(samples[seed]))  # raises DomainError on exterior hits
             except DomainError as exc:
-                out.append(exc)
-            else:
-                out.append(MeanResult(u.params["value"], 0.0, 1, "exact"))
+                out[i] = exc
         return out
 
     def base(seed: int, batch: int, chunk: int, size: int) -> tuple:
@@ -487,9 +505,9 @@ def _image_base(d: MarkedSet, seed: int, batch: int, chunk: int, size: int) -> n
 _CONTAINMENT_SAMPLES = 512
 
 
-def _containment_sample(d: MarkedSet, spec: QuadratureSpec) -> np.ndarray:
-    """Up to ``_CONTAINMENT_SAMPLES`` uniform points of D, on the spec's ``"containment"`` seed."""
+def _containment_sample(d: MarkedSet, seed: int) -> np.ndarray:
+    """Up to ``_CONTAINMENT_SAMPLES`` uniform points of D, on the ``"containment"`` child of ``seed``."""
     lo, hi = d.region.bbox
-    rng = _rng(derive_seed(spec.seed, "containment"), 0)
+    rng = _rng(derive_seed(seed, "containment"), 0)
     cand = lo + rng.random((4 * _CONTAINMENT_SAMPLES, d.dim)) * (hi - lo)
     return cand[d.region.contains_many(cand).astype(bool)][:_CONTAINMENT_SAMPLES]

@@ -142,6 +142,11 @@ class TestCertifyRestricted:
         with pytest.raises(ConstructionError, match="avoided gap"):
             certify_restricted(dom, bad, RestrictedProbeSpec(), SPEC)
 
+    def test_too_few_samples_per_probe_rejected(self):
+        # sampled probe means need at least 1000 samples, as QuadratureSpec does
+        with pytest.raises(ValueError, match="samples_per_probe"):
+            RestrictedProbeSpec(samples_per_probe=999)
+
     def test_center_probe_ratio_one(self):
         # a probe at the component center with the top admissible radius stays
         # inside the inner disk, so the mean is 1

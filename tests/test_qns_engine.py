@@ -522,7 +522,7 @@ def reference_mean_over_image(u, d, h, spec):
     """The image mean as it was before certificates: every accepted candidate,
     over-draw included, is mapped and checked against the domain."""
     if u.kind == "constant":
-        cand = quadrature._containment_sample(d, spec)
+        cand = quadrature._containment_sample(d, spec.seed)
         if cand.size:
             u.evaluate_many(h.apply_many(cand))
         return quadrature.MeanResult(u.params["value"], 0.0, 1, "exact")

@@ -243,23 +243,41 @@ class TestWorkerIndependence:
         assert one.n_samples == 2_000_000
         assert one == two == four
 
-    @pytest.mark.parametrize("labels", [None, ["a", "b", "c"]], ids=["shared", "labeled"])
-    def test_probe_arrays(self, labels):
-        # 530,000 samples: the batch of 2^18 points splits into two chunks
-        spec = QuadratureSpec(method="mc", target_rel_error=1e-4, max_samples=530_000, seed=21)
-        balls = [Ball((0.0, 0.0), 2.0), Ball((0.5, 0.5), 1.0), Ball((3.5, 0.0), 1.0)]
+    BALLS = [Ball((0.0, 0.0), 2.0), Ball((0.5, 0.5), 1.0), Ball((3.5, 0.0), 1.0), Ball((-0.5, 0.2), 1.5)]
+    IMAGES = SimilarityArray(np.array([1.5, 0.8, 1.0, 1.2]), np.stack([np.eye(2)] * 4),
+                             np.array([[0.0, 0.0], [0.5, -0.5], [3.5, 0.0], [-0.5, 0.2]]))
+
+    @pytest.mark.parametrize("labels", [None, ["a", "b", "c", "d"]], ids=["shared", "labeled"])
+    @pytest.mark.parametrize("max_samples", [20_000, 530_000])
+    def test_probe_arrays(self, labels, max_samples):
+        # 20,000 samples: every batch is one chunk, whose probes split across
+        # the workers; 530,000: the batch of 2^18 points splits into two chunks
+        spec = QuadratureSpec(method="mc", target_rel_error=1e-4, max_samples=max_samples, seed=21)
         d = MarkedSet(Region((Ball((0.0, 0.0), 1.0),)), (0.0, 0.0))
-        probes = SimilarityArray(np.array([1.5, 0.8, 1.0]), np.stack([np.eye(2)] * 3),
-                                 np.array([[0.0, 0.0], [0.5, -0.5], [3.5, 0.0]]))
 
         def outcomes(workers):
             w = replace(spec, workers=workers)
-            return (comparable(quadrature._ball_means(DISK_RECT, balls, w, labels)),
-                    comparable(quadrature._image_means(DISK_RECT, d, probes, w, labels)))
+            return (comparable(quadrature._ball_means(DISK_RECT, self.BALLS, w, labels)),
+                    comparable(quadrature._image_means(DISK_RECT, d, self.IMAGES, w, labels)))
 
         balls_out, images_out = outcomes(1)
-        assert balls_out[0].n_samples == images_out[0].n_samples == 530_000
-        assert outcomes(2) == (balls_out, images_out)
+        assert balls_out[0].n_samples == images_out[0].n_samples == max_samples
+        assert outcomes(2) == outcomes(3) == (balls_out, images_out)
+
+    def test_workers_split_the_probes_of_a_one_chunk_batch(self, monkeypatch):
+        tasks = []
+
+        class Recording(quadrature.ThreadPoolExecutor):
+            def map(self, fn, *iterables):
+                items = list(iterables[0])
+                tasks.append((self._max_workers, len(items)))
+                return super().map(fn, items)
+
+        monkeypatch.setattr(quadrature, "ThreadPoolExecutor", Recording)
+        spec = QuadratureSpec(method="mc", target_rel_error=1e-4, max_samples=8192, seed=21, workers=2)
+        quadrature._ball_means(DISK_RECT, self.BALLS, spec)
+        # batches of 4096 points, one chunk each, with three running probes in two slices
+        assert tasks == [(2, 2), (2, 2)]
 
 
 class TestMeanOverBall:
