@@ -477,7 +477,8 @@ def certify_restricted(
                                   for rho in probes.offsets if rho != 0.0 for theta in thetas]
         grid = [(cx, cy, r) for cx, cy in centers for r in radii]
         labels = [f"restricted:{idx + i}" for i in range(1, len(grid) + 1)]
-        outcomes = _ball_means(comp.field_local, [Ball((cx, cy), r) for cx, cy, r in grid], probe_spec, labels)
+        outcomes = _ball_means(comp.field_local, np.asarray([(cx, cy) for cx, cy, _ in grid]),
+                               np.asarray([r for _, _, r in grid]), probe_spec, labels)
         for (cx, cy, r), res in zip(grid, outcomes):
             idx += 1
             res = _outcome(res)

@@ -131,20 +131,18 @@ def _ball_probes(u: Field, centers: np.ndarray, radii: list[float], spec: Quadra
     """Run every (center, radius) probe of a ball battery as one ``_ball_means`` array.
 
     Returns the admitted probes in probe order and the count of probes whose
-    ball left the domain.  u(center) is evaluated once per center that admits
-    a probe.
+    ball left the domain.  u is evaluated at every center of the battery in
+    one call.
     """
-    pairs = [(c, float(r)) for c in map(tuple, centers.tolist()) for r in radii]
-    outcomes = _ball_means(u, [Ball(c, r) for c, r in pairs], spec)
+    outcomes = _ball_means(u, np.repeat(centers, len(radii), axis=0), np.tile(radii, len(centers)), spec)
+    values = u.values(centers).tolist()
+    pairs = [(c, v, float(r)) for c, v in zip(map(tuple, centers.tolist()), values) for r in radii]
     admitted = []
-    values: dict = {}
-    for idx, ((c, r), res) in enumerate(zip(pairs, outcomes), start=1):
+    for idx, ((c, v, r), res) in enumerate(zip(pairs, outcomes), start=1):
         if isinstance(res, ContainmentError):
             log.debug("probe %d skipped: %s", idx, res)
             continue
-        if c not in values:
-            values[c] = float(u.evaluate_many(np.asarray([c]), check_domain=False)[0])
-        admitted.append(BallProbe(idx, c, r, values[c], res))
+        admitted.append(BallProbe(idx, c, r, v, res))
     return admitted, len(pairs) - len(admitted)
 
 

@@ -15,7 +15,10 @@ cross-check of the closed forms.  The closed forms, reported as method
 ``"auto"`` is resolved before any sampling, so no result reports it.  Image
 means have no closed form besides constants: they are plain Monte Carlo under
 every method (rejection sampling in D does not stratify) and report ``"mc"``.
-The containment check runs first on every ball path.  For an image mean, h(D)
+The containment check runs first on every ball path.  A ball probe array is
+``(P, dim)`` centers and ``(P,)`` radii; containment in one primitive and the
+closed forms run over the whole array, and only a ball that no single
+primitive holds takes the per-ball sampled check.  For an image mean, h(D)
 inside the field domain is certified where simple geometry proves it
 (``_images_certified``: in 2-D, every primitive of h(D) inside one ball or
 rect primitive of the domain); otherwise it is checked sample by sample.
@@ -61,7 +64,7 @@ import numpy as np
 
 from .fields import DomainError, Field
 from .geometry import Ball, Similarity, SimilarityArray, lens_area
-from .regions import MarkedSet, Rect, Region, _pair_overlap_kind, ball_in_region
+from .regions import MarkedSet, Rect, Region, _pair_overlap_kind, ball_in_region, balls_in_one_primitive
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -297,20 +300,19 @@ def _disjoint_disk_support(u: Field) -> tuple | None:
     return disks
 
 
-def _exact_ball_mean(u: Field, ball: Ball) -> float:
-    """The closed-form mean over ``ball`` of a field with one (see
-    ``_ball_means``): a constant, a harmonic field (its value at the center),
+def _exact_ball_means(u: Field, centers: np.ndarray, radii: np.ndarray) -> list:
+    """The closed-form means over an array of balls of a field with one (see
+    ``_ball_means``): a constant, a harmonic field (its values at the centers),
     or the indicator of pairwise-disjoint 2-D disks (sum of lens areas over
     the disk area; ``lens_area`` is 0 for a disjoint disk)."""
     if u.kind == "constant":
-        return u.params["value"]
+        return [u.params["value"]] * len(radii)
     if u.kind == "harmonic":
-        return float(u.values(np.asarray([ball.center]))[0])
-    covered = 0.0
-    for p in u.params["support"].primitives:
-        d = float(np.linalg.norm(np.asarray(ball.center) - np.asarray(p.center)))
-        covered += lens_area(ball.radius, p.radius, d)
-    return covered / (math.pi * ball.radius * ball.radius)
+        return u.values(centers).tolist()
+    disks = u.params["support"].primitives
+    dists = [np.sqrt(np.square(centers - np.asarray(p.center)).sum(axis=1)).tolist() for p in disks]
+    return [sum(lens_area(r, p.radius, d) for p, d in zip(disks, ds)) / (math.pi * r * r)
+            for r, ds in zip(radii.tolist(), zip(*dists))]
 
 
 def _seeds(spec: QuadratureSpec, labels: list[str] | None, indices) -> list[int]:
@@ -329,35 +331,40 @@ def mean_over_ball(u: Field, ball: Ball, spec: QuadratureSpec = QuadratureSpec()
     Under ``"auto"`` the closed forms of the module docstring are used where
     they apply; otherwise the mean is sampled.
     """
-    return _outcome(_ball_means(u, [ball], spec)[0])
+    return _outcome(_ball_means(u, np.asarray([ball.center]), np.asarray([ball.radius]), spec)[0])
 
 
-def _ball_means(u: Field, balls: list[Ball], spec: QuadratureSpec, labels: list[str] | None = None) -> list:
-    """Means of ``u`` over an array of balls, one outcome per ball: its
-    ``MeanResult``, or the ``ContainmentError`` that refuses it.
+def _ball_means(u: Field, centers: np.ndarray, radii: np.ndarray, spec: QuadratureSpec,
+                labels: list[str] | None = None) -> list:
+    """Means of ``u`` over an array of balls, given as ``(P, dim)`` centers and
+    ``(P,)`` radii: one outcome per ball, its ``MeanResult`` or the
+    ``ContainmentError`` that refuses it.
 
-    A mean is closed-form for a constant field under every method, and under
-    ``"auto"`` for a harmonic field or the indicator of disjoint 2-D disks.
-    Without ``labels`` every probe runs on ``spec``'s seed and the sampled ones
-    share each chunk's base sample; with them, outcome i equals a one-probe
-    call on ``spec.child(labels[i])``.
+    Containment and the closed forms run over the whole array; only a ball
+    that no single primitive of the domain holds takes the per-ball sampled
+    check of ``ball_in_region``.  A mean is closed-form for a constant field
+    under every method, and under ``"auto"`` for a harmonic field or the
+    indicator of disjoint 2-D disks.  Without ``labels`` every probe runs on
+    ``spec``'s seed and the sampled ones share each chunk's base sample; with
+    them, outcome i equals a one-probe call on ``spec.child(labels[i])``.
     """
-    exact = u.kind == "constant" or spec.method == "auto" and (
-        u.kind == "harmonic" or _disjoint_disk_support(u) is not None)
-    out: list = []
-    sampled = []
-    for i, ball in enumerate(balls):
-        if ball.dim != u.dim:
-            raise ValueError("ball and field dimensions differ")
-        ok, direction = ball_in_region(u.domain, ball.center, ball.radius)
+    centers, radii = np.asarray(centers, dtype=np.float64), np.asarray(radii, dtype=np.float64)
+    if centers.ndim != 2 or centers.shape[1] != u.dim or radii.shape != (len(centers),):
+        raise ValueError("ball and field dimensions differ")
+    if not np.isfinite(centers).all():
+        raise ValueError("ball center must be finite")
+    if not (np.isfinite(radii) & (radii > 0)).all():
+        raise ValueError("ball radius must be positive and finite")
+    out: list = [None] * len(radii)
+    for i in np.flatnonzero(~balls_in_one_primitive(u.domain, centers, radii)).tolist():
+        ok, direction = ball_in_region(u.domain, centers[i], float(radii[i]))
         if not ok:
-            out.append(ContainmentError(ball.center, ball.radius, direction))
-        elif exact:
-            out.append(MeanResult(_exact_ball_mean(u, ball), 0.0, 1, "exact"))
-        else:
-            out.append(None)
-            sampled.append(i)
-    if not sampled:
+            out[i] = ContainmentError(tuple(centers[i].tolist()), float(radii[i]), direction)
+    contained = [i for i, res in enumerate(out) if res is None]
+    if u.kind == "constant" or spec.method == "auto" and (
+            u.kind == "harmonic" or _disjoint_disk_support(u) is not None):
+        for i, mean in zip(contained, _exact_ball_means(u, centers[contained], radii[contained])):
+            out[i] = MeanResult(mean, 0.0, 1, "exact")
         return out
     method = "stratified" if spec.method == "auto" else spec.method
     stratified = method == "stratified"
@@ -365,10 +372,10 @@ def _ball_means(u: Field, balls: list[Ball], spec: QuadratureSpec, labels: list[
     def base(seed: int, batch: int, chunk: int, size: int) -> tuple:
         return _ball_base(_cube_samples(size, u.dim, _rng(seed, batch, chunk), stratified))
 
-    places = [partial(_place_in_ball, center=np.asarray(balls[i].center, dtype=np.float64), radius=balls[i].radius)
-              for i in sampled]
-    means = iter(_sample_means(spec, method, u, base, _seeds(spec, labels, sampled), places))
-    return [next(means) if res is None else res for res in out]
+    places = [partial(_place_in_ball, center=centers[i], radius=float(radii[i])) for i in contained]
+    for i, mean in zip(contained, _sample_means(spec, method, u, base, _seeds(spec, labels, contained), places)):
+        out[i] = mean
+    return out
 
 
 def mean_over_image(u: Field, d: MarkedSet, h: Similarity, spec: QuadratureSpec = QuadratureSpec()) -> MeanResult:

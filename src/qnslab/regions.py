@@ -451,14 +451,14 @@ def _has_triple_bbox_overlap(prims, overlaps) -> bool:
 def ball_in_region(region: Region, center, radius: float):
     """Whether the closed ball lies inside the region.
 
-    Exact when the ball fits in a single primitive; otherwise checked by
-    sampling ``_BALL_DIRS`` boundary directions (approximate, documented).  Returns
-    ``(True, None)`` or ``(False, witness_direction)``.
+    Exact when the ball fits in a single primitive (the one-ball case of
+    ``balls_in_one_primitive``); otherwise checked by sampling ``_BALL_DIRS``
+    boundary directions (approximate, documented).  Returns ``(True, None)``
+    or ``(False, witness_direction)``.
     """
     c = as_point(center, region.dim)
-    for p in region.primitives:
-        if _ball_in_primitive(p, c, radius):
-            return True, None
+    if balls_in_one_primitive(region, c[None, :], np.asarray([radius], dtype=np.float64))[0]:
+        return True, None
     if region.dim == 2:
         theta = np.linspace(0.0, 2.0 * math.pi, _BALL_DIRS, endpoint=False)
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -474,17 +474,30 @@ def ball_in_region(region: Region, center, radius: float):
     return True, None
 
 
-def _ball_in_primitive(p: Primitive, c: np.ndarray, r: float) -> bool:
+def balls_in_one_primitive(region: Region, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Which closed balls, given as ``(P, dim)`` centers and ``(P,)`` radii,
+    lie inside a single primitive of the region: exact, a bool per ball."""
+    held = np.zeros(len(radii), dtype=bool)
+    for p in region.primitives:
+        held |= _balls_in_primitive(p, centers, radii)
+    return held
+
+
+def _balls_in_primitive(p: Primitive, c: np.ndarray, r: np.ndarray) -> np.ndarray:
     if isinstance(p, Ball):
-        d = float(np.linalg.norm(c - np.asarray(p.center)))
-        return d + r <= p.radius if p.closed else d + r < p.radius
+        reach = np.sqrt(np.square(c - np.asarray(p.center)).sum(axis=1)) + r
+        return reach <= p.radius if p.closed else reach < p.radius
     if isinstance(p, Rect):
-        if p.closed:
-            return all(p.lo[k] <= c[k] - r and c[k] + r <= p.hi[k] for k in range(p.dim))
-        return all(p.lo[k] < c[k] - r and c[k] + r < p.hi[k] for k in range(p.dim))
-    if not _cached(p, "_region", lambda: Region((p,))).contains(c):
-        return False
-    return _primitive_inner_dist(p, c) > r
+        lo, hi, r = np.asarray(p.lo), np.asarray(p.hi), r[:, None]
+        inside = (lo <= c - r) & (c + r <= hi) if p.closed else (lo < c - r) & (c + r < hi)
+        return inside.all(axis=1)
+    # a polygon holds the ball when it holds the center and every edge is farther than r
+    a = np.asarray(p.vertices)
+    ab = np.roll(a, -1, axis=0) - a
+    t = np.fmin(np.fmax(((c[:, None, :] - a) * ab).sum(axis=2) / (ab * ab).sum(axis=1), 0.0), 1.0)
+    edge_dist = np.sqrt(np.square(c[:, None, :] - (a + t[:, :, None] * ab)).sum(axis=2))
+    inside = _cached(p, "_region", lambda: Region((p,))).contains_many(c).astype(bool)
+    return inside & (edge_dist.min(axis=1) > r)
 
 
 @dataclass(frozen=True, eq=False)

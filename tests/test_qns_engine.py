@@ -8,7 +8,7 @@ import pytest
 
 from qnslab import qns_engine, quadrature
 from qnslab.fields import DomainError, Field, constant_field, indicator_field
-from qnslab.geometry import Ball, Similarity, SimilarityArray, lens_area, lens_constant
+from qnslab.geometry import Ball, Similarity, lens_area, lens_constant
 from qnslab.qns_engine import (
     BallProbeGrid,
     ScaleFunction,
@@ -217,10 +217,14 @@ def record_probe_arrays(monkeypatch, name):
     original = getattr(qns_engine, name)
 
     def recording(u, *rest):
-        *head, probes, spec = rest
         outcomes = original(u, *rest)
         arrays.append(len(outcomes))
-        singles = probes.similarities() if isinstance(probes, SimilarityArray) else probes
+        if name == "_ball_means":  # (centers, radii, spec)
+            centers, radii, spec = rest
+            head, singles = [], [Ball(tuple(c), r) for c, r in zip(centers.tolist(), radii.tolist())]
+        else:  # (d, probes, spec)
+            *head, probes, spec = rest
+            singles = probes.similarities()
         for probe, outcome in zip(singles, outcomes):
             calls.append(((u, *head, probe, spec), len(arrays), outcome))
         return outcomes
@@ -333,20 +337,22 @@ class TestCommonRandomNumbers:
         assert drawn and all(ref() is None for ref in drawn)
 
     def test_ball_battery_evaluates_each_center_once(self, monkeypatch):
+        # u(center) is one call on the battery's centers, not one call per center
         evaluated = []
-        evaluate = Field.evaluate_many
+        values = Field.values
 
-        def recording(self, pts, check_domain=True):
-            if len(pts) == 1:
-                evaluated.append(tuple(pts[0]))
-            return evaluate(self, pts, check_domain)
+        def recording(self, pts):
+            evaluated.append(np.array(pts))
+            return values(self, pts)
 
-        monkeypatch.setattr(Field, "evaluate_many", recording)
+        monkeypatch.setattr(Field, "values", recording)
         centers, radii = self.GRID.centers(OMEGA), self.GRID.radii(OMEGA)
         admitted, skipped = qns_engine._ball_probes(CHI, centers, radii, self.SPEC)
         assert skipped > 0 and skipped + len(admitted) == len(centers) * len(radii)
         assert [p.idx for p in admitted] == sorted({p.idx for p in admitted})
-        assert evaluated == list(dict.fromkeys(p.center for p in admitted))
+        assert sum(pts.shape == centers.shape and bool((pts == centers).all()) for pts in evaluated) == 1
+        assert not any(len(pts) < len(centers) for pts in evaluated)
+        assert all(p.value == float(values(CHI, np.asarray([p.center]))[0]) for p in admitted)
         rep = check_K(CHI, OMEGA, 3.0, self.GRID, self.SPEC)
         assert (rep.probes_used, rep.probes_skipped) == (len(admitted), skipped)
 

@@ -1,12 +1,13 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qnslab.fields import DomainError, Field, constant_field, harmonic_field, indicator_field
 from qnslab.geometry import Ball, Similarity, SimilarityArray, lens_area, lens_constant
-from qnslab import quadrature
+from qnslab import quadrature, regions
 from qnslab.quadrature import (
     ContainmentError,
     QuadratureSpec,
@@ -21,6 +22,11 @@ from qnslab.regions import MarkedSet, Polygon, Rect, Region
 OMEGA = Region((Ball((0.0, 0.0), 4.0),))
 SUPPORT = Region((Ball((0.0, 0.0), 1.0, closed=True),))
 CHI = indicator_field(SUPPORT, OMEGA)
+
+
+def ball_arrays(balls):
+    """The ``(centers, radii)`` probe array of a list of balls."""
+    return np.asarray([b.center for b in balls]), np.asarray([b.radius for b in balls])
 
 
 class TestSpecValidation:
@@ -114,7 +120,7 @@ class TestSampleMemo:
     @pytest.mark.parametrize("method", ["mc", "stratified"])
     def test_ball_array_matches_one_probe_calls(self, method):
         spec = QuadratureSpec(method=method, target_rel_error=0.01, max_samples=30_000, seed=11, workers=2)
-        outcomes = quadrature._ball_means(CHI, list(self.BALLS), spec)
+        outcomes = quadrature._ball_means(CHI, *ball_arrays(self.BALLS), spec)
         assert isinstance(outcomes[3], ContainmentError)
         assert len({res.n_samples for res in outcomes if not isinstance(res, Exception)}) > 1
         self.assert_matches_one_probe_calls(outcomes, lambda b: mean_over_ball(CHI, b, spec), self.BALLS)
@@ -124,7 +130,7 @@ class TestSampleMemo:
         u = indicator_field(Region((Ball((0.0, 0.0, 0.0), 1.0, closed=True),)), omega)
         spec = QuadratureSpec(method="mc", target_rel_error=0.01, max_samples=20_000, seed=12)
         balls = [Ball((0.5, 0.0, 0.0), 1.0), Ball((0.0, 0.5, 0.2), 0.8), Ball((1.2, 0.0, 0.0), 0.6)]
-        outcomes = quadrature._ball_means(u, balls, spec)
+        outcomes = quadrature._ball_means(u, *ball_arrays(balls), spec)
         self.assert_matches_one_probe_calls(outcomes, lambda b: mean_over_ball(u, b, spec), balls)
 
     def test_image_array_matches_one_probe_calls(self):
@@ -155,7 +161,7 @@ class TestSampleMemo:
             return _original(seed, label)
 
         monkeypatch.setattr(quadrature, "derive_seed", counting)
-        outcomes = quadrature._ball_means(CHI, list(self.BALLS), spec, labels)
+        outcomes = quadrature._ball_means(CHI, *ball_arrays(self.BALLS), spec, labels)
         assert isinstance(outcomes[3], ContainmentError)
         methods = {res.method for res in outcomes if not isinstance(res, Exception)}
         assert methods == ({"exact"} if method == "auto" else {method})
@@ -257,7 +263,7 @@ class TestWorkerIndependence:
 
         def outcomes(workers):
             w = replace(spec, workers=workers)
-            return (comparable(quadrature._ball_means(DISK_RECT, self.BALLS, w, labels)),
+            return (comparable(quadrature._ball_means(DISK_RECT, *ball_arrays(self.BALLS), w, labels)),
                     comparable(quadrature._image_means(DISK_RECT, d, self.IMAGES, w, labels)))
 
         balls_out, images_out = outcomes(1)
@@ -275,9 +281,72 @@ class TestWorkerIndependence:
 
         monkeypatch.setattr(quadrature, "ThreadPoolExecutor", Recording)
         spec = QuadratureSpec(method="mc", target_rel_error=1e-4, max_samples=8192, seed=21, workers=2)
-        quadrature._ball_means(DISK_RECT, self.BALLS, spec)
+        quadrature._ball_means(DISK_RECT, *ball_arrays(self.BALLS), spec)
         # batches of 4096 points, one chunk each, with three running probes in two slices
         assert tasks == [(2, 2), (2, 2)]
+
+
+# Two overlapping disks joined by a rect: some probe balls fit one primitive,
+# some span two and take the sampled check, and some leave the domain.
+SPANNED = Region((Ball((-1.0, 0.0), 1.5), Ball((1.0, 0.0), 1.5), Rect((-1.0, -0.5), (3.0, 0.5))))
+
+
+class TestBallArrays:
+    """A ``(centers, radii)`` probe array equals one-probe ``mean_over_ball`` calls, bit for bit."""
+
+    RNG = np.random.Generator(np.random.PCG64(90))
+    # random balls, then three that only the union of the two disks holds
+    CENTERS = np.concatenate([RNG.uniform(-2.0, 2.5, (60, 2)) * np.array([1.0, 0.4]),
+                              [[0.0, 0.0], [0.0, 0.2], [0.3, -0.1]]])
+    RADII = np.concatenate([RNG.uniform(0.05, 1.2, 60), [1.0, 0.9, 0.95]])
+
+    @staticmethod
+    def assert_matches_one_probe_calls(u, centers, radii, outcomes, spec_of):
+        assert len(outcomes) == len(radii)
+        for i, (c, r, outcome) in enumerate(zip(centers.tolist(), radii.tolist(), outcomes)):
+            try:
+                alone = mean_over_ball(u, Ball(c, r), spec_of(i))
+            except ContainmentError as exc:
+                assert type(outcome) is ContainmentError and str(outcome) == str(exc)
+                assert (outcome.center, outcome.radius, outcome.direction) == (exc.center, exc.radius, exc.direction)
+            else:
+                assert outcome == alone
+
+    @pytest.mark.parametrize("u", [
+        constant_field(2.5, SPANNED),
+        harmonic_field(10.0, 2.0, SPANNED),
+        indicator_field(Region((Ball((-1.0, 0.0), 0.7, closed=True), Ball((1.2, 0.2), 0.5))), SPANNED),
+    ], ids=["constant", "harmonic", "disjoint-disks"])
+    def test_exact_kinds(self, u):
+        spec = QuadratureSpec(seed=4)
+        outcomes = quadrature._ball_means(u, self.CENTERS, self.RADII, spec)
+        held = regions.balls_in_one_primitive(SPANNED, self.CENTERS, self.RADII)
+        refused = [isinstance(res, ContainmentError) for res in outcomes]
+        assert 0 < sum(refused) < sum(~held) < len(outcomes)  # some balls pass the sampled check
+        assert {res.method for res in outcomes if not isinstance(res, Exception)} == {"exact"}
+        self.assert_matches_one_probe_calls(u, self.CENTERS, self.RADII, outcomes, lambda i: spec)
+
+    def test_labeled_mc_probes(self):
+        u = indicator_field(Region((Rect((-0.5, -0.5), (0.5, 0.5), closed=True),)), SPANNED)
+        spec = QuadratureSpec(method="mc", target_rel_error=0.05, max_samples=8192, seed=6)
+        centers, radii = self.CENTERS[:20], self.RADII[:20]
+        labels = [f"probe:{i}" for i in range(len(radii))]
+        outcomes = quadrature._ball_means(u, centers, radii, spec, labels)
+        assert any(isinstance(res, ContainmentError) for res in outcomes)
+        assert {res.method for res in outcomes if not isinstance(res, Exception)} == {"mc"}
+        self.assert_matches_one_probe_calls(u, centers, radii, outcomes, lambda i: spec.child(labels[i]))
+
+    @pytest.mark.parametrize("center, radius, message", [
+        ((0.0, 0.0), 0.0, "radius"), ((0.0, 0.0), -1.0, "radius"), ((0.0, 0.0), math.nan, "radius"),
+        ((0.0, 0.0), math.inf, "radius"), ((math.nan, 0.0), 1.0, "center"), ((0.0, -math.inf), 1.0, "center"),
+        ((0.0, 0.0, 0.0), 1.0, "dimension"),
+    ])
+    def test_invalid_balls_are_rejected(self, center, radius, message):
+        with pytest.raises(ValueError, match=message):
+            quadrature._ball_means(CHI, np.asarray([center]), np.asarray([radius]), QuadratureSpec())
+        # a stand-in for Ball, which validates on its own, reaches the array path unchecked
+        with pytest.raises(ValueError, match=message):
+            mean_over_ball(CHI, SimpleNamespace(center=center, radius=radius), QuadratureSpec())
 
 
 class TestMeanOverBall:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnslab import regions
 from qnslab.geometry import Ball, Similarity, lens_area
@@ -13,6 +15,7 @@ from qnslab.regions import (
     Rect,
     Region,
     ball_in_region,
+    balls_in_one_primitive,
     load_region,
     region_from_json,
     region_to_json,
@@ -219,6 +222,95 @@ class TestBallInRegion:
             assert got == ball_in_region(Region((Polygon(square.vertices), region.primitives[1])), c, r)
         opened = Region(tuple(regions._as_open(p) for p in region.primitives))
         assert interior == [opened.contains(c) for c, _ in balls]
+
+
+def ball_in_primitive_oracle(p, c, r):
+    """The one-ball containment test as it stood before the array form, kept as the oracle."""
+    if isinstance(p, Ball):
+        d = float(np.linalg.norm(c - np.asarray(p.center)))
+        return d + r <= p.radius if p.closed else d + r < p.radius
+    if isinstance(p, Rect):
+        if p.closed:
+            return all(p.lo[k] <= c[k] - r and c[k] + r <= p.hi[k] for k in range(p.dim))
+        return all(p.lo[k] < c[k] - r and c[k] + r < p.hi[k] for k in range(p.dim))
+    if not Region((p,)).contains(c):
+        return False
+    v = [np.asarray(vert, dtype=np.float64) for vert in p.vertices]
+
+    def segment_dist(a, b):
+        ab = b - a
+        t = float(np.dot(c - a, ab) / np.dot(ab, ab))
+        t = min(1.0, max(0.0, t))
+        return float(np.linalg.norm(c - (a + t * ab)))
+
+    return min(segment_dist(v[i], v[(i + 1) % len(v)]) for i in range(len(v))) > r
+
+
+COORD = st.floats(min_value=-3.0, max_value=3.0)
+# Dyadic coordinates with few bits: the sums, differences and 3-4-5 and 1-2-2
+# distances built from them are exact, so a tangent ball has d + r == R (or
+# c - r == lo) exactly in floating point.
+DYADIC = st.integers(min_value=-24, max_value=24).map(lambda k: k / 8.0)
+EXTENT = st.integers(min_value=1, max_value=24).map(lambda k: k / 8.0)
+
+
+@st.composite
+def primitives(draw, kind):
+    closed = draw(st.booleans())
+    dim = draw(st.sampled_from([2, 3])) if kind in ("ball", "rect") else 2
+    if kind == "ball":
+        return Ball(tuple(draw(DYADIC) for _ in range(dim)), draw(EXTENT), closed)
+    lo = [draw(DYADIC) for _ in range(dim)]
+    hi = [a + draw(EXTENT) for a in lo]
+    if kind == "rect":
+        return Rect(tuple(lo), tuple(hi), closed)
+    if kind == "square":  # an axis-aligned polygon, which has exact tangent balls
+        return Polygon(((lo[0], lo[1]), (hi[0], lo[1]), (hi[0], hi[1]), (lo[0], hi[1])), closed)
+    # star-shaped about the origin, with distinct vertices, so the vertex loop is simple
+    degrees = draw(st.lists(st.integers(0, 359), min_size=3, max_size=8, unique=True))
+    rhos = [draw(st.floats(0.3, 3.0)) for _ in degrees]
+    return Polygon(tuple((rho * math.cos(math.radians(t)), rho * math.sin(math.radians(t)))
+                         for t, rho in zip(sorted(degrees), rhos)), closed)
+
+
+@st.composite
+def tangent_balls(draw, p):
+    """A ball that touches the boundary of a ball, rect or axis-aligned polygon from inside."""
+    j = draw(st.integers(min_value=1, max_value=31))
+    if isinstance(p, Ball):
+        k = j * p.radius / 256.0  # few bits, and k * dist < radius
+        step, dist = ((3.0, 4.0), 5.0) if p.dim == 2 else ((1.0, 2.0, 2.0), 3.0)
+        return tuple(a + k * s for a, s in zip(p.center, step)), p.radius - k * dist
+    lo, hi = (p.lo, p.hi) if isinstance(p, Rect) else (p.vertices[0], p.vertices[2])
+    r = j * min(b - a for a, b in zip(lo, hi)) / 64.0
+    return (lo[0] + r,) + tuple((a + b) / 2.0 for a, b in zip(lo[1:], hi[1:])), r
+
+
+class TestBallsInOnePrimitive:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_the_scalar_oracle(self, data):
+        kind = data.draw(st.sampled_from(["ball", "rect", "square", "polygon"]))
+        p = data.draw(primitives(kind))
+        balls = data.draw(st.lists(st.tuples(st.tuples(*[COORD] * p.dim), st.floats(1e-3, 3.0)),
+                                   min_size=1, max_size=12))
+        tangent = data.draw(st.lists(tangent_balls(p), max_size=4)) if kind != "polygon" else []
+        centers = np.asarray([c for c, _ in balls + tangent], dtype=np.float64)
+        radii = np.asarray([r for _, r in balls + tangent], dtype=np.float64)
+        held = regions._balls_in_primitive(p, centers, radii)
+        assert held.tolist() == [ball_in_primitive_oracle(p, c, float(r)) for c, r in zip(centers, radii)]
+        # a tangent ball is held only by a closed ball or rect
+        assert held[len(balls):].tolist() == [p.closed and not isinstance(p, Polygon)] * len(tangent)
+
+    def test_region_holds_a_ball_that_one_of_its_primitives_holds(self):
+        region = Region((Ball((0.0, 0.0), 1.0), Rect((0.5, -0.5), (3.0, 0.5), closed=True),
+                         Polygon(((-3.0, -3.0), (-1.0, -3.0), (-1.0, -1.0)))))
+        centers = np.array([[0.0, 0.0], [2.5, 0.0], [2.5, 0.0], [-1.5, -2.5], [0.9, 0.0], [8.0, 8.0]])
+        radii = np.array([0.5, 0.5, 0.6, 0.1, 0.45, 1.0])
+        held = balls_in_one_primitive(region, centers, radii)
+        assert held.tolist() == [True, True, False, True, False, False]
+        assert held.tolist() == [any(ball_in_primitive_oracle(p, c, r) for p in region.primitives)
+                                 for c, r in zip(centers, radii)]
 
 
 class TestRadialProfile:
