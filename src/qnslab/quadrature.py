@@ -35,19 +35,23 @@ the (batch, chunk) index and the chunk size (and, for image means, of the
 marked set D): radius-free factors of uniform unit-ball points (exactly the
 points ``sample_in_ball`` draws from that stream), or every candidate that the
 rejection loop accepts in D, over-draw included.  The per-probe step maps it by
-``c + r*x`` or by ``h`` and evaluates the field.  An image mean maps the whole
-over-draw and checks it against the domain only when h(D) is not certified
-inside the domain; a certified image maps just the first ``size`` candidates
-of each chunk, the ones that enter the mean.  Means take an array of probes
-(``_ball_means``, ``_image_means``); ``mean_over_ball`` and ``mean_over_image``
-are their one-probe cases.  The loop runs batch-major and draws each chunk's
-base sample once per seed.  Without labels every probe runs on the spec seed:
-each ``qns_engine`` battery is one such array, so its probes share common
-random numbers and their errors are correlated.  The ``counterexample``
-certificates are arrays with per-probe labels: probe i runs on the seed of
-``spec.child(labels[i])``, independent of the others, and only a probe that
-samples derives a seed.  Either way a probe's outcome equals a one-probe call
-on its spec bit for bit.
+``c + r*x`` or by ``h`` and evaluates the field.  A ball chunk runs in blocks
+of ``_BLOCK`` samples, drawn, placed and evaluated one at a time into a
+chunk-length buffer of values that is summed whole, so results are bit for bit
+those of a whole-chunk evaluation; an image chunk is one block.  An image mean
+maps the whole over-draw and checks it against the domain only when h(D) is not
+certified inside the domain; a certified image maps just the first ``size``
+candidates of each chunk, the ones that enter the mean.  Means take an array of
+probes (``_ball_means``, ``_image_means``); ``mean_over_ball`` and
+``mean_over_image`` are their one-probe cases.  The loop runs batch-major and
+draws each chunk's base sample once per seed: a seed with one probe in a task
+streams its blocks, and a seed that several probes share is held as a list.
+Without labels every probe runs on the spec seed: each ``qns_engine`` battery
+is one such array, so its probes share common random numbers and their errors
+are correlated.  The ``counterexample`` certificates are arrays with per-probe
+labels: probe i runs on the seed of ``spec.child(labels[i])``, independent of
+the others, and only a probe that samples derives a seed.  Either way a probe's
+outcome equals a one-probe call on its spec bit for bit.
 """
 
 from __future__ import annotations
@@ -149,30 +153,35 @@ def _place_in_ball(base: tuple, center: np.ndarray, radius: float) -> np.ndarray
         np.multiply(r_sin, cos_phi, out=pts[:, 0])
         np.multiply(r_sin, sin_phi, out=pts[:, 1])
         np.multiply(r, cos_t, out=pts[:, 2])
-    pts += center
+    for k in range(center.size):  # by column: a broadcast over N x dim runs a dim-long inner loop
+        pts[:, k] += center[k]
     return pts
 
 
-def _cube_samples(n: int, dim: int, rng: np.random.Generator, stratified: bool) -> np.ndarray:
-    """n points of the unit cube; stratified: one jittered point per cell of a
-    g^dim grid with g^dim <= n, and the remaining n - g^dim points uniform."""
-    if not stratified:
-        return rng.random((n, dim))
-    g = max(int(round(n ** (1.0 / dim))), 1)
+# Samples per block.  A chunk is drawn, placed and evaluated one block at a
+# time, so its temporaries stay cache-sized and are not re-faulted per chunk.
+_BLOCK = 2**13
+
+
+def _cube_blocks(n: int, dim: int, rng: np.random.Generator, stratified: bool):
+    """n points of the unit cube in blocks of at most ``_BLOCK`` rows: the values of one
+    ``rng.random((n, dim))`` draw, except that stratified, the first g^dim <= n rows
+    are one jittered point per cell of a g^dim grid, cells in C order."""
+    g = max(int(round(n ** (1.0 / dim))), 1) if stratified else 0
     while g**dim > n:
         g -= 1
-    axes = np.meshgrid(*[np.arange(g)] * dim, indexing="ij")
-    cells = np.stack([a.ravel() for a in axes], axis=1).astype(np.float64)
-    jitter = rng.random(cells.shape)
-    strata = (cells + jitter) / g
-    if cells.shape[0] == n:
-        return strata
-    return np.concatenate([strata, rng.random((n - cells.shape[0], dim))])
+    for lo in range(0, max(n, 1), _BLOCK):  # n = 0 gives one empty block
+        block = rng.random((min(n - lo, _BLOCK), dim))
+        k = min(max(g**dim - lo, 0), len(block))  # the rows of the block that lie in a cell
+        if k:
+            cells = np.stack(np.unravel_index(np.arange(lo, lo + k), (g,) * dim), axis=1)
+            block[:k] = (cells + block[:k]) / g
+        yield block
 
 
 def sample_in_ball(center, radius: float, n: int, rng: np.random.Generator, stratified: bool = False) -> np.ndarray:
     center = np.asarray(center, dtype=np.float64)
-    return _place_in_ball(_ball_base(_cube_samples(n, center.size, rng, stratified)), center, radius)
+    return _place_in_ball(_ball_base(np.concatenate([*_cube_blocks(n, center.size, rng, stratified)])), center, radius)
 
 
 def _reduce_chunks(spec: QuadratureSpec, task_fn: Callable[[int], object], n_tasks: int) -> list:
@@ -201,17 +210,18 @@ def _sample_means(spec: QuadratureSpec, method: str, u: Field, base: Callable[[i
                   seeds: list[int], places: list[Callable[[object], np.ndarray]]) -> list:
     """The batching loop of every sampled mean, batch-major over a probe array.
 
-    ``base(seed, batch, chunk, size)`` draws one chunk's base sample on a
-    seed, and probe i runs on ``seeds[i]``.  A task runs one chunk for the
-    running probes, or for a slice of them when the batch has fewer chunks
-    than workers.  Each chunk is drawn once per seed: the probes of a task
-    that share a seed share its draw, which is dropped before the last of
-    them is evaluated, and a seed shared across slices is drawn before the
-    tasks start and held until they end.  ``places[i]`` maps the draw to
-    probe i's points, where ``u`` is evaluated.  Every probe sees the same
-    chunk layout and stops on its own error target or at the sample cap.
-    The outcome of a probe is its ``MeanResult``, or the ``DomainError``
-    that its place raised on its first failing chunk.
+    ``base(seed, batch, chunk, size)`` returns one chunk's base sample on a
+    seed as blocks, drawn as they are read, and probe i runs on ``seeds[i]``.
+    A task runs one chunk for the running probes, or for a slice of them
+    when the batch has fewer chunks than workers.  Each chunk is drawn once
+    per seed: a seed with one probe in the task streams its blocks, probes of
+    the task that share a seed share a list of them, and a seed shared
+    across slices is drawn before the tasks start and held until they end.
+    ``places[i]`` maps a block to probe i's points, where ``u`` is evaluated
+    into the task's chunk-length buffer of values, summed whole.  Every probe
+    sees the same chunk layout and stops on its own error target or at the
+    sample cap.  The outcome of a probe is its ``MeanResult``, or the
+    ``DomainError`` that its place raised on its first failing chunk.
     """
     out: list = [None] * len(places)
     s1 = [0.0] * len(places)
@@ -234,25 +244,31 @@ def _sample_means(spec: QuadratureSpec, method: str, u: Field, base: Callable[[i
             spanning |= seen & here
             seen |= here
         # a seed whose probes fall in several slices is drawn once per chunk, up front
-        shared = [{seed: base(seed, batch_index, i, sizes[i]) for seed in spanning} for i in range(n_chunks)]
+        shared = [{seed: list(base(seed, batch_index, i, sizes[i])) for seed in spanning} for i in range(n_chunks)]
 
         def run(task: int, _sizes=sizes, _b=batch_index, _slices=slices, _shared=shared) -> list:
             i, probes = task // len(_slices), _slices[task % len(_slices)]
             last = {seeds[p]: p for p in probes}  # the last probe of the task on each seed
             held = dict(_shared[i])
+            vals = np.empty(_sizes[i])
             sums = []
             for p in probes:
                 seed = seeds[p]
-                if seed not in held:
-                    held[seed] = base(seed, _b, i, _sizes[i])
+                if seed not in held:  # probes that share a seed share a list of its blocks; a lone one streams
+                    blocks = base(seed, _b, i, _sizes[i])
+                    held[seed] = blocks if last[seed] == p else list(blocks)
+                blocks = held.pop(seed) if last[seed] == p else held[seed]
                 try:
-                    # the last probe on a seed evaluates without its base held
-                    pts = places[p](held.pop(seed) if last[seed] == p else held[seed])
+                    lo = 0
+                    for block in blocks:
+                        pts = places[p](block)
+                        vals[lo:lo + len(pts)] = u.evaluate_many(pts, check_domain=False)
+                        lo += len(pts)
                 except DomainError as exc:
                     sums.append(exc)
-                    continue
-                vals = u.evaluate_many(pts, check_domain=False)
-                sums.append((float(vals.sum()), float((vals * vals).sum())))
+                else:
+                    # per-block sums would round differently; vals is squared in place once summed
+                    sums.append((float(vals.sum()), float(np.multiply(vals, vals, out=vals).sum())))
             return sums
 
         # tasks run chunk-major, so each probe's chunk sums add in chunk order
@@ -369,8 +385,8 @@ def _ball_means(u: Field, centers: np.ndarray, radii: np.ndarray, spec: Quadratu
     method = "stratified" if spec.method == "auto" else spec.method
     stratified = method == "stratified"
 
-    def base(seed: int, batch: int, chunk: int, size: int) -> tuple:
-        return _ball_base(_cube_samples(size, u.dim, _rng(seed, batch, chunk), stratified))
+    def base(seed: int, batch: int, chunk: int, size: int):
+        return map(_ball_base, _cube_blocks(size, u.dim, _rng(seed, batch, chunk), stratified))
 
     places = [partial(_place_in_ball, center=centers[i], radius=float(radii[i])) for i in contained]
     for i, mean in zip(contained, _sample_means(spec, method, u, base, _seeds(spec, labels, contained), places)):
@@ -420,9 +436,9 @@ def _image_means(u: Field, d: MarkedSet, probes: SimilarityArray, spec: Quadratu
                 out[i] = exc
         return out
 
-    def base(seed: int, batch: int, chunk: int, size: int) -> tuple:
+    def base(seed: int, batch: int, chunk: int, size: int) -> list:
         drawn = _image_base(d, seed, batch, chunk, size)
-        return drawn[:size], drawn
+        return [(drawn[:size], drawn)]  # one block: a split rejection draw would change the stream
 
     def place(h: Similarity, proven: bool) -> Callable[[tuple], np.ndarray]:
         def mapped(sample: tuple) -> np.ndarray:
@@ -488,6 +504,14 @@ def _vertices(p) -> list:
     return list(p.vertices)
 
 
+def _in_box(cube: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """``lo + cube * span`` in place, by column, as in ``_place_in_ball``."""
+    for k in range(cube.shape[1]):
+        cube[:, k] *= span[k]
+        cube[:, k] += lo[k]
+    return cube
+
+
 def _image_base(d: MarkedSet, seed: int, batch: int, chunk: int, size: int) -> np.ndarray:
     """Every candidate the rejection loop accepts in D until it holds ``size``."""
     rng = _rng(seed, batch, chunk)
@@ -497,7 +521,7 @@ def _image_base(d: MarkedSet, seed: int, batch: int, chunk: int, size: int) -> n
     n = 0
     attempts = 0
     while n < size and attempts < 64:
-        cand = lo + rng.random((2 * size, d.dim)) * span
+        cand = _in_box(rng.random((2 * size, d.dim)), lo, span)
         cand = cand[d.region.contains_many(cand).astype(bool)]
         kept.append(cand)
         n += len(cand)
@@ -516,5 +540,5 @@ def _containment_sample(d: MarkedSet, seed: int) -> np.ndarray:
     """Up to ``_CONTAINMENT_SAMPLES`` uniform points of D, on the ``"containment"`` child of ``seed``."""
     lo, hi = d.region.bbox
     rng = _rng(derive_seed(seed, "containment"), 0)
-    cand = lo + rng.random((4 * _CONTAINMENT_SAMPLES, d.dim)) * (hi - lo)
+    cand = _in_box(rng.random((4 * _CONTAINMENT_SAMPLES, d.dim)), lo, hi - lo)
     return cand[d.region.contains_many(cand).astype(bool)][:_CONTAINMENT_SAMPLES]

@@ -303,7 +303,7 @@ class TestCommonRandomNumbers:
         assert_matches_standalone(calls, quadrature.mean_over_image, self.SPEC)
 
     def test_rerun_is_identical_and_memo_is_dropped(self, monkeypatch):
-        # no battery keeps a base sample once it returns
+        # no battery keeps a base sample, or one of its blocks, once it returns
         drawn = []
 
         def tracking(name):
@@ -371,7 +371,8 @@ class TestCommonRandomNumbers:
     def test_each_base_is_drawn_once_per_battery(self, monkeypatch, resolution):
         spec = replace(self.SPEC, workers=2)
         draws = {}
-        for name in ("_ball_base", "_image_base"):
+        # the chunk-level draws: _cube_blocks per (seed, batch, chunk) of a ball mean, _image_base of an image mean
+        for name in ("_cube_blocks", "_image_base"):
             def counting(*args, _name=name, _original=getattr(quadrature, name)):
                 draws[_name] = draws.get(_name, 0) + 1
                 return _original(*args)
@@ -383,7 +384,7 @@ class TestCommonRandomNumbers:
         estimate_K(CHI, OMEGA, grid, spec)
         sims = SimilarityProbeGrid(center_resolution=resolution, scales_per_center=3, scale_range=(0.2, 0.9))
         generalized_test(CHI, OMEGA, MarkedSet(Region((Ball((0.0, 0.0), 1.0),)), (0.0, 0.0)), None, sims, spec)
-        for name, calls in (("_ball_base", ball_calls), ("_image_base", image_calls)):
+        for name, calls in (("_cube_blocks", ball_calls), ("_image_base", image_calls)):
             sampled = [res.n_samples for _, _, res in calls if not isinstance(res, Exception)]
             assert len(sampled) > 1
             assert draws[name] == self.chunk_pairs(spec, max(sampled))

@@ -1,23 +1,33 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qnslab.fields import DomainError, Field, constant_field, harmonic_field, indicator_field
+from qnslab.fields import (
+    DomainError,
+    Field,
+    constant_field,
+    harmonic_field,
+    indicator_field,
+    radial_bump_field,
+    sum_field,
+)
 from qnslab.geometry import Ball, Similarity, SimilarityArray, lens_area, lens_constant
 from qnslab import quadrature, regions
 from qnslab.quadrature import (
     ContainmentError,
     QuadratureSpec,
-    _cube_samples,
+    _cube_blocks,
     derive_seed,
     mean_over_ball,
     mean_over_image,
     sample_in_ball,
 )
 from qnslab.regions import MarkedSet, Polygon, Rect, Region
+from test_qns_engine import reference_sample_mean
 
 OMEGA = Region((Ball((0.0, 0.0), 4.0),))
 SUPPORT = Region((Ball((0.0, 0.0), 1.0, closed=True),))
@@ -60,16 +70,47 @@ class TestSampling:
         assert abs(m2 - 0.5) < 0.01
 
 
+def joined_blocks(n, dim, rng, stratified):
+    """The blocks of ``_cube_blocks``, joined."""
+    return np.concatenate(list(_cube_blocks(n, dim, rng, stratified)))
+
+
+def reference_cube_samples(n, dim, rng, stratified):
+    """The unit-cube sampler as it was before blocks: one whole draw per chunk."""
+    if not stratified:
+        return rng.random((n, dim))
+    g = max(int(round(n ** (1.0 / dim))), 1)
+    while g**dim > n:
+        g -= 1
+    axes = np.meshgrid(*[np.arange(g)] * dim, indexing="ij")
+    cells = np.stack([a.ravel() for a in axes], axis=1).astype(np.float64)
+    jitter = rng.random(cells.shape)
+    strata = (cells + jitter) / g
+    if cells.shape[0] == n:
+        return strata
+    return np.concatenate([strata, rng.random((n - cells.shape[0], dim))])
+
+
 class TestStratifiedSampler:
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("n", [1, 2025, 2048, 4096, 8192, 9999])
     def test_draws_exactly_n(self, dim, n):
-        cube = _cube_samples(n, dim, np.random.Generator(np.random.PCG64(0)), True)
+        cube = joined_blocks(n, dim, np.random.Generator(np.random.PCG64(0)), True)
         assert cube.shape == (n, dim)
         assert np.all((cube >= 0.0) & (cube < 1.0))
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("stratified", [False, True])
+    # 9999 and 133,333 put the grid's end g^dim inside a block in 2-D
+    @pytest.mark.parametrize("n", [1, 2025, 8191, 8192, 8193, 9999, 133_333, 262_144])
+    def test_blocks_equal_one_whole_draw(self, dim, stratified, n):
+        blocks = list(_cube_blocks(n, dim, np.random.Generator(np.random.PCG64(n)), stratified))
+        assert all(len(b) <= quadrature._BLOCK for b in blocks) and len(blocks) == -(-n // quadrature._BLOCK)
+        whole = reference_cube_samples(n, dim, np.random.Generator(np.random.PCG64(n)), stratified)
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
     def test_perfect_square_keeps_one_point_per_cell(self):
-        cube = _cube_samples(4096, 2, np.random.Generator(np.random.PCG64(1)), True)
+        cube = joined_blocks(4096, 2, np.random.Generator(np.random.PCG64(1)), True)
         cells = np.floor(cube * 64).astype(int)
         assert len({tuple(c) for c in cells}) == 4096
 
@@ -87,11 +128,11 @@ class TestStratifiedSampler:
         # 400,001 points, which split into 2 and 3 chunks of non-square sizes
         sizes = []
 
-        def recording(n, *args, _original=_cube_samples):
+        def recording(n, *args, _original=_cube_blocks):
             sizes.append(n)
             return _original(n, *args)
 
-        monkeypatch.setattr(quadrature, "_cube_samples", recording)
+        monkeypatch.setattr(quadrature, "_cube_blocks", recording)
         spec = QuadratureSpec(method="stratified", target_rel_error=1e-4, max_samples=920_193, seed=5)
         res = mean_over_ball(CHI, Ball((1.0, 0.0), 1.0), spec)
         assert sizes == [4096 * 2**k for k in range(6)] + [2**17] * 2 + [133_333, 133_333, 133_335]
@@ -284,6 +325,42 @@ class TestWorkerIndependence:
         quadrature._ball_means(DISK_RECT, *ball_arrays(self.BALLS), spec)
         # batches of 4096 points, one chunk each, with three running probes in two slices
         assert tasks == [(2, 2), (2, 2)]
+
+
+class TestBlocks:
+    """A chunk runs through blocks of ``_BLOCK`` samples, with the results of one whole-chunk evaluation."""
+
+    BUMP = radial_bump_field((0.3, -0.2), 1.3, 2.0, OMEGA)
+    FIELDS = {"bump": BUMP, "sum": sum_field([(0.7, BUMP), (1.3, DISK_RECT)], OMEGA)}
+
+    @pytest.mark.parametrize("field", ["bump", "sum"])
+    @pytest.mark.parametrize("method", ["mc", "stratified"])
+    def test_two_million_sample_means_equal_whole_chunk_evaluation(self, field, method):
+        u, ball = self.FIELDS[field], Ball((0.2, 0.1), 2.0)
+        spec = QuadratureSpec(method=method, target_rel_error=1e-6, max_samples=2_000_003, seed=7)
+
+        def whole_chunk(batch, chunk, size):
+            cube = reference_cube_samples(size, 2, quadrature._rng(spec.seed, batch, chunk), method == "stratified")
+            pts = quadrature._place_in_ball(quadrature._ball_base(cube), np.asarray(ball.center), ball.radius)
+            return u.evaluate_many(pts, check_domain=False)
+
+        expected = reference_sample_mean(spec, whole_chunk, method)
+        assert expected.n_samples == 2_000_003
+        assert mean_over_ball(u, ball, spec) == mean_over_ball(u, ball, replace(spec, workers=2)) == expected
+
+    @pytest.mark.parametrize("method", ["mc", "stratified"])
+    def test_chunk_temporaries_stay_block_sized(self, method):
+        # batches of 4096 up to 2^17 points (258,048 in all), then 2^18 points in two chunks of 2^17
+        spec = QuadratureSpec(method=method, target_rel_error=1e-6, max_samples=520_192, seed=5)
+        tracemalloc.start()
+        try:
+            res = mean_over_ball(CHI, Ball((1.0, 0.0), 1.0), spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.n_samples == 520_192
+        # the 1 MiB chunk buffer of values and its square, plus a few blocks
+        assert peak < 4 * 2**20
 
 
 # Two overlapping disks joined by a rect: some probe balls fit one primitive,
