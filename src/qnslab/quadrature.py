@@ -16,19 +16,20 @@ cross-check of the closed forms.  The closed forms, reported as method
 means have no closed form besides constants: they are plain Monte Carlo under
 every method (rejection sampling in D does not stratify) and report ``"mc"``.
 The containment check runs first on every ball path.  A ball probe array is
-``(P, dim)`` centers and ``(P,)`` radii; containment in one primitive and the
-closed forms run over the whole array, and only a ball that no single
-primitive holds takes the per-ball sampled check.  For an image mean, h(D)
-inside the field domain is certified where simple geometry proves it
-(``_images_certified``: in 2-D, every primitive of h(D) inside one ball or
-rect primitive of the domain); otherwise it is checked sample by sample.
+``(P, dim)`` centers and ``(P,)`` radii; containment (``balls_in_region``:
+exact in one primitive, sampled for a ball that no single primitive holds)
+and the closed forms each run as one call over the whole array.  For an
+image mean, h(D) inside the field domain is certified where simple geometry
+proves it (``_images_certified``: in 2-D, every primitive of h(D) inside
+one ball or rect primitive of the domain); otherwise it is checked sample by
+sample.
 
 All randomness is driven by PCG64 streams keyed on a seed, so results are
 bit-identical across runs and depend on the seed, not on the worker count: a
 batch splits into chunks of ``_CHUNK`` samples (one chunk below twice that),
 each chunk draws its own child stream, and chunk sums are reduced in index
-order.  ``spec.workers`` only sizes the thread pool that runs the chunks, or
-slices of each chunk's probes when a batch has fewer chunks than workers.
+order.  ``spec.workers`` only sizes the thread pool that runs a batch's
+chunks, one task per chunk, so a batch of one chunk starts no pool.
 
 A sampled mean is two steps.  The base sample is a pure function of the seed,
 the (batch, chunk) index and the chunk size (and, for image means, of the
@@ -68,7 +69,7 @@ import numpy as np
 
 from .fields import DomainError, Field
 from .geometry import Ball, Similarity, SimilarityArray, lens_area
-from .regions import MarkedSet, Rect, Region, _pair_overlap_kind, ball_in_region, balls_in_one_primitive
+from .regions import MarkedSet, Rect, Region, _pair_overlap_kind, balls_in_region
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -212,11 +213,10 @@ def _sample_means(spec: QuadratureSpec, method: str, u: Field, base: Callable[[i
 
     ``base(seed, batch, chunk, size)`` returns one chunk's base sample on a
     seed as blocks, drawn as they are read, and probe i runs on ``seeds[i]``.
-    A task runs one chunk for the running probes, or for a slice of them
-    when the batch has fewer chunks than workers.  Each chunk is drawn once
-    per seed: a seed with one probe in the task streams its blocks, probes of
-    the task that share a seed share a list of them, and a seed shared
-    across slices is drawn before the tasks start and held until they end.
+    A batch runs one task per chunk, on the ``spec.workers`` pool when it has
+    several chunks, and a task runs its chunk for every running probe.  Each
+    chunk is drawn once per seed: a seed with one running probe streams its
+    blocks, and probes that share a seed share a list of them.
     ``places[i]`` maps a block to probe i's points, where ``u`` is evaluated
     into the task's chunk-length buffer of values, summed whole.  Every probe
     sees the same chunk layout and stops on its own error target or at the
@@ -234,28 +234,16 @@ def _sample_means(spec: QuadratureSpec, method: str, u: Field, base: Callable[[i
         n_chunks = max(batch_size // _CHUNK, 1)
         sizes = [batch_size // n_chunks] * n_chunks
         sizes[-1] += batch_size - sum(sizes)
-        # a probe's chunk sums are computed whole in one task, so slicing only schedules
-        n_slices = min(len(running), -(-spec.workers // n_chunks))
-        cuts = [len(running) * j // n_slices for j in range(n_slices + 1)]
-        slices = [running[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-        seen, spanning = set(), set()
-        for probes in slices:
-            here = {seeds[p] for p in probes}
-            spanning |= seen & here
-            seen |= here
-        # a seed whose probes fall in several slices is drawn once per chunk, up front
-        shared = [{seed: list(base(seed, batch_index, i, sizes[i])) for seed in spanning} for i in range(n_chunks)]
+        last = {seeds[p]: p for p in running}  # the last running probe on each seed
 
-        def run(task: int, _sizes=sizes, _b=batch_index, _slices=slices, _shared=shared) -> list:
-            i, probes = task // len(_slices), _slices[task % len(_slices)]
-            last = {seeds[p]: p for p in probes}  # the last probe of the task on each seed
-            held = dict(_shared[i])
-            vals = np.empty(_sizes[i])
+        def run(i: int) -> list:  # chunk i of this batch, for every running probe
+            held = {}
+            vals = np.empty(sizes[i])
             sums = []
-            for p in probes:
+            for p in running:
                 seed = seeds[p]
                 if seed not in held:  # probes that share a seed share a list of its blocks; a lone one streams
-                    blocks = base(seed, _b, i, _sizes[i])
+                    blocks = base(seed, batch_index, i, sizes[i])
                     held[seed] = blocks if last[seed] == p else list(blocks)
                 blocks = held.pop(seed) if last[seed] == p else held[seed]
                 try:
@@ -271,9 +259,9 @@ def _sample_means(spec: QuadratureSpec, method: str, u: Field, base: Callable[[i
                     sums.append((float(vals.sum()), float(np.multiply(vals, vals, out=vals).sum())))
             return sums
 
-        # tasks run chunk-major, so each probe's chunk sums add in chunk order
-        for task, task_sums in enumerate(_reduce_chunks(spec, run, n_chunks * n_slices)):
-            for p, sums in zip(slices[task % n_slices], task_sums):
+        # tasks come back in chunk order, so each probe's chunk sums add in that order
+        for task_sums in _reduce_chunks(spec, run, n_chunks):
+            for p, sums in zip(running, task_sums):
                 if out[p] is not None:
                     continue
                 if isinstance(sums, DomainError):
@@ -356,9 +344,9 @@ def _ball_means(u: Field, centers: np.ndarray, radii: np.ndarray, spec: Quadratu
     ``(P,)`` radii: one outcome per ball, its ``MeanResult`` or the
     ``ContainmentError`` that refuses it.
 
-    Containment and the closed forms run over the whole array; only a ball
-    that no single primitive of the domain holds takes the per-ball sampled
-    check of ``ball_in_region``.  A mean is closed-form for a constant field
+    Containment is one ``balls_in_region`` call over the whole array, exact
+    for a ball that one primitive of the domain holds and sampled for the
+    others, and the closed forms are one call too.  A mean is closed-form for a constant field
     under every method, and under ``"auto"`` for a harmonic field or the
     indicator of disjoint 2-D disks.  Without ``labels`` every probe runs on
     ``spec``'s seed and the sampled ones share each chunk's base sample; with
@@ -372,10 +360,9 @@ def _ball_means(u: Field, centers: np.ndarray, radii: np.ndarray, spec: Quadratu
     if not (np.isfinite(radii) & (radii > 0)).all():
         raise ValueError("ball radius must be positive and finite")
     out: list = [None] * len(radii)
-    for i in np.flatnonzero(~balls_in_one_primitive(u.domain, centers, radii)).tolist():
-        ok, direction = ball_in_region(u.domain, centers[i], float(radii[i]))
-        if not ok:
-            out[i] = ContainmentError(tuple(centers[i].tolist()), float(radii[i]), direction)
+    ok, directions = balls_in_region(u.domain, centers, radii)
+    for i in np.flatnonzero(~ok).tolist():
+        out[i] = ContainmentError(tuple(centers[i].tolist()), float(radii[i]), directions[i])
     contained = [i for i, res in enumerate(out) if res is None]
     if u.kind == "constant" or spec.method == "auto" and (
             u.kind == "harmonic" or _disjoint_disk_support(u) is not None):

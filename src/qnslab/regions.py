@@ -19,8 +19,12 @@ from . import _kernels_py as kernels
 from .geometry import Ball, Similarity, as_point, lens_area, unit_ball_volume
 
 DEFAULT_BOUNDARY_SAMPLES = 20_000
-# Boundary directions that ball_in_region tests when no single primitive holds the ball.
+# The sampled check of balls_in_region: boundary directions, the multiples of
+# the radius they are tested at, and the balls per membership call, which keep
+# a large probe array's points to a few MB at a time.
 _BALL_DIRS = 64
+_BALL_RHOS = (1.0, 0.7, 0.35)
+_BALL_GROUP = 1024
 _MEASURE_SEED = 20_250_809
 
 
@@ -448,30 +452,38 @@ def _has_triple_bbox_overlap(prims, overlaps) -> bool:
     return False
 
 
-def ball_in_region(region: Region, center, radius: float):
-    """Whether the closed ball lies inside the region.
+def balls_in_region(region: Region, centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, list]:
+    """Which closed balls, given as ``(P, dim)`` centers and ``(P,)`` radii, lie
+    inside the region: ``(ok, directions)``, a bool per ball and per ball the
+    direction that refutes it, or None.
 
-    Exact when the ball fits in a single primitive (the one-ball case of
-    ``balls_in_one_primitive``); otherwise checked by sampling ``_BALL_DIRS``
-    boundary directions (approximate, documented).  Returns ``(True, None)``
-    or ``(False, witness_direction)``.
+    Exact for a ball that one primitive holds (``balls_in_one_primitive``);
+    every other ball is checked by sampling (approximate, documented): the
+    points ``(r*rho)*d + c`` of the ``_BALL_DIRS`` directions d at each rho of
+    ``_BALL_RHOS``, then the center.  A refused ball reports its first missing
+    direction at the first rho that misses, or the zero direction when only
+    its center misses.
     """
-    c = as_point(center, region.dim)
-    if balls_in_one_primitive(region, c[None, :], np.asarray([radius], dtype=np.float64))[0]:
-        return True, None
+    ok = balls_in_one_primitive(region, centers, radii)
+    directions: list = [None] * len(radii)
+    rest = np.flatnonzero(~ok)
     if region.dim == 2:
         theta = np.linspace(0.0, 2.0 * math.pi, _BALL_DIRS, endpoint=False)
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     else:
         dirs = _fibonacci_sphere(_BALL_DIRS)
-    for rho in (1.0, 0.7, 0.35):
-        pts = c + radius * rho * dirs
-        mask = region.contains_many(pts).astype(bool)
-        if not mask.all():
-            return False, tuple(dirs[int(np.argmin(mask))])
-    if not region.contains(c):
-        return False, tuple(dirs[0] * 0.0)
-    return True, None
+    for lo in range(0, len(rest), _BALL_GROUP):
+        group = rest[lo:lo + _BALL_GROUP]
+        c = centers[group]
+        pts = (radii[group][:, None] * np.asarray(_BALL_RHOS))[:, :, None, None] * dirs + c[:, None, None, :]
+        inside = region.contains_many(pts.reshape(-1, region.dim)).reshape(len(group), len(_BALL_RHOS), _BALL_DIRS)
+        missed = inside.min(axis=2) == 0  # (ball, rho): some direction misses
+        first = inside[np.arange(len(group)), missed.argmax(axis=1)].argmin(axis=1)
+        ok[group] = ~missed.any(axis=1) & region.contains_many(c).astype(bool)
+        for i, miss, j in zip(group.tolist(), missed.any(axis=1).tolist(), first.tolist()):
+            if not ok[i]:
+                directions[i] = tuple(dirs[j] if miss else dirs[0] * 0.0)
+    return ok, directions
 
 
 def balls_in_one_primitive(region: Region, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:

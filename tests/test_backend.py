@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from qnslab import _kernels_py
+from qnslab.fields import indicator_field
 from qnslab.geometry import Ball, Similarity
+from qnslab.quadrature import QuadratureSpec, mean_over_ball
 from qnslab.regions import Polygon, Rect, Region, _primitive_bbox
 
 
@@ -59,6 +61,20 @@ def reference_contains_many(dim, types, closed, offsets, payload, pts):
                     j = i
         out[todo] |= hit.astype(np.uint8)
     return out
+
+
+def reference_kernel(dim, types, closed, offsets, payload, boxes, pts):
+    """The reference under the kernel's signature; it ignores the boxes."""
+    return reference_contains_many(dim, types, closed, offsets, payload, pts)
+
+
+RING = tuple(Ball((math.cos(t), math.sin(t)), 0.5) for t in np.linspace(0, 2 * math.pi, 10, endpoint=False))
+GON = Polygon(tuple((math.cos(t), math.sin(t)) for t in np.linspace(0, 2 * math.pi, 24, endpoint=False)))
+NAMED_REGIONS = {
+    "single-ball": Region((Ball((0.0, 0.0), 1.0),)),
+    "10-ball-ring": Region(RING),
+    "ball-rect-24-gon": Region((Ball((0.0, 0.0), 1.0), Rect((-1.0, -1.0), (1.0, 1.0)), GON)),
+}
 
 
 def random_region(rng, dim):
@@ -182,6 +198,24 @@ class TestKernelParity:
             assert_matches_reference(region, pts)
             for q in pts[:200]:
                 assert_matches_reference(region, q[None, :])
+
+    @pytest.mark.parametrize("name", NAMED_REGIONS)
+    def test_named_regions(self, name):
+        region = NAMED_REGIONS[name]
+        cloud = np.random.Generator(np.random.PCG64(0)).uniform(-2.0, 2.0, size=(200_000, 2))
+        assert_matches_reference(region, np.ascontiguousarray(np.concatenate([cloud, near_boundary_points(region)])))
+
+    def test_indicator_mean_is_bit_identical_under_the_reference(self, monkeypatch):
+        omega = Region((Ball((0.0, 0.0), 2.0),))
+        chi = indicator_field(Region((Ball((0.0, 0.0), 1.0, closed=True), Rect((0.5, -0.3), (1.6, 0.3)))), omega)
+        spec = QuadratureSpec(method="mc", target_rel_error=1e-4, max_samples=200_000, seed=3)
+        ball = Ball((0.2, 0.1), 1.5)
+        culled = mean_over_ball(chi, ball, spec)
+        calls = []
+        # the module attribute that Region.contains_many calls
+        monkeypatch.setattr(_kernels_py, "contains_many", lambda *args: calls.append(1) or reference_kernel(*args))
+        assert mean_over_ball(chi, ball, spec) == culled
+        assert culled.n_samples == 200_000 and calls
 
     @pytest.mark.parametrize("region", [
         Region((Ball((0.0, 0.0), 1.0),)),

@@ -297,8 +297,8 @@ class TestWorkerIndependence:
     @pytest.mark.parametrize("labels", [None, ["a", "b", "c", "d"]], ids=["shared", "labeled"])
     @pytest.mark.parametrize("max_samples", [20_000, 530_000])
     def test_probe_arrays(self, labels, max_samples):
-        # 20,000 samples: every batch is one chunk, whose probes split across
-        # the workers; 530,000: the batch of 2^18 points splits into two chunks
+        # 20,000 samples: every batch is one chunk, run without a pool;
+        # 530,000: the batch of 2^18 points splits into two chunks, one task each
         spec = QuadratureSpec(method="mc", target_rel_error=1e-4, max_samples=max_samples, seed=21)
         d = MarkedSet(Region((Ball((0.0, 0.0), 1.0),)), (0.0, 0.0))
 
@@ -311,7 +311,7 @@ class TestWorkerIndependence:
         assert balls_out[0].n_samples == images_out[0].n_samples == max_samples
         assert outcomes(2) == outcomes(3) == (balls_out, images_out)
 
-    def test_workers_split_the_probes_of_a_one_chunk_batch(self, monkeypatch):
+    def test_workers_run_one_task_per_chunk(self, monkeypatch):
         tasks = []
 
         class Recording(quadrature.ThreadPoolExecutor):
@@ -321,10 +321,14 @@ class TestWorkerIndependence:
                 return super().map(fn, items)
 
         monkeypatch.setattr(quadrature, "ThreadPoolExecutor", Recording)
-        spec = QuadratureSpec(method="mc", target_rel_error=1e-4, max_samples=8192, seed=21, workers=2)
-        quadrature._ball_means(DISK_RECT, *ball_arrays(self.BALLS), spec)
-        # batches of 4096 points, one chunk each, with three running probes in two slices
-        assert tasks == [(2, 2), (2, 2)]
+        spec = QuadratureSpec(method="mc", target_rel_error=1e-6, max_samples=8192, seed=21, workers=2)
+        # batches of 4096 points, one chunk each: the chunk runs in the caller, with no pool
+        assert quadrature._ball_means(DISK_RECT, *ball_arrays(self.BALLS), spec)[0].n_samples == 8192
+        assert tasks == []
+        # batches of 4096 up to 2^17 points (258,048 in all), then 2^18 points in two chunks, two tasks
+        spec = replace(spec, max_samples=520_192)
+        assert quadrature._ball_means(DISK_RECT, *ball_arrays(self.BALLS), spec)[0].n_samples == 520_192
+        assert tasks == [(2, 2)]
 
 
 class TestBlocks:

@@ -7,15 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnslab import regions
-from qnslab.geometry import Ball, Similarity, lens_area
+from qnslab.geometry import Ball, Similarity, as_point, lens_area
 from qnslab.regions import (
     MarkedSet,
     Polygon,
     RadialProfile,
     Rect,
     Region,
-    ball_in_region,
     balls_in_one_primitive,
+    balls_in_region,
     load_region,
     region_from_json,
     region_to_json,
@@ -186,19 +186,25 @@ class TestMarkedSet:
         assert np.all(np.linalg.norm(inside - p, axis=1) <= d.outer_radius + 1e-12)
 
 
+def one_ball(region, center, radius):
+    """``balls_in_region`` on a one-ball array: ``(ok, direction)``."""
+    ok, directions = balls_in_region(region, np.asarray([center], dtype=np.float64), np.asarray([float(radius)]))
+    return bool(ok[0]), directions[0]
+
+
 class TestBallInRegion:
     def test_single_primitive_exact(self):
-        ok, _ = ball_in_region(UNIT_DISK, (0.0, 0.0), 0.99)
+        ok, _ = one_ball(UNIT_DISK, (0.0, 0.0), 0.99)
         assert ok
-        ok, direction = ball_in_region(UNIT_DISK, (0.5, 0.0), 0.6)
+        ok, direction = one_ball(UNIT_DISK, (0.5, 0.0), 0.6)
         assert not ok and direction is not None
 
     def test_union_spanning_ball(self):
-        ok, _ = ball_in_region(TWO_BALL, (0.5, 0.0), 0.6)
+        ok, _ = one_ball(TWO_BALL, (0.5, 0.0), 0.6)
         assert ok  # spans both disks; no single primitive contains it
 
     def test_rejects_at_tangency(self):
-        ok, _ = ball_in_region(UNIT_DISK, (0.0, 0.0), 1.0)
+        ok, _ = one_ball(UNIT_DISK, (0.0, 0.0), 1.0)
         assert not ok
 
     def test_polygon_region_is_packed_once(self, monkeypatch):
@@ -212,16 +218,93 @@ class TestBallInRegion:
         monkeypatch.setattr(regions, "_pack", lambda prims, dim: packs.append(len(prims)) or pack(prims, dim))
         rng = np.random.Generator(np.random.PCG64(8))
         balls = [(tuple(rng.uniform(0.0, 3.0, 2)), float(rng.uniform(0.05, 1.0))) for _ in range(200)]
-        answers = [ball_in_region(region, c, r) for c, r in balls]
+        answers = [one_ball(region, c, r) for c, r in balls]
         interior = [region.contains_interior(c) for c, _ in balls]
         assert packs == [1, 2]
         assert {ok for ok, _ in answers} == {True, False}
         # the same answers as from primitives built afresh for every call
         monkeypatch.undo()
         for (c, r), got in zip(balls, answers):
-            assert got == ball_in_region(Region((Polygon(square.vertices), region.primitives[1])), c, r)
+            assert got == one_ball(Region((Polygon(square.vertices), region.primitives[1])), c, r)
         opened = Region(tuple(regions._as_open(p) for p in region.primitives))
         assert interior == [opened.contains(c) for c, _ in balls]
+
+
+def ball_in_region_oracle(region, center, radius):
+    """The per-ball containment check as it stood before the array form, kept as the oracle."""
+    c = as_point(center, region.dim)
+    if balls_in_one_primitive(region, c[None, :], np.asarray([radius], dtype=np.float64))[0]:
+        return True, None
+    if region.dim == 2:
+        theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    else:
+        dirs = regions._fibonacci_sphere(64)
+    for rho in (1.0, 0.7, 0.35):
+        pts = c + radius * rho * dirs
+        mask = region.contains_many(pts).astype(bool)
+        if not mask.all():
+            return False, tuple(dirs[int(np.argmin(mask))])
+    if not region.contains(c):
+        return False, tuple(dirs[0] * 0.0)
+    return True, None
+
+
+# Two overlapping disks joined by a rect (as in tests/test_quadrature.py).
+SPANNED = Region((Ball((-1.0, 0.0), 1.5), Ball((1.0, 0.0), 1.5), Rect((-1.0, -0.5), (3.0, 0.5))))
+# The check-qns benchmark domain: two unit disks at (+-1.35, 0) joined by a bridge of half-height 0.25.
+BRIDGED = Region((Ball((-1.35, 0.0), 1.0), Ball((1.35, 0.0), 1.0), Rect((-1.35, -0.25), (1.35, 0.25))))
+# A square with a square hole (as in tests/test_qns_engine.py): a ball around the
+# hole can keep every sampled ring point inside and fail on its center alone.
+HOLED = Region((Rect((-2.0, -2.0), (0.3, 2.0)), Rect((0.5, -2.0), (2.0, 2.0)),
+                Rect((0.3, -2.0), (0.5, -0.1)), Rect((0.3, 0.1), (0.5, 2.0))))
+BALL_BOX = Region((Ball((0.0, 0.0, 0.0), 1.0), Rect((0.5, -0.4, -0.4), (2.0, 0.4, 0.4))))
+
+
+class TestBallsInRegion:
+    """The array check equals the per-ball check, verdicts and witness directions bit for bit."""
+
+    @staticmethod
+    def random_balls(region, n, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        lo, hi = region.bbox
+        centers = lo + rng.random((n, region.dim)) * (hi - lo)
+        return centers, rng.uniform(0.02, 0.4, n) * float(np.max(hi - lo)) / 2.0
+
+    @pytest.mark.parametrize("region, n", [(SPANNED, 1500), (BRIDGED, 3000), (HOLED, 1500), (BALL_BOX, 1500)],
+                             ids=["spanned", "bridged", "holed", "ball-box"])
+    def test_matches_the_per_ball_oracle(self, region, n):
+        centers, radii = self.random_balls(region, n, seed=n + region.dim)
+        if region is HOLED:  # around the hole: only the center misses
+            centers, radii = np.concatenate([centers, [[0.4, 0.0]]]), np.append(radii, 0.5)
+        ok, directions = balls_in_region(region, centers, radii)
+        want = [ball_in_region_oracle(region, c, r) for c, r in zip(centers, radii.tolist())]
+        assert ok.dtype == bool and ok.tolist() == [w[0] for w in want]
+        assert [repr(d) for d in directions] == [repr(w[1]) for w in want]
+        sampled = ~balls_in_one_primitive(region, centers, radii)
+        assert ok.any() and (~ok).any() and (ok & sampled).any()  # some balls pass the sampled check
+        if region is BRIDGED:
+            assert sampled.sum() > regions._BALL_GROUP
+        if region is HOLED:
+            assert not ok[-1] and directions[-1] == (0.0, 0.0)
+
+    def test_sampled_balls_go_to_the_kernel_in_groups(self, monkeypatch):
+        centers, radii = self.random_balls(BRIDGED, 3000, seed=3002)
+        rest = int((~balls_in_one_primitive(BRIDGED, centers, radii)).sum())
+        calls = []
+        contains_many = Region.contains_many
+        monkeypatch.setattr(Region, "contains_many",
+                            lambda self, pts: calls.append(len(pts)) or contains_many(self, pts))
+        balls_in_region(BRIDGED, centers, radii)
+        groups = [min(regions._BALL_GROUP, rest - lo) for lo in range(0, rest, regions._BALL_GROUP)]
+        assert len(groups) > 1
+        # per group, one call on the ring points and one on the centers
+        assert calls == [k for g in groups for k in (g * 3 * regions._BALL_DIRS, g)]
+
+    def test_balls_that_one_primitive_holds_sample_nothing(self, monkeypatch):
+        monkeypatch.setattr(Region, "contains_many", lambda self, pts: pytest.fail("sampled a held ball"))
+        ok, directions = balls_in_region(TWO_BALL, np.array([[0.0, 0.0], [1.2, 0.1]]), np.array([0.5, 0.6]))
+        assert ok.tolist() == [True, True] and directions == [None, None]
 
 
 def ball_in_primitive_oracle(p, c, r):
