@@ -346,9 +346,9 @@ def _ball_means(u: Field, centers: np.ndarray, radii: np.ndarray, spec: Quadratu
 
     Containment is one ``balls_in_region`` call over the whole array, exact
     for a ball that one primitive of the domain holds and sampled for the
-    others, and the closed forms are one call too.  A mean is closed-form for a constant field
-    under every method, and under ``"auto"`` for a harmonic field or the
-    indicator of disjoint 2-D disks.  Without ``labels`` every probe runs on
+    others, and the closed forms are one call too.  A mean is closed-form for
+    a constant field under every method, and under ``"auto"`` for a harmonic
+    field or the indicator of disjoint 2-D disks.  Without ``labels`` every probe runs on
     ``spec``'s seed and the sampled ones share each chunk's base sample; with
     them, outcome i equals a one-probe call on ``spec.child(labels[i])``.
     """

@@ -301,11 +301,6 @@ class TestBallsInRegion:
         # per group, one call on the ring points and one on the centers
         assert calls == [k for g in groups for k in (g * 3 * regions._BALL_DIRS, g)]
 
-    def test_balls_that_one_primitive_holds_sample_nothing(self, monkeypatch):
-        monkeypatch.setattr(Region, "contains_many", lambda self, pts: pytest.fail("sampled a held ball"))
-        ok, directions = balls_in_region(TWO_BALL, np.array([[0.0, 0.0], [1.2, 0.1]]), np.array([0.5, 0.6]))
-        assert ok.tolist() == [True, True] and directions == [None, None]
-
 
 def ball_in_primitive_oracle(p, c, r):
     """The one-ball containment test as it stood before the array form, kept as the oracle."""
