@@ -8,9 +8,12 @@ Run from the root of a checkout:
     python3 benchmarks/bench_e2e.py --parent <commit> --out BENCH_5.json \\
         --pytest tests/test_acceptance.py::test_acceptance_3_counterexample_pass_side [--pairs 10]
 
-The change is the checkout this script lives in (its working tree).  The parent
-is the given commit, extracted with ``git archive`` into a temporary directory,
-so the repository's own metadata is not touched.  For every workload the
+The change is the working tree of the checkout this script lives in, and the
+parent is the given commit.  Both run from copies in temporary directories, so
+the two sides differ only in their files, and the repository's own metadata is
+not touched: the parent is extracted with ``git archive``, and the change's copy
+holds the tracked files plus the untracked ones that ``.gitignore`` does not
+exclude, without the files deleted from the working tree.  For every workload the
 benchmark's runner ``e2ebench/run.py --trace 0`` runs in alternating pairs:
 the parent goes first in even-numbered pairs and the change first in odd ones,
 so a slow drift of the host counts against both sides alike.  Each side then
@@ -38,6 +41,7 @@ import argparse
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -74,6 +78,27 @@ def extract(commit: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
         tar.extractall(dest, filter="data")
     return full
+
+
+def copy_worktree(dest: Path) -> str:
+    """Copy the working tree's files under ``dest``; returns the ``HEAD`` commit id."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"], cwd=ROOT,
+                            capture_output=True, text=True, check=True).stdout
+    for name in dict.fromkeys(listed.split("\0")):
+        src = ROOT / name
+        if name and src.is_file():  # a tracked file deleted from the working tree is skipped
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
+    return subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def sides_in(tmp: str, parent: str) -> tuple[dict, str, str]:
+    """Both sides' copies under ``tmp``: ``({side: dir}, parent commit, change HEAD)``."""
+    sides = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
+    for d in sides.values():
+        d.mkdir()
+    return sides, extract(parent, sides["parent"]), copy_worktree(sides["change"])
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -147,6 +172,23 @@ def cpu_model() -> str | None:
     return None
 
 
+def cpu_ticks() -> tuple[int, int] | None:
+    """(steal, total) ticks of all CPUs so far, from ``/proc/stat``."""
+    try:
+        fields = [int(v) for v in Path("/proc/stat").read_text().splitlines()[0].split()[1:]]
+    except (OSError, ValueError, IndexError):
+        return None
+    return fields[7], sum(fields)
+
+
+def steal_since(start: tuple[int, int] | None) -> dict | None:
+    """Steal ticks and all ticks since ``start``, a ``cpu_ticks()`` reading."""
+    end = cpu_ticks()
+    if start is None or end is None:
+        return None
+    return {"steal": end[0] - start[0], "total": end[1] - start[1]}
+
+
 def print_summary(name: str, metric: str, m: dict, pairs: int) -> None:
     print(f"{name} {metric}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g} "
           f"({m['change_over_parent']:.3f}x), better {m['change_better_pairs']}/{pairs}, "
@@ -156,17 +198,17 @@ def print_summary(name: str, metric: str, m: dict, pairs: int) -> None:
 def time_pytest(args: argparse.Namespace) -> int:
     """The ``--pytest`` mode: alternating pairs of one Tier-1 target, added to ``--out``."""
     out = json.loads(args.out.read_text()) if args.out.exists() else {}
-    with tempfile.TemporaryDirectory(prefix="bench_e2e_parent_") as tmp:
-        parent_dir = Path(tmp)
-        parent_commit = extract(args.parent, parent_dir)
-        sides = {"parent": parent_dir, "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench_e2e_") as tmp:
+        sides, parent_commit, _ = sides_in(tmp, args.parent)
 
         def run_side(side, i):
             wall = run_pytest(sides[side], args.pytest)
             print(f"{args.pytest} pair {i} {side}: {wall:.3f} s", file=sys.stderr)
             return wall
 
+        ticks = cpu_ticks()
         runs = alternating_pairs(args.pairs, run_side)
+        steal = steal_since(ticks)
     entry = {
         "parent_commit": parent_commit,
         "claim": args.claim,
@@ -174,6 +216,7 @@ def time_pytest(args: argparse.Namespace) -> int:
         "pairs": args.pairs,
         "order": ORDER,
         "cpu": cpu_model(),
+        "steal_ticks": steal,
         "metrics": {"wall_s": summarize(runs["parent"], runs["change"], "lower")},
     }
     out.setdefault("pytest", {})[args.pytest] = entry
@@ -191,14 +234,11 @@ def main(argv=None) -> int:
     directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
     command = "python3 e2ebench/run.py --workload {workload} --seed %d --seconds %g --trace {trace}" % (
         args.seed, args.seconds)
-    with tempfile.TemporaryDirectory(prefix="bench_e2e_parent_") as tmp:
-        parent_dir = Path(tmp)
-        parent_commit = extract(args.parent, parent_dir)
-        sides = {"parent": parent_dir, "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench_e2e_") as tmp:
+        sides, parent_commit, head = sides_in(tmp, args.parent)
         out = {
             "parent_commit": parent_commit,
-            "change": "working tree of " + subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
-                                                          text=True, check=True).stdout.strip(),
+            "change": "working tree of " + head,
             "claim": args.claim,
             "command": command.format(workload="W", trace=0),
             "environment": None,
@@ -206,6 +246,7 @@ def main(argv=None) -> int:
                      "workloads": {}},
             "traces": {},
         }
+        ticks = cpu_ticks()
         for name in names:
             def run_side(side, i, _name=name):
                 result = run_bench(sides[side], _name, args.seed, args.seconds, 0)
@@ -217,6 +258,7 @@ def main(argv=None) -> int:
                 env = runs["change"][0]["env"]
                 out["environment"] = {k: v for k, v in env.items() if k not in ("workload", "seed", "seconds", "trace")}
                 out["environment"]["cpu"] = cpu_model()
+            out["environment"]["steal_ticks"] = steal_since(ticks)
             out["runs"]["workloads"][name] = {
                 side: {"operations": sum(r["attempted"] for r in rs), "failed": sum(r["failed"] for r in rs)}
                 for side, rs in runs.items()

@@ -1,38 +1,36 @@
-"""Numpy membership kernel: union membership of points in packed primitives.
+"""Numpy membership kernel: union membership of points in a region's primitives.
 
-Each primitive is tested column by column, on the points that no earlier
-primitive holds.  A primitive whose padded bounding box misses the bounding
-box of the query points is skipped; the padding (see ``regions._padded_box``) is
-wide enough that rounding in a test can never accept a point outside it, so
-skipping never changes a mask.
+Each primitive (a ball, an axis rectangle or a polygon of ``regions``) is
+tested column by column, on the points that no earlier primitive holds.  A
+primitive whose padded bounding box misses the bounding box of the query points
+is skipped; the padding (see ``regions._padded_box``) is wide enough that
+rounding in a test can never accept a point outside it, so skipping never
+changes a mask.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-PRIM_BALL = 0
-PRIM_RECT = 1
-PRIM_POLYGON = 2
 
+def contains_many(primitives, boxes, pts):
+    """Union membership of ``pts`` (N x dim float64) in ``primitives``.
 
-def contains_many(dim, types, closed, offsets, payload, boxes, pts):
-    """Union membership of ``pts`` (N x dim float64) against packed primitives.
-
-    ``boxes[p]`` is primitive ``p``'s padded box ``(lo_0, hi_0, lo_1, ...)``.
-    Returns a uint8 mask.  Balls and rectangles honor their closed flag;
-    polygon membership uses the even-odd crossing rule (boundary points fall
-    on whichever side the crossing parity assigns, a measure-zero choice).
+    ``boxes[p]`` is the padded box ``(lo_0, hi_0, lo_1, ...)`` of
+    ``primitives[p]``.  Returns a uint8 mask.  Balls and rectangles honor their
+    closed flag; polygon membership uses the even-odd crossing rule (boundary
+    points fall on whichever side the crossing parity assigns, a measure-zero
+    choice).
     """
-    n = pts.shape[0]
-    cull = n > 0 and (len(types) > 1 or types[0] == PRIM_POLYGON)
+    n, dim = pts.shape
+    cull = n > 0 and (len(primitives) > 1 or hasattr(primitives[0], "vertices"))
     if cull:
         # per column: pts.min(axis=0) is an order of magnitude slower on N x 2
         qbox = [(float(pts[:, k].min()), float(pts[:, k].max())) for k in range(dim)]
     out = None  # bool hits of the first tested primitive, over every point
     idx = None  # indices of the points not yet inside, once a primitive was tested
-    for p in range(len(types)):
-        if cull and any(boxes[p][2 * k + 1] < qlo or qhi < boxes[p][2 * k] for k, (qlo, qhi) in enumerate(qbox)):
+    for p, box in zip(primitives, boxes):
+        if cull and any(box[2 * k + 1] < qlo or qhi < box[2 * k] for k, (qlo, qhi) in enumerate(qbox)):
             continue
         if out is None:
             sub = pts
@@ -42,7 +40,7 @@ def contains_many(dim, types, closed, offsets, payload, boxes, pts):
             if idx.size == 0:
                 break
             sub = pts.take(idx, axis=0)
-        hit = _hits(dim, int(types[p]), bool(closed[p]), payload, int(offsets[p]), sub)
+        hit = _hits(p, sub)
         if out is None:
             out = hit
         else:
@@ -53,39 +51,35 @@ def contains_many(dim, types, closed, offsets, payload, boxes, pts):
     return out.view(np.uint8)
 
 
-def _hits(dim, t, is_closed, payload, off, sub):
-    """Bool membership of ``sub`` in one primitive."""
-    if t == PRIM_BALL:
-        d = sub[:, 0] - payload[off]
+def _hits(p, sub):
+    """Bool membership of ``sub`` in one primitive, told apart by its fields
+    (``regions``, which defines the rect and polygon classes, imports this module)."""
+    if hasattr(p, "radius"):
+        c = p.center
+        d = sub[:, 0] - c[0]
         s = d * d
-        for k in range(1, dim):
-            d = sub[:, k] - payload[off + k]
+        for k in range(1, len(c)):
+            d = sub[:, k] - c[k]
             s += d * d
-        r2 = payload[off + dim] * payload[off + dim]
-        return s <= r2 if is_closed else s < r2
-    if t == PRIM_RECT:
+        r2 = p.radius * p.radius
+        return s <= r2 if p.closed else s < r2
+    if not hasattr(p, "vertices"):
         hit = None
-        for k in range(dim):
+        for k, (lo, hi) in enumerate(zip(p.lo, p.hi)):
             x = sub[:, k]
-            lo = payload[off + 2 * k]
-            hi = payload[off + 2 * k + 1]
-            inside = (lo <= x) & (x <= hi) if is_closed else (lo < x) & (x < hi)
+            inside = (lo <= x) & (x <= hi) if p.closed else (lo < x) & (x < hi)
             if hit is None:
                 hit = inside
             else:
                 hit &= inside
         return hit
-    nv = int(payload[off])
     px = sub[:, 0]
     py = sub[:, 1]
     hit = np.zeros(sub.shape[0], dtype=bool)
-    xj = payload[off + 2 * nv - 1]
-    yj = payload[off + 2 * nv]
+    xj, yj = p.vertices[-1]
     above_j = yj > py
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(nv):
-            xi = payload[off + 1 + 2 * i]
-            yi = payload[off + 2 + 2 * i]
+        for xi, yi in p.vertices:
             above_i = yi > py
             cond = above_i != above_j
             cross = px < (xj - xi) * (py - yi) / (yj - yi) + xi

@@ -110,7 +110,7 @@ def cmd_analyze_set(config_path, window, out_dir):
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--max-K", "max_k", default=None, type=float, help="fail (exit 1) if the estimate exceeds this")
 @click.option("--seed", default=0, type=int)
-@click.option("--workers", default=1, type=int)
+@click.option("--workers", default=1, type=click.IntRange(min=1))
 @click.option("--samples", default=8192, type=int, help="samples per probe")
 @click.option("--out", "out_dir", default=None, type=click.Path())
 def cmd_check_qns(config_path, max_k, seed, workers, samples, out_dir):
@@ -153,7 +153,7 @@ def cmd_check_qns(config_path, max_k, seed, workers, samples, out_dir):
 @click.option("--m-count", "m_count", default=5, type=int, help="number of components")
 @click.option("--variant", type=click.Choice(["gap-chain", "f1"]), default="gap-chain")
 @click.option("--seed", default=0, type=int)
-@click.option("--workers", default=1, type=int)
+@click.option("--workers", default=1, type=click.IntRange(min=1))
 @click.option("--out", "out_dir", default=".", type=click.Path())
 def cmd_counterexample(n0, m_count, variant, seed, workers, out_dir):
     """Build the chain domain and certify both sides of its behavior."""
@@ -208,7 +208,7 @@ def cmd_counterexample(n0, m_count, variant, seed, workers, out_dir):
 @click.option("--set", "set_name", type=click.Choice(sorted(BUILTIN_SETS)), default=None)
 @click.option("--K", "k_value", default=None, type=float)
 @click.option("--C", "c_value", default=None, type=float)
-@click.option("--mc-samples", default=1_000_000, type=int)
+@click.option("--mc-samples", default=1_000_000, type=click.IntRange(min=1))
 @click.option("--seed", default=0, type=int)
 def cmd_constants(set_name, k_value, c_value, mc_samples, seed):
     """Print the overlap constant (analytic and Monte Carlo) and conversions."""

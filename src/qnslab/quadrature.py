@@ -181,6 +181,8 @@ def _cube_blocks(n: int, dim: int, rng: np.random.Generator, stratified: bool):
 
 
 def sample_in_ball(center, radius: float, n: int, rng: np.random.Generator, stratified: bool = False) -> np.ndarray:
+    if n < 0:
+        raise ValueError("sample count must be non-negative")
     center = np.asarray(center, dtype=np.float64)
     return _place_in_ball(_ball_base(np.concatenate([*_cube_blocks(n, center.size, rng, stratified)])), center, radius)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -188,21 +188,6 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
-class RegionData(NamedTuple):
-    """Packed primitives consumed by the membership kernel.
-
-    ``boxes[p]`` is primitive ``p``'s bounding box ``(lo_0, hi_0, lo_1, ...)``
-    widened by ``_BOX_PAD`` of its largest coordinate on each axis.
-    """
-
-    dim: int
-    types: np.ndarray
-    closed: np.ndarray
-    offsets: np.ndarray
-    payload: np.ndarray
-    boxes: tuple[tuple[float, ...], ...]
-
-
 # Relative padding of the kernel's culling boxes.  Rounding in the membership
 # tests (``s <= r**2``, a polygon edge crossing) errs by a few ulps of the
 # coordinates, far inside this margin, so a point outside a padded box is
@@ -216,36 +201,6 @@ def _padded_box(p: Primitive) -> tuple[float, ...]:
         pad = _BOX_PAD * max(abs(lo), abs(hi))
         box.extend((float(lo - pad), float(hi + pad)))
     return tuple(box)
-
-
-def _pack(primitives: Sequence[Primitive], dim: int) -> RegionData:
-    types, closed, offsets, payload = [], [], [], []
-    for p in primitives:
-        offsets.append(len(payload))
-        if isinstance(p, Ball):
-            types.append(kernels.PRIM_BALL)
-            closed.append(1 if p.closed else 0)
-            payload.extend(p.center)
-            payload.append(p.radius)
-        elif isinstance(p, Rect):
-            types.append(kernels.PRIM_RECT)
-            closed.append(1 if p.closed else 0)
-            for a, b in zip(p.lo, p.hi):
-                payload.extend((a, b))
-        else:
-            types.append(kernels.PRIM_POLYGON)
-            closed.append(1 if p.closed else 0)
-            payload.append(float(len(p.vertices)))
-            for x, y in p.vertices:
-                payload.extend((x, y))
-    return RegionData(
-        dim,
-        np.asarray(types, dtype=np.int32),
-        np.asarray(closed, dtype=np.uint8),
-        np.asarray(offsets, dtype=np.int64),
-        np.asarray(payload, dtype=np.float64),
-        tuple(_padded_box(p) for p in primitives),
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,13 +220,14 @@ class Region:
         dim = dims.pop()
         if any(isinstance(p, Polygon) for p in prims) and dim != 2:
             raise ValueError("polygons are 2-D only")
-        object.__setattr__(self, "_data", _pack(prims, dim))
+        object.__setattr__(self, "_dim", dim)
+        object.__setattr__(self, "_boxes", tuple(_padded_box(p) for p in prims))
         los, his = zip(*(_primitive_bbox(p) for p in prims))
         object.__setattr__(self, "_bbox", (np.min(los, axis=0), np.max(his, axis=0)))
 
     @property
     def dim(self) -> int:
-        return self._data.dim
+        return self._dim
 
     @property
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
@@ -281,8 +237,7 @@ class Region:
         pts = np.ascontiguousarray(pts, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(f"expected points of shape (N, {self.dim})")
-        d = self._data
-        return kernels.contains_many(d.dim, d.types, d.closed, d.offsets, d.payload, d.boxes, pts)
+        return kernels.contains_many(self.primitives, self._boxes, pts)
 
     def contains(self, p) -> bool:
         q = as_point(p, self.dim)
@@ -291,8 +246,7 @@ class Region:
     def contains_interior(self, p) -> bool:
         """Membership in the union of the primitives' interiors (strict tests)."""
         q = as_point(p, self.dim)
-        opened = _cached(self, "_opened", lambda: Region(tuple(_as_open(prim) for prim in self.primitives)))
-        return opened.contains(q)
+        return bool(kernels.contains_many(tuple(map(_as_open, self.primitives)), self._boxes, q[None, :])[0])
 
     def measure(self) -> float:
         return self.measure_detail()[0]
@@ -508,7 +462,7 @@ def _balls_in_primitive(p: Primitive, c: np.ndarray, r: np.ndarray) -> np.ndarra
     ab = np.roll(a, -1, axis=0) - a
     t = np.fmin(np.fmax(((c[:, None, :] - a) * ab).sum(axis=2) / (ab * ab).sum(axis=1), 0.0), 1.0)
     edge_dist = np.sqrt(np.square(c[:, None, :] - (a + t[:, :, None] * ab)).sum(axis=2))
-    inside = _cached(p, "_region", lambda: Region((p,))).contains_many(c).astype(bool)
+    inside = kernels.contains_many((p,), (_padded_box(p),), c).astype(bool)
     return inside & (edge_dist.min(axis=1) > r)
 
 

@@ -12,49 +12,44 @@ from qnslab.quadrature import QuadratureSpec, mean_over_ball
 from qnslab.regions import Polygon, Rect, Region, _primitive_bbox
 
 
-def reference_contains_many(dim, types, closed, offsets, payload, pts):
+def reference_contains_many(primitives, pts):
     """The kernel before culling: every primitive on every point not yet inside."""
-    n = pts.shape[0]
+    n, dim = pts.shape
     out = np.zeros(n, dtype=np.uint8)
-    for p in range(len(types)):
+    for p in primitives:
         todo = out == 0
         if not todo.any():
             break
         if todo.all():
             todo = slice(None)  # skip the fancy-index copy on untouched masks
         sub = pts[todo]
-        off = int(offsets[p])
-        t = int(types[p])
-        is_closed = bool(closed[p])
-        if t == _kernels_py.PRIM_BALL:
-            d = sub[:, 0] - payload[off]
+        if isinstance(p, Ball):
+            d = sub[:, 0] - p.center[0]
             s = d * d
             for k in range(1, dim):
-                d = sub[:, k] - payload[off + k]
+                d = sub[:, k] - p.center[k]
                 s += d * d
-            r2 = payload[off + dim] * payload[off + dim]
-            hit = s <= r2 if is_closed else s < r2
-        elif t == _kernels_py.PRIM_RECT:
+            r2 = p.radius * p.radius
+            hit = s <= r2 if p.closed else s < r2
+        elif isinstance(p, Rect):
             hit = np.ones(sub.shape[0], dtype=bool)
             for k in range(dim):
-                lo = payload[off + 2 * k]
-                hi = payload[off + 2 * k + 1]
-                if is_closed:
+                lo = p.lo[k]
+                hi = p.hi[k]
+                if p.closed:
                     hit &= (lo <= sub[:, k]) & (sub[:, k] <= hi)
                 else:
                     hit &= (lo < sub[:, k]) & (sub[:, k] < hi)
         else:
-            nv = int(payload[off])
+            v = p.vertices
             px = sub[:, 0]
             py = sub[:, 1]
             hit = np.zeros(sub.shape[0], dtype=bool)
-            j = nv - 1
+            j = len(v) - 1
             with np.errstate(divide="ignore", invalid="ignore"):
-                for i in range(nv):
-                    xi = payload[off + 1 + 2 * i]
-                    yi = payload[off + 2 + 2 * i]
-                    xj = payload[off + 1 + 2 * j]
-                    yj = payload[off + 2 + 2 * j]
+                for i in range(len(v)):
+                    xi, yi = v[i]
+                    xj, yj = v[j]
                     cond = (yi > py) != (yj > py)
                     cross = px < (xj - xi) * (py - yi) / (yj - yi) + xi
                     hit ^= cond & cross
@@ -63,9 +58,9 @@ def reference_contains_many(dim, types, closed, offsets, payload, pts):
     return out
 
 
-def reference_kernel(dim, types, closed, offsets, payload, boxes, pts):
+def reference_kernel(primitives, boxes, pts):
     """The reference under the kernel's signature; it ignores the boxes."""
-    return reference_contains_many(dim, types, closed, offsets, payload, pts)
+    return reference_contains_many(primitives, pts)
 
 
 RING = tuple(Ball((math.cos(t), math.sin(t)), 0.5) for t in np.linspace(0, 2 * math.pi, 10, endpoint=False))
@@ -147,8 +142,7 @@ def near_boundary_points(region):
 
 
 def assert_matches_reference(region, pts):
-    d = region._data
-    want = reference_contains_many(d.dim, d.types, d.closed, d.offsets, d.payload, pts)
+    want = reference_contains_many(region.primitives, pts)
     got = region.contains_many(pts)
     assert got.dtype == np.uint8 and got.shape == want.shape
     assert np.array_equal(got, want)
@@ -232,20 +226,19 @@ class TestCulling:
         tested = []
         hits = _kernels_py._hits
 
-        def counting(dim, t, is_closed, payload, off, sub):
-            tested.append(off)
-            return hits(dim, t, is_closed, payload, off, sub)
+        def counting(p, sub):
+            tested.append(p)
+            return hits(p, sub)
 
         monkeypatch.setattr(_kernels_py, "_hits", counting)
         far = Polygon(((10.0, 10.0), (12.0, 10.0), (11.0, 12.0)))
         region = Region((Ball((0.0, 0.0), 1.0), far, Rect((0.5, -0.5), (3.0, 0.5))))
-        offsets = region._data.offsets.tolist()
+        prims = region.primitives
         pts = np.random.Generator(np.random.PCG64(1)).uniform(-2.0, 2.0, size=(1000, 2))
         mask = region.contains_many(pts)
-        assert offsets[1] not in tested
-        assert tested == [offsets[0], offsets[2]]
-        d = region._data
-        assert np.array_equal(mask, reference_contains_many(d.dim, d.types, d.closed, d.offsets, d.payload, pts))
+        assert not any(p is prims[1] for p in tested)
+        assert [id(p) for p in tested] == [id(prims[0]), id(prims[2])]
+        assert np.array_equal(mask, reference_contains_many(prims, pts))
 
     def test_lone_polygon_is_culled(self, monkeypatch):
         tested = []
@@ -257,7 +250,7 @@ class TestCulling:
     def test_padded_boxes_hold_the_primitives(self):
         region = Region((Ball((1e6, -2.0), 1e-3), Rect((-1.0, 0.0), (0.0, 1.0)),
                          Polygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))))
-        for p, box in zip(region.primitives, region._data.boxes):
+        for p, box in zip(region.primitives, region._boxes):
             lo, hi = _primitive_bbox(p)
             for k in range(region.dim):
                 assert box[2 * k] < lo[k] and hi[k] < box[2 * k + 1]

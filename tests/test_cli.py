@@ -92,6 +92,11 @@ class TestCheckQns:
         result = runner.invoke(main, ["check-qns", "--config", cfg])
         assert result.exit_code == 2
 
+    def test_zero_workers_exit_2(self, runner, tmp_path):
+        cfg = write_json(tmp_path / "p.json", PROBLEM)
+        result = runner.invoke(main, ["check-qns", "--config", cfg, "--workers", "0"])
+        assert result.exit_code == 2
+
     def test_wholesale_containment_failure_exit_2(self, runner, tmp_path):
         doc = json.loads(json.dumps(PROBLEM))
         doc["probes"]["radius_range"] = [50.0, 60.0]
@@ -147,6 +152,10 @@ class TestCounterexample:
         result = runner.invoke(main, ["counterexample", "--n0", "2", "--out", str(tmp_path)])
         assert result.exit_code == 2
 
+    def test_zero_workers_exit_2(self, runner, tmp_path):
+        result = runner.invoke(main, ["counterexample", "--workers", "0", "--out", str(tmp_path)])
+        assert result.exit_code == 2
+
     def test_f1_variant(self, runner, tmp_path):
         out = tmp_path / "f1"
         result = runner.invoke(main, ["counterexample", "--variant", "f1", "--m-count", "4",
@@ -164,6 +173,11 @@ class TestConstants:
         doc = json.loads(result.output)
         assert math.isclose(doc["lens_constant_analytic"], 0.3910022, abs_tol=1e-7)
         assert abs(doc["lens_constant_mc"] - 0.3910022) < 0.002
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_nonpositive_mc_samples_exit_2(self, runner, n):
+        result = runner.invoke(main, ["constants", "--mc-samples", n])
+        assert result.exit_code == 2
 
     def test_square_conversions(self, runner):
         result = runner.invoke(main, ["constants", "--set", "unit-square", "--K", "1", "--C", "2"])

@@ -69,6 +69,11 @@ class TestSampling:
         m2 = float(np.mean(np.sum(pts * pts, axis=1)))
         assert abs(m2 - 0.5) < 0.01
 
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_negative_count_is_refused(self, stratified):
+        with pytest.raises(ValueError):
+            sample_in_ball(np.zeros(2), 1.0, -5, np.random.Generator(np.random.PCG64(0)), stratified)
+
 
 def joined_blocks(n, dim, rng, stratified):
     """The blocks of ``_cube_blocks``, joined."""

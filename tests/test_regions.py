@@ -207,20 +207,20 @@ class TestBallInRegion:
         ok, _ = one_ball(UNIT_DISK, (0.0, 0.0), 1.0)
         assert not ok
 
-    def test_polygon_region_is_packed_once(self, monkeypatch):
+    def test_containment_builds_no_region(self, monkeypatch):
         # the square (0,0)-(2,2) as a polygon, joined to a rect: every probe
-        # ball tests the polygon primitive, and its one-primitive region and
-        # the opened region of contains_interior are built on first use only
+        # ball tests the polygon primitive, and neither that test nor
+        # contains_interior builds a Region of its own
         square = Polygon(((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)))
         region = Region((square, Rect((2.0, 0.5), (3.0, 1.5))))
-        packs = []
-        pack = regions._pack
-        monkeypatch.setattr(regions, "_pack", lambda prims, dim: packs.append(len(prims)) or pack(prims, dim))
+        built = []
+        post_init = Region.__post_init__
+        monkeypatch.setattr(Region, "__post_init__", lambda self: built.append(1) or post_init(self))
         rng = np.random.Generator(np.random.PCG64(8))
         balls = [(tuple(rng.uniform(0.0, 3.0, 2)), float(rng.uniform(0.05, 1.0))) for _ in range(200)]
         answers = [one_ball(region, c, r) for c, r in balls]
         interior = [region.contains_interior(c) for c, _ in balls]
-        assert packs == [1, 2]
+        assert built == []
         assert {ok for ok, _ in answers} == {True, False}
         # the same answers as from primitives built afresh for every call
         monkeypatch.undo()
