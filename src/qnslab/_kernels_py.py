@@ -73,16 +73,25 @@ def _hits(p, sub):
             else:
                 hit &= inside
         return hit
-    px = sub[:, 0]
-    py = sub[:, 1]
-    hit = np.zeros(sub.shape[0], dtype=bool)
-    xj, yj = p.vertices[-1]
+    return in_polygons(sub, np.asarray(p.vertices)[None])[0]
+
+
+def in_polygons(pts, verts):
+    """Even-odd membership of ``pts`` (N x 2) in each polygon of ``verts``
+    (P x V x 2 vertex loops), as in ``contains_many``: a (P, N) bool array."""
+    px = pts[:, 0]
+    py = pts[:, 1]
+    # each vertex's coordinates, broadcast over the points: a lone polygon's as
+    # Python floats, which keep numpy on its scalar fast path, else (P, 1) columns
+    corners = verts[0].tolist() if len(verts) == 1 else verts.transpose(1, 2, 0)[..., None]
+    hit = np.zeros(px.shape if len(verts) == 1 else (len(verts), len(px)), dtype=bool)
+    xj, yj = corners[-1]
     above_j = yj > py
     with np.errstate(divide="ignore", invalid="ignore"):
-        for xi, yi in p.vertices:
+        for xi, yi in corners:
             above_i = yi > py
             cond = above_i != above_j
             cross = px < (xj - xi) * (py - yi) / (yj - yi) + xi
             hit ^= cond & cross
             xj, yj, above_j = xi, yi, above_i
-    return hit
+    return hit.reshape(len(verts), len(pts))

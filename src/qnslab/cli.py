@@ -111,7 +111,7 @@ def cmd_analyze_set(config_path, window, out_dir):
 @click.option("--max-K", "max_k", default=None, type=float, help="fail (exit 1) if the estimate exceeds this")
 @click.option("--seed", default=0, type=int)
 @click.option("--workers", default=1, type=click.IntRange(min=1))
-@click.option("--samples", default=8192, type=int, help="samples per probe")
+@click.option("--samples", default=8192, type=click.IntRange(min=1000), help="samples per probe (at least 1000)")
 @click.option("--out", "out_dir", default=None, type=click.Path())
 def cmd_check_qns(config_path, max_k, seed, workers, samples, out_dir):
     """Estimate the ball-mean constant of a field over a region."""
@@ -126,14 +126,14 @@ def cmd_check_qns(config_path, max_k, seed, workers, samples, out_dir):
         grid = BallProbeGrid(
             center_resolution=int(probes.get("center_resolution", 9)),
             radii_per_center=int(probes.get("radii_per_center", 8)),
-            radius_range=tuple(probes["radius_range"]) if "radius_range" in probes else None,
+            radius_range=tuple(map(float, probes["radius_range"])) if "radius_range" in probes else None,
             radius_set=radius_set,
         )
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         click.echo(f"invalid problem description: {exc}", err=True)
         sys.exit(2)
     spec = QuadratureSpec(
-        method="mc", target_rel_error=0.1, max_samples=max(samples, 1000),
+        method="mc", target_rel_error=0.1, max_samples=samples,
         seed=derive_seed(seed, "check-qns"), workers=workers,
     )
     est = estimate_K(u, omega, grid, spec)

@@ -20,7 +20,7 @@ _SANITY_SAMPLES = 512
 
 
 class DomainError(ValueError):
-    """A point (or mapped sample) fell outside the field's domain."""
+    """A point, or an image h(D) of a marked set, lies outside the field's domain."""
 
 
 @dataclass(frozen=True, eq=False)

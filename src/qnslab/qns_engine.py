@@ -11,8 +11,8 @@ Each probe battery (``estimate_K``/``check_K``, ``indicator_density``,
 ``generalized_test``) runs every probe on the battery's spec seed, as one
 probe array that draws each chunk's base sample once (common random numbers,
 see the ``quadrature`` module docstring).  u(x) is evaluated once per center that
-admits a probe, and ``generalized_test`` pre-checks each center's similarity
-probes as one ``SimilarityArray`` before every admitted probe is sampled.
+admits a probe.  A ball or an image h(D) that leaves the domain is skipped
+and counted; 2-D containment is exact (see ``regions``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .fields import DomainError, Field
 from .geometry import Ball, Similarity, SimilarityArray, unit_ball_volume
 from .quadrature import ContainmentError, MeanResult, QuadratureSpec, _ball_means, _image_means
 from .radius_sets import RadiusSet, log_eps_net
-from .regions import MarkedSet, Rect, Region
+from .regions import MarkedSet, Region, _pieces
 
 DEFAULT_PROBE_SPEC = QuadratureSpec(method="mc", target_rel_error=0.1, max_samples=8192)
 
@@ -51,6 +51,14 @@ class BallProbeGrid:
     radius_range: Optional[tuple[float, float]] = None
     radius_set: Optional[RadiusSet] = None
 
+    def __post_init__(self):
+        if self.center_resolution < 1 or self.radii_per_center < 1:
+            raise ValueError("a probe grid needs at least one center per axis and one radius per center")
+        if self.radius_range is not None:
+            r_lo, r_hi = self.radius_range
+            if not 0 < r_lo <= r_hi:
+                raise ValueError("invalid probe radius range")
+
     def centers(self, inside: Region) -> np.ndarray:
         lo, hi = inside.bbox
         margin = 1e-9 * float(np.max(hi - lo))
@@ -66,8 +74,6 @@ class BallProbeGrid:
             lo, hi = omega.bbox
             r_hi = 0.49 * float(np.min(hi - lo))
             r_lo = r_hi / 64.0
-        if r_lo <= 0 or r_hi < r_lo:
-            raise ValueError("invalid probe radius range")
         if self.radius_set is None:
             return list(np.geomspace(r_lo, r_hi, self.radii_per_center))
         out: list[float] = []
@@ -380,11 +386,9 @@ def generalized_test(
     centers = grid.centers(omega)
     scales = sims.scales(omega, d)
     parts = [Similarity(1.0, T, (0.0, 0.0)).orthogonal for T in sims.orthogonal_parts(2)]  # checked once each
-    hull = _admissibility_samples(d)
     m_d = d.measure
     # every center's probes, center-major and then scale-major: (x, k, T) for x in
     # centers for k in scales for T in parts
-    per_center = len(scales) * len(parts)
     probe_scale = np.repeat(scales, len(parts))
     probe_part = np.tile(np.asarray(parts), (len(centers) * len(scales), 1, 1))
     probe_part.setflags(write=False)
@@ -392,12 +396,7 @@ def generalized_test(
     probe_offset = probe_scale[:, None] * np.tile(np.asarray([T @ p_d for T in parts]), (len(scales), 1))
     every = SimilarityArray(np.tile(probe_scale, len(centers)), probe_part,
                             (centers[:, None, :] - probe_offset).reshape(-1, 2))
-    admitted = []
-    for start in range(0, len(every), per_center):
-        # pre-check h(D) ⊆ Ω on D's boundary samples, for every probe of one center in one call
-        in_hull = omega.contains_many(every.take(slice(start, start + per_center)).apply_many(hull).reshape(-1, 2))
-        admitted.extend((start + np.flatnonzero(in_hull.astype(bool).reshape(per_center, -1).all(axis=1))).tolist())
-    outcomes = dict(zip(admitted, _image_means(u, d, every.take(admitted), spec)))
+    outcomes = _image_means(u, d, every, spec)
     best = (-math.inf, -1)
     witness = None
     used = 0
@@ -408,9 +407,9 @@ def generalized_test(
         x = np.asarray(c, dtype=np.float64)
         val = None
         for k in probe_scale.tolist():
-            res = outcomes.get(idx)
+            res = outcomes[idx]
             idx += 1
-            if res is None or isinstance(res, DomainError):
+            if isinstance(res, DomainError):
                 skipped += 1
                 continue
             if val is None:
@@ -439,17 +438,6 @@ def generalized_test(
     if used == 0:
         return KEstimate(0.0, None, 0, skipped, 0.0, True, spec.seed, spec.workers, spec.method)
     return KEstimate(best[0], witness, used, skipped, stderr_max, False, spec.seed, spec.workers, spec.method)
-
-
-# Boundary points of D in the pre-check of h(D) ⊆ Ω.
-_ADMISSIBILITY_BOUNDARY_SAMPLES = 192
-
-
-def _admissibility_samples(d: MarkedSet) -> np.ndarray:
-    """Boundary plus a few interior points of D, used to pre-check h(D) ⊆ Ω."""
-    pts = d.region.boundary_samples(_ADMISSIBILITY_BOUNDARY_SAMPLES)
-    inner = np.asarray(d.marked_point)[None, :]
-    return np.concatenate([pts, inner], axis=0)
 
 
 # -- scale-function admissibility -------------------------------------------------
@@ -581,24 +569,12 @@ def f_admissibility(
 
 
 def _boundary_length(d: Region) -> float:
-    if len(d.primitives) != 1:
+    """The boundary length of a single 2-D primitive, summed over its boundary
+    pieces (a composite is refused: its pieces keep shared edges)."""
+    if len(d.primitives) != 1 or d.dim != 2:
         raise ValueError("shape functionals take a single-primitive 2-D region")
-    p = d.primitives[0]
-    if isinstance(p, Ball):
-        if p.dim != 2:
-            raise ValueError("shape functionals are 2-D")
-        return 2.0 * math.pi * p.radius
-    if isinstance(p, Rect):
-        if p.dim != 2:
-            raise ValueError("shape functionals are 2-D")
-        return 2.0 * ((p.hi[0] - p.lo[0]) + (p.hi[1] - p.lo[1]))
-    edges = 0.0
-    v = p.vertices
-    for i in range(len(v)):
-        x0, y0 = v[i]
-        x1, y1 = v[(i + 1) % len(v)]
-        edges += math.hypot(x1 - x0, y1 - y0)
-    return edges
+    arcs, segs = _pieces(d)
+    return float((arcs[:, 2] * arcs[:, 4]).sum() + np.hypot(*(segs[:, 2:] - segs[:, :2]).T).sum())
 
 
 PHI_KINDS = ("boundary_h1", "perimeter", "isoperimetric_deficit")

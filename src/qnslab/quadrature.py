@@ -15,14 +15,12 @@ cross-check of the closed forms.  The closed forms, reported as method
 ``"auto"`` is resolved before any sampling, so no result reports it.  Image
 means have no closed form besides constants: they are plain Monte Carlo under
 every method (rejection sampling in D does not stratify) and report ``"mc"``.
-The containment check runs first on every ball path.  A ball probe array is
-``(P, dim)`` centers and ``(P,)`` radii; containment (``balls_in_region``:
-exact in one primitive, sampled for a ball that no single primitive holds)
-and the closed forms each run as one call over the whole array.  For an
-image mean, h(D) inside the field domain is certified where simple geometry
-proves it (``_images_certified``: in 2-D, every primitive of h(D) inside
-one ball or rect primitive of the domain); otherwise it is checked sample by
-sample.
+Containment runs first, as one call over a whole probe array of ``(P, dim)``
+ball centers and ``(P,)`` radii (``balls_in_region``) or of images
+(``images_in_region``, 2-D only; a refused image's outcome is a
+``DomainError``), and so do the closed forms.  2-D containment is exact up to
+a margin (see ``regions``); a 3-D ball that no single primitive holds is
+checked by sampling.
 
 All randomness is driven by PCG64 streams keyed on a seed, so results are
 bit-identical across runs and depend on the seed, not on the worker count: a
@@ -39,10 +37,8 @@ rejection loop accepts in D, over-draw included.  The per-probe step maps it by
 ``c + r*x`` or by ``h`` and evaluates the field.  A ball chunk runs in blocks
 of ``_BLOCK`` samples, drawn, placed and evaluated one at a time into a
 chunk-length buffer of values that is summed whole, so results are bit for bit
-those of a whole-chunk evaluation; an image chunk is one block.  An image mean
-maps the whole over-draw and checks it against the domain only when h(D) is not
-certified inside the domain; a certified image maps just the first ``size``
-candidates of each chunk, the ones that enter the mean.  Means take an array of
+those of a whole-chunk evaluation; an image chunk is one block, of which an
+image mean maps just the first ``size`` candidates.  Means take an array of
 probes (``_ball_means``, ``_image_means``); ``mean_over_ball`` and
 ``mean_over_image`` are their one-probe cases.  The loop runs batch-major and
 draws each chunk's base sample once per seed: a seed with one probe in a task
@@ -69,7 +65,7 @@ import numpy as np
 
 from .fields import DomainError, Field
 from .geometry import Ball, Similarity, SimilarityArray, lens_area
-from .regions import MarkedSet, Rect, Region, _pair_overlap_kind, balls_in_region
+from .regions import MarkedSet, _pair_overlap_kind, balls_in_region, images_in_region
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -222,8 +218,7 @@ def _sample_means(spec: QuadratureSpec, method: str, u: Field, base: Callable[[i
     ``places[i]`` maps a block to probe i's points, where ``u`` is evaluated
     into the task's chunk-length buffer of values, summed whole.  Every probe
     sees the same chunk layout and stops on its own error target or at the
-    sample cap.  The outcome of a probe is its ``MeanResult``, or the
-    ``DomainError`` that its place raised on its first failing chunk.
+    sample cap, with its ``MeanResult``.
     """
     out: list = [None] * len(places)
     s1 = [0.0] * len(places)
@@ -248,39 +243,29 @@ def _sample_means(spec: QuadratureSpec, method: str, u: Field, base: Callable[[i
                     blocks = base(seed, batch_index, i, sizes[i])
                     held[seed] = blocks if last[seed] == p else list(blocks)
                 blocks = held.pop(seed) if last[seed] == p else held[seed]
-                try:
-                    lo = 0
-                    for block in blocks:
-                        pts = places[p](block)
-                        vals[lo:lo + len(pts)] = u.evaluate_many(pts, check_domain=False)
-                        lo += len(pts)
-                except DomainError as exc:
-                    sums.append(exc)
-                else:
-                    # per-block sums would round differently; vals is squared in place once summed
-                    sums.append((float(vals.sum()), float(np.multiply(vals, vals, out=vals).sum())))
+                lo = 0
+                for block in blocks:
+                    pts = places[p](block)
+                    vals[lo:lo + len(pts)] = u.evaluate_many(pts, check_domain=False)
+                    lo += len(pts)
+                # per-block sums would round differently; vals is squared in place once summed
+                sums.append((float(vals.sum()), float(np.multiply(vals, vals, out=vals).sum())))
             return sums
 
         # tasks come back in chunk order, so each probe's chunk sums add in that order
         for task_sums in _reduce_chunks(spec, run, n_chunks):
             for p, sums in zip(running, task_sums):
-                if out[p] is not None:
-                    continue
-                if isinstance(sums, DomainError):
-                    out[p] = sums
-                    continue
                 s1[p] += sums[0]
                 s2[p] += sums[1]
         n += batch_size
         batch_index += 1
         still = []
         for p in running:
-            if out[p] is None:
-                result = _stat_result(s1[p], s2[p], n, method)
-                if n >= spec.max_samples or result.stderr <= spec.target_rel_error * abs(result.mean):
-                    out[p] = result
-                else:
-                    still.append(p)
+            result = _stat_result(s1[p], s2[p], n, method)
+            if n >= spec.max_samples or result.stderr <= spec.target_rel_error * abs(result.mean):
+                out[p] = result
+            else:
+                still.append(p)
         running = still
         batch_size = min(batch_size * 2, spec.max_samples - n)
     return out
@@ -346,9 +331,9 @@ def _ball_means(u: Field, centers: np.ndarray, radii: np.ndarray, spec: Quadratu
     ``(P,)`` radii: one outcome per ball, its ``MeanResult`` or the
     ``ContainmentError`` that refuses it.
 
-    Containment is one ``balls_in_region`` call over the whole array, exact
-    for a ball that one primitive of the domain holds and sampled for the
-    others, and the closed forms are one call too.  A mean is closed-form for
+    Containment is one ``balls_in_region`` call over the whole array (exact
+    in 2-D, sampled for a 3-D ball that no single primitive holds), and the
+    closed forms are one call too.  A mean is closed-form for
     a constant field under every method, and under ``"auto"`` for a harmonic
     field or the indicator of disjoint 2-D disks.  Without ``labels`` every probe runs on
     ``spec``'s seed and the sampled ones share each chunk's base sample; with
@@ -364,7 +349,7 @@ def _ball_means(u: Field, centers: np.ndarray, radii: np.ndarray, spec: Quadratu
     out: list = [None] * len(radii)
     ok, directions = balls_in_region(u.domain, centers, radii)
     for i in np.flatnonzero(~ok).tolist():
-        out[i] = ContainmentError(tuple(centers[i].tolist()), float(radii[i]), directions[i])
+        out[i] = ContainmentError(tuple(centers[i].tolist()), float(radii[i]), tuple(directions[i].tolist()))
     contained = [i for i, res in enumerate(out) if res is None]
     if u.kind == "constant" or spec.method == "auto" and (
             u.kind == "harmonic" or _disjoint_disk_support(u) is not None):
@@ -386,12 +371,10 @@ def _ball_means(u: Field, centers: np.ndarray, radii: np.ndarray, spec: Quadratu
 def mean_over_image(u: Field, d: MarkedSet, h: Similarity, spec: QuadratureSpec = QuadratureSpec()) -> MeanResult:
     """Average of ``u`` over h(D), sampling in D and mapping through h.
 
-    The one-probe case of ``_image_means``: uniform candidates are drawn in
-    D's bounding box and rejected to D, and the field is evaluated on the
-    first ``size`` mapped candidates of each chunk.  Unless h(D) inside the
-    field domain is certified (``_images_certified``), every accepted
-    candidate, over-draw included, is mapped and must land in the domain
-    (else ``DomainError``).
+    The one-probe case of ``_image_means``: h(D) must lie inside the field
+    domain (else ``DomainError``); uniform candidates are drawn in D's
+    bounding box and rejected to D, and the field is evaluated on the first
+    ``size`` mapped candidates of each chunk.
     """
     return _outcome(_image_means(u, d, SimilarityArray.of(h), spec)[0])
 
@@ -399,106 +382,26 @@ def mean_over_image(u: Field, d: MarkedSet, h: Similarity, spec: QuadratureSpec 
 def _image_means(u: Field, d: MarkedSet, probes: SimilarityArray, spec: QuadratureSpec,
                  labels: list[str] | None = None) -> list:
     """Means of ``u`` over the images h_i(D) of a probe array, one outcome per
-    probe: its ``MeanResult``, or the ``DomainError`` that rejects it.
+    probe: its ``MeanResult``, or the ``DomainError`` that refuses it.
 
+    Containment is decided once, up front, for the whole array
+    (``images_in_region``), and only the admitted probes are sampled.
     Without ``labels`` every probe runs on ``spec``'s seed; with them, outcome
-    i equals a one-probe call on ``spec.child(labels[i])``.  A probe whose
-    image is certified inside the domain maps only the candidates that enter
-    its mean and checks none of them; any other probe maps and checks the
-    whole over-draw.
+    i equals a one-probe call on ``spec.child(labels[i])``.
     """
     if d.dim != u.dim or probes.orthogonal.shape[1] != u.dim:
         raise ValueError("marked set, similarity and field dimensions must agree")
-    certified = _images_certified(d.region, u.domain, probes).tolist()
-    sims = probes.similarities()
+    admitted = np.flatnonzero(images_in_region(d.region, u.domain, probes)).tolist()
     if u.kind == "constant":
-        out: list = [MeanResult(u.params["value"], 0.0, 1, "exact")] * len(sims)
-        unproven = [i for i, proven in enumerate(certified) if not proven]
-        samples = {}  # one containment sample per seed
-        for i, seed in zip(unproven, _seeds(spec, labels, unproven)):
-            if seed not in samples:
-                samples[seed] = _containment_sample(d, seed)
-            try:
-                if samples[seed].size:
-                    u.evaluate_many(sims[i].apply_many(samples[seed]))  # raises DomainError on exterior hits
-            except DomainError as exc:
-                out[i] = exc
-        return out
+        means = [MeanResult(u.params["value"], 0.0, 1, "exact")] * len(admitted)
+    else:
+        def base(seed: int, batch: int, chunk: int, size: int) -> list:
+            return [_image_base(d, seed, batch, chunk, size)[:size]]  # one block: a split draw would change the stream
 
-    def base(seed: int, batch: int, chunk: int, size: int) -> list:
-        drawn = _image_base(d, seed, batch, chunk, size)
-        return [(drawn[:size], drawn)]  # one block: a split rejection draw would change the stream
-
-    def place(h: Similarity, proven: bool) -> Callable[[tuple], np.ndarray]:
-        def mapped(sample: tuple) -> np.ndarray:
-            kept, drawn = sample
-            if proven:
-                return h.apply_many(kept)
-            pts = h.apply_many(drawn)
-            u.require_in_domain(pts)
-            return pts[:len(kept)]
-
-        return mapped
-
-    return _sample_means(spec, "mc", u, base, _seeds(spec, labels, range(len(sims))),
-                         [place(h, proven) for h, proven in zip(sims, certified)])
-
-
-# Margin, relative to the largest coordinate involved, by which a certified
-# image stays inside a domain primitive.  Rounding in mapping a point, or in a
-# membership test, errs by a few ulps of those coordinates, far inside it.
-_CERTIFY_MARGIN = 1e-9
-
-
-def _images_certified(d: Region, omega: Region, probes: SimilarityArray) -> np.ndarray:
-    """Which images h_i(D) are proven to lie inside ``omega``, as a bool per probe.
-
-    2-D only (elsewhere nothing is proven).  h_i(D) is certified when each
-    primitive of h_i(D) lies, with the margin, inside one ball or rect
-    primitive of ``omega``: a ball of D maps to a ball, and a rect or polygon
-    of D lies in the convex hull of its mapped vertices, so it is inside a
-    convex primitive when all of those vertices are.  Polygons of ``omega``
-    prove nothing.  False means "not proven", not "outside".
-    """
-    targets = [q for q in omega.primitives if isinstance(q, (Ball, Rect))]
-    if d.dim != 2 or not targets:
-        return np.zeros(len(probes), dtype=bool)
-    # the largest coordinate involved: of D scaled, of the translation, of omega
-    reach = np.maximum(probes.scale * float(np.max(np.abs(d.bbox))), np.max(np.abs(probes.translation), axis=1))
-    margin = _CERTIFY_MARGIN * np.maximum(reach, float(np.max(np.abs(omega.bbox))))
-    proven = np.ones(len(probes), dtype=bool)
-    for p in d.primitives:
-        if isinstance(p, Ball):
-            pts = probes.apply_many(np.asarray([p.center]))  # (P, 1, 2) image centers
-            room = (probes.scale * p.radius + margin)[:, None]
-        else:
-            pts = probes.apply_many(np.asarray(_vertices(p)))  # (P, V, 2) image vertices
-            room = margin[:, None]
-        x, y = pts[:, :, 0], pts[:, :, 1]
-        inside = np.zeros(len(probes), dtype=bool)
-        for q in targets:
-            if isinstance(q, Ball):
-                inside |= np.all(np.hypot(x - q.center[0], y - q.center[1]) + room <= q.radius, axis=1)
-            else:
-                inside |= np.all((x - room >= q.lo[0]) & (x + room <= q.hi[0])
-                                 & (y - room >= q.lo[1]) & (y + room <= q.hi[1]), axis=1)
-        proven &= inside
-    return proven
-
-
-def _vertices(p) -> list:
-    """Corners of a 2-D rect, or a polygon's vertices."""
-    if isinstance(p, Rect):
-        return [(p.lo[0], p.lo[1]), (p.hi[0], p.lo[1]), (p.hi[0], p.hi[1]), (p.lo[0], p.hi[1])]
-    return list(p.vertices)
-
-
-def _in_box(cube: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.ndarray:
-    """``lo + cube * span`` in place, by column, as in ``_place_in_ball``."""
-    for k in range(cube.shape[1]):
-        cube[:, k] *= span[k]
-        cube[:, k] += lo[k]
-    return cube
+        places = [h.apply_many for h in probes.take(admitted).similarities()]
+        means = _sample_means(spec, "mc", u, base, _seeds(spec, labels, admitted), places)
+    out = dict(zip(admitted, means))
+    return [out[i] if i in out else DomainError("the image h(D) leaves the field domain") for i in range(len(probes))]
 
 
 def _image_base(d: MarkedSet, seed: int, batch: int, chunk: int, size: int) -> np.ndarray:
@@ -510,7 +413,10 @@ def _image_base(d: MarkedSet, seed: int, batch: int, chunk: int, size: int) -> n
     n = 0
     attempts = 0
     while n < size and attempts < 64:
-        cand = _in_box(rng.random((2 * size, d.dim)), lo, span)
+        cand = rng.random((2 * size, d.dim))
+        for k in range(d.dim):  # lo + cand * span in place, by column, as in _place_in_ball
+            cand[:, k] *= span[k]
+            cand[:, k] += lo[k]
         cand = cand[d.region.contains_many(cand).astype(bool)]
         kept.append(cand)
         n += len(cand)
@@ -519,15 +425,3 @@ def _image_base(d: MarkedSet, seed: int, batch: int, chunk: int, size: int) -> n
         raise RuntimeError("rejection sampling failed to hit the marked set")
     # column-major, so that mapping the candidates reads each coordinate contiguously
     return np.concatenate(kept, out=np.empty((n, d.dim), order="F"))
-
-
-# Points of D that check an uncertified constant-field image h(D) against the domain.
-_CONTAINMENT_SAMPLES = 512
-
-
-def _containment_sample(d: MarkedSet, seed: int) -> np.ndarray:
-    """Up to ``_CONTAINMENT_SAMPLES`` uniform points of D, on the ``"containment"`` child of ``seed``."""
-    lo, hi = d.region.bbox
-    rng = _rng(derive_seed(seed, "containment"), 0)
-    cand = _in_box(rng.random((4 * _CONTAINMENT_SAMPLES, d.dim)), lo, hi - lo)
-    return cand[d.region.contains_many(cand).astype(bool)][:_CONTAINMENT_SAMPLES]

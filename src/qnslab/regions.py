@@ -4,10 +4,20 @@ Regions are immutable.  Measure uses closed forms for single primitives,
 inclusion-exclusion for certified pairwise overlaps (disk-disk, box-box), and
 seeded Monte Carlo otherwise.  A ``MarkedSet`` adds a marked interior point
 together with its outer radius ``R_D`` and inner radius ``r_D``.
+
+Containment of a ball is exact when one primitive holds it.  In 2-D every
+containment decision (balls, polygons, similarity images, a marked set's
+inner radius) is exact, read from the region's boundary pieces, up to a
+margin of 1e-9 of its largest coordinate, so tangency is refused.  An edge
+that two open primitives share is a slit outside the region, and a seam of
+two closed ones is refused conservatively.  A 3-D ball that no single
+primitive holds is checked by sampling; 3-D images and 3-D composite marked
+sets are refused.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -16,12 +26,11 @@ from typing import Callable, Union
 import numpy as np
 
 from . import _kernels_py as kernels
-from .geometry import Ball, Similarity, as_point, lens_area, unit_ball_volume
+from .geometry import Ball, Similarity, SimilarityArray, as_point, lens_area, unit_ball_volume
 
-DEFAULT_BOUNDARY_SAMPLES = 20_000
-# The sampled check of balls_in_region: boundary directions, the multiples of
-# the radius they are tested at, and the balls per membership call, which keep
-# a large probe array's points to a few MB at a time.
+# The sampled 3-D check of balls_in_region: boundary directions, the multiples
+# of the radius they are tested at, and the balls per membership call, which
+# keep a large probe array's points to a few MB at a time.
 _BALL_DIRS = 64
 _BALL_RHOS = (1.0, 0.7, 0.35)
 _BALL_GROUP = 1024
@@ -118,66 +127,18 @@ def _primitive_max_dist(p: Primitive, q: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(v - q, axis=1)))
 
 
-def _point_segment_dist(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    ab = b - a
-    t = float(np.dot(q - a, ab) / np.dot(ab, ab))
-    t = min(1.0, max(0.0, t))
-    return float(np.linalg.norm(q - (a + t * ab)))
-
-
 def _primitive_inner_dist(p: Primitive, q: np.ndarray) -> float:
-    """Distance from an interior point q to the primitive's boundary (< 0 if outside-ish)."""
+    """Distance from an interior point q to the boundary of a ball or box (< 0 if outside-ish)."""
     if isinstance(p, Ball):
         return p.radius - float(np.linalg.norm(q - np.asarray(p.center)))
-    if isinstance(p, Rect):
-        return min(min(q[k] - p.lo[k], p.hi[k] - q[k]) for k in range(p.dim))
-    v = [np.asarray(vert, dtype=np.float64) for vert in p.vertices]
-    d = min(_point_segment_dist(q, v[i], v[(i + 1) % len(v)]) for i in range(len(v)))
-    return d
+    return min(min(q[k] - p.lo[k], p.hi[k] - q[k]) for k in range(p.dim))
 
 
-def _primitive_boundary_samples(p: Primitive, n: int) -> np.ndarray:
-    if isinstance(p, Ball):
-        if p.dim == 2:
-            theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-            return np.asarray(p.center) + p.radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        pts = _fibonacci_sphere(n)
-        return np.asarray(p.center) + p.radius * pts
+def _corners(p: Primitive) -> list:
+    """Corners of a 2-D rect, or a polygon's vertices, in loop order."""
     if isinstance(p, Rect):
-        if p.dim == 2:
-            per = max(n // 4, 2)
-            xs = np.linspace(p.lo[0], p.hi[0], per, endpoint=False)
-            ys = np.linspace(p.lo[1], p.hi[1], per, endpoint=False)
-            bottom = np.stack([xs, np.full(per, p.lo[1])], axis=1)
-            top = np.stack([p.lo[0] + p.hi[0] - xs, np.full(per, p.hi[1])], axis=1)
-            left = np.stack([np.full(per, p.lo[0]), p.lo[1] + p.hi[1] - ys], axis=1)
-            right = np.stack([np.full(per, p.hi[0]), ys], axis=1)
-            return np.concatenate([bottom, right, top, left], axis=0)
-        # 3-D box faces, a coarse grid per face
-        per = max(int(math.sqrt(n / 6)), 2)
-        faces = []
-        for axis in range(3):
-            u_ax, v_ax = [k for k in range(3) if k != axis]
-            us = np.linspace(p.lo[u_ax], p.hi[u_ax], per)
-            vs = np.linspace(p.lo[v_ax], p.hi[v_ax], per)
-            uu, vv = np.meshgrid(us, vs)
-            for val in (p.lo[axis], p.hi[axis]):
-                face = np.empty((per * per, 3))
-                face[:, axis] = val
-                face[:, u_ax] = uu.ravel()
-                face[:, v_ax] = vv.ravel()
-                faces.append(face)
-        return np.concatenate(faces, axis=0)
-    v = np.asarray(p.vertices)
-    edges = np.roll(v, -1, axis=0) - v
-    lengths = np.linalg.norm(edges, axis=1)
-    total = lengths.sum()
-    out = []
-    for i in range(len(v)):
-        k = max(int(round(n * lengths[i] / total)), 2)
-        t = np.linspace(0.0, 1.0, k, endpoint=False)[:, None]
-        out.append(v[i] + t * edges[i])
-    return np.concatenate(out, axis=0)
+        return [(p.lo[0], p.lo[1]), (p.hi[0], p.lo[1]), (p.hi[0], p.hi[1]), (p.lo[0], p.hi[1])]
+    return list(p.vertices)
 
 
 def _fibonacci_sphere(n: int) -> np.ndarray:
@@ -243,11 +204,6 @@ class Region:
         q = as_point(p, self.dim)
         return bool(self.contains_many(q[None, :])[0])
 
-    def contains_interior(self, p) -> bool:
-        """Membership in the union of the primitives' interiors (strict tests)."""
-        q = as_point(p, self.dim)
-        return bool(kernels.contains_many(tuple(map(_as_open, self.primitives)), self._boxes, q[None, :])[0])
-
     def measure(self) -> float:
         return self.measure_detail()[0]
 
@@ -300,38 +256,17 @@ class Region:
         for p in self.primitives:
             if isinstance(p, Ball):
                 out.append(Ball(tuple(h(np.asarray(p.center))), h.scale * p.radius, p.closed))
-            elif isinstance(p, Rect):
-                if p.dim != 2:
-                    raise ValueError("3-D box transforms are not supported")
-                corners = [
-                    (p.lo[0], p.lo[1]),
-                    (p.hi[0], p.lo[1]),
-                    (p.hi[0], p.hi[1]),
-                    (p.lo[0], p.hi[1]),
-                ]
-                imgs = [tuple(h(np.asarray(c))) for c in corners]
-                if _is_axis_aligned(h):
-                    xs = [q[0] for q in imgs]
-                    ys = [q[1] for q in imgs]
-                    out.append(Rect((min(xs), min(ys)), (max(xs), max(ys)), p.closed))
-                else:
-                    out.append(Polygon(tuple(imgs), p.closed))
+                continue
+            if p.dim != 2:
+                raise ValueError("3-D box transforms are not supported")
+            imgs = [tuple(h(np.asarray(c))) for c in _corners(p)]
+            if isinstance(p, Rect) and _is_axis_aligned(h):
+                xs = [q[0] for q in imgs]
+                ys = [q[1] for q in imgs]
+                out.append(Rect((min(xs), min(ys)), (max(xs), max(ys)), p.closed))
             else:
-                out.append(Polygon(tuple(tuple(h(np.asarray(v))) for v in p.vertices), p.closed))
+                out.append(Polygon(tuple(imgs), p.closed))
         return Region(tuple(out))
-
-    def boundary_samples(self, total: int = DEFAULT_BOUNDARY_SAMPLES) -> np.ndarray:
-        """Points sampled on the union's boundary (primitive boundaries minus interior overlaps)."""
-        per = max(total // len(self.primitives), 64)
-        kept = []
-        for i, p in enumerate(self.primitives):
-            samples = _primitive_boundary_samples(p, per)
-            others = [prim for j, prim in enumerate(self.primitives) if j != i]
-            if others:
-                mask = ~Region(tuple(_as_open(o) for o in others)).contains_many(samples).astype(bool)
-                samples = samples[mask]
-            kept.append(samples)
-        return np.concatenate(kept, axis=0)
 
 
 def _cached(owner, attr: str, build: Callable[[], object]):
@@ -341,14 +276,6 @@ def _cached(owner, attr: str, build: Callable[[], object]):
         value = build()
         object.__setattr__(owner, attr, value)
     return value
-
-
-def _as_open(p: Primitive) -> Primitive:
-    if isinstance(p, Ball):
-        return Ball(p.center, p.radius, closed=False)
-    if isinstance(p, Rect):
-        return Rect(p.lo, p.hi, closed=False)
-    return p
 
 
 def _is_axis_aligned(h: Similarity) -> bool:
@@ -406,38 +333,43 @@ def _has_triple_bbox_overlap(prims, overlaps) -> bool:
     return False
 
 
-def balls_in_region(region: Region, centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, list]:
+def balls_in_region(region: Region, centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Which closed balls, given as ``(P, dim)`` centers and ``(P,)`` radii, lie
-    inside the region: ``(ok, directions)``, a bool per ball and per ball the
-    direction that refutes it, or None.
+    inside the region: ``(ok, directions)``, a bool per ball and a ``(P, dim)``
+    array whose row for a refused ball is a direction that refutes it (zero
+    for an admitted ball, or when the center misses).
 
-    Exact for a ball that one primitive holds (``balls_in_one_primitive``);
-    every other ball is checked by sampling (approximate, documented): the
-    points ``(r*rho)*d + c`` of the ``_BALL_DIRS`` directions d at each rho of
-    ``_BALL_RHOS``, then the center.  A refused ball reports its first missing
-    direction at the first rho that misses, or the zero direction when only
-    its center misses.
+    Exact for a ball that one primitive holds (``balls_in_one_primitive``).
+    In 2-D every other ball is inside when its center is in the region and its
+    distance to the boundary pieces exceeds its radius by the margin, and is
+    refuted by the unit direction to its nearest boundary point.  In 3-D every
+    other ball is checked by sampling (approximate, documented): the points
+    ``(r*rho)*d + c`` of the ``_BALL_DIRS`` directions d at each rho of
+    ``_BALL_RHOS``, then the center; it is refuted by its first missing
+    direction at the first rho that misses.
     """
     ok = balls_in_one_primitive(region, centers, radii)
-    directions: list = [None] * len(radii)
+    way = np.zeros(centers.shape)
     rest = np.flatnonzero(~ok)
-    if region.dim == 2:
-        theta = np.linspace(0.0, 2.0 * math.pi, _BALL_DIRS, endpoint=False)
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    else:
+    if rest.size and region.dim == 2:
+        c = centers[rest]
+        dist, near = boundary_distance(region, c)
+        inside = region.contains_many(c).astype(bool)
+        ok[rest] = inside & (dist > radii[rest] + _margin(region))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            way[rest] = np.where((~ok[rest] & inside & (dist > 0.0))[:, None], (near - c) / dist[:, None], 0.0)
+    elif rest.size:
         dirs = _fibonacci_sphere(_BALL_DIRS)
-    for lo in range(0, len(rest), _BALL_GROUP):
-        group = rest[lo:lo + _BALL_GROUP]
-        c = centers[group]
-        pts = (radii[group][:, None] * np.asarray(_BALL_RHOS))[:, :, None, None] * dirs + c[:, None, None, :]
-        inside = region.contains_many(pts.reshape(-1, region.dim)).reshape(len(group), len(_BALL_RHOS), _BALL_DIRS)
-        missed = inside.min(axis=2) == 0  # (ball, rho): some direction misses
-        first = inside[np.arange(len(group)), missed.argmax(axis=1)].argmin(axis=1)
-        ok[group] = ~missed.any(axis=1) & region.contains_many(c).astype(bool)
-        for i, miss, j in zip(group.tolist(), missed.any(axis=1).tolist(), first.tolist()):
-            if not ok[i]:
-                directions[i] = tuple(dirs[j] if miss else dirs[0] * 0.0)
-    return ok, directions
+        for lo in range(0, len(rest), _BALL_GROUP):
+            group = rest[lo:lo + _BALL_GROUP]
+            c = centers[group]
+            pts = (radii[group][:, None] * np.asarray(_BALL_RHOS))[:, :, None, None] * dirs + c[:, None, None, :]
+            inside = region.contains_many(pts.reshape(-1, region.dim)).reshape(len(group), len(_BALL_RHOS), _BALL_DIRS)
+            missed = inside.min(axis=2) == 0  # (ball, rho): some direction misses
+            first = inside[np.arange(len(group)), missed.argmax(axis=1)].argmin(axis=1)
+            ok[group] = ~missed.any(axis=1) & region.contains_many(c).astype(bool)
+            way[group] = np.where(missed.any(axis=1)[:, None], dirs[first], 0.0)
+    return ok, way
 
 
 def balls_in_one_primitive(region: Region, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -459,11 +391,198 @@ def _balls_in_primitive(p: Primitive, c: np.ndarray, r: np.ndarray) -> np.ndarra
         return inside.all(axis=1)
     # a polygon holds the ball when it holds the center and every edge is farther than r
     a = np.asarray(p.vertices)
-    ab = np.roll(a, -1, axis=0) - a
-    t = np.fmin(np.fmax(((c[:, None, :] - a) * ab).sum(axis=2) / (ab * ab).sum(axis=1), 0.0), 1.0)
-    edge_dist = np.sqrt(np.square(c[:, None, :] - (a + t[:, :, None] * ab)).sum(axis=2))
+    edge_dist = _project(c[:, None, :], a, np.roll(a, -1, axis=0) - a)[1]
     inside = kernels.contains_many((p,), (_padded_box(p),), c).astype(bool)
     return inside & (edge_dist.min(axis=1) > r)
+
+
+# -- the 2-D boundary model ----------------------------------------------------
+#
+# A region's boundary pieces are the arcs and segments of each primitive's
+# boundary, split wherever another primitive's boundary crosses or nears them,
+# that no other primitive covers.  They contain the boundary of the union, and
+# also any edge that two primitives share (a slit or a seam).
+
+# Containment margin, relative to the region's largest coordinate: rounding in
+# mapping a point or in a membership test errs by a few ulps, far inside it.
+_MARGIN = 1e-9
+
+
+def _margin(region: Region) -> float:
+    return _MARGIN * float(np.max(np.abs(region.bbox)))
+
+
+def _cross(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
+
+
+def _project(pts: np.ndarray, a: np.ndarray, ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nearest points to ``pts`` of the segments a + t*ab, t in [0, 1], and their distances."""
+    t = np.clip(((pts - a) * ab).sum(axis=-1) / (ab * ab).sum(axis=-1), 0.0, 1.0)
+    near = a + t[..., None] * ab
+    return near, np.linalg.norm(pts - near, axis=-1)
+
+
+def _on_sweep(v: np.ndarray, start, sweep) -> np.ndarray:
+    """Whether the directions v from arcs' centers lie on their sweeps."""
+    return np.mod(np.arctan2(v[..., 1], v[..., 0]) - start, 2.0 * math.pi) <= sweep
+
+
+def _edge_arc_hits(a: np.ndarray, ab: np.ndarray, arcs: np.ndarray, m: float) -> np.ndarray:
+    """Parameters t in [0, 1] at which the edges a + t*ab cross the arcs or come
+    within m of them: the two line-circle crossings and the foot of the arc's
+    center, each on the arc's sweep.  Shape (..., A, 3), nan for a miss."""
+    f = a - arcs[:, :2]  # (..., A, 2)
+    dd = (ab * ab).sum(axis=-1)
+    foot = -(f * ab).sum(axis=-1) / dd
+    with np.errstate(invalid="ignore"):
+        root = np.sqrt(foot * foot - ((f * f).sum(axis=-1) - arcs[:, 2] ** 2) / dd)
+    t = np.stack([foot - root, foot + root, foot], axis=-1)
+    pt = f[..., None, :] + t[..., None] * ab[..., None, :]  # relative to the center
+    tol = m / np.sqrt(dd)[..., None]
+    hit = (t >= -tol) & (t <= 1.0 + tol) & (np.abs(np.linalg.norm(pt, axis=-1) - arcs[:, 2:3]) <= m)
+    return np.where(hit & _on_sweep(pt, arcs[:, 3:4], arcs[:, 4:5]), np.clip(t, 0.0, 1.0), np.nan)
+
+
+def _arc_points(arcs: np.ndarray, fraction: float) -> np.ndarray:
+    """The point of each arc at the given fraction of its sweep."""
+    t = arcs[:, 3] + fraction * arcs[:, 4]
+    return arcs[:, :2] + arcs[:, 2:3] * np.stack([np.cos(t), np.sin(t)], axis=1)
+
+
+def _meet(e: tuple, f: tuple, m: float) -> list:
+    """Points where two boundary elements, each a circle ``(center, radius)``
+    or an edge ``(a, b)``, cross or touch, or come within m of each other (a
+    near-tangent, or an end of an edge near the other element)."""
+    if np.ndim(e[1]) > np.ndim(f[1]):
+        e, f = f, e  # a circle first
+    if np.ndim(f[1]) == 0:  # two circles
+        (c, r), (c2, r2) = e, f
+        v = c2 - c
+        d = math.hypot(*v)
+        if d == 0.0 or d > r + r2 + m or d < abs(r - r2) - m:
+            return []
+        along = (d * d + r * r - r2 * r2) / (2.0 * d)
+        h = math.sqrt(max(r * r - along * along, 0.0))
+        return [c + (along * v + s * h * np.array([-v[1], v[0]])) / d for s in (1.0, -1.0)]
+    if np.ndim(e[1]) == 0:  # a circle and an edge
+        (c, r), (a, b) = e, f
+        ts = _edge_arc_hits(a, b - a, np.array([[*c, r, 0.0, 2.0 * math.pi]]), m).ravel()
+        return [a + t * (b - a) for t in ts[~np.isnan(ts)]]
+    (a, b), (c, g) = e, f  # two edges
+    near = [q for q, (s, t) in ((a, (c, g)), (b, (c, g)), (c, (a, b)), (g, (a, b)))
+            if _project(q, s, t - s)[1] <= m]
+    den = _cross(b - a, g - c)
+    if den != 0.0:
+        t, s = _cross(c - a, g - c) / den, _cross(c - a, b - a) / den
+        if 0.0 <= t <= 1.0 and 0.0 <= s <= 1.0:
+            near.append(a + t * (b - a))
+    return near
+
+
+def _pieces(region: Region) -> tuple[np.ndarray, np.ndarray]:
+    """The region's boundary pieces, built on first use and kept on the region:
+    ``(arcs, segments)``, arcs as rows (center x, center y, radius, start angle,
+    sweep) and segments as rows (a x, a y, b x, b y)."""
+    return _cached(region, "_pieces_cache", lambda: _build_pieces(region))
+
+
+def _build_pieces(region: Region) -> tuple[np.ndarray, np.ndarray]:
+    if region.dim != 2:
+        raise ValueError("the boundary model is 2-D")
+    m = _margin(region)
+    elements = []  # each primitive's circle or edges
+    for p in region.primitives:
+        if isinstance(p, Ball):
+            elements.append((np.asarray(p.center), p.radius))
+        else:
+            v = np.asarray(_corners(p), dtype=np.float64)
+            elements.extend(zip(v, np.roll(v, -1, axis=0)))
+    cuts = [[] for _ in elements]
+    for (x, e), (y, f) in itertools.combinations(enumerate(elements), 2):
+        pts = _meet(e, f, m)  # edges of one polygon meet only at their shared ends
+        cuts[x] += pts
+        cuts[y] += pts
+    arcs, segs = [], []
+    for e, pts in zip(elements, cuts):
+        if np.ndim(e[1]) == 0:
+            (cx, cy), r = e
+            # an uncut circle is one arc, from angle 0
+            angles = sorted(set(np.mod([math.atan2(q[1] - cy, q[0] - cx) for q in pts] or [0.0], 2.0 * math.pi)))
+            arcs += [(cx, cy, r, s, w) for s, w in zip(angles, np.diff(angles, append=angles[0] + 2.0 * math.pi))]
+        else:
+            a, b = e
+            ts = sorted({0.0, 1.0, *(min(max((q - a) @ (b - a) / ((b - a) @ (b - a)), 0.0), 1.0) for q in pts)})
+            segs += [(*((1.0 - t0) * a + t0 * b), *((1.0 - t1) * a + t1 * b)) for t0, t1 in zip(ts[:-1], ts[1:])]
+    arcs, segs = np.asarray(arcs).reshape(-1, 5), np.asarray(segs).reshape(-1, 4)
+    mids = np.concatenate([_arc_points(arcs, 0.5), 0.5 * (segs[:, :2] + segs[:, 2:])])
+    # a midpoint lies on its own primitive's boundary, so no primitive but another holds it with the margin
+    covered = np.zeros(len(mids), dtype=bool)
+    for p in region.primitives:
+        covered |= _balls_in_primitive(p, mids, np.full(len(mids), m))
+    return arcs[~covered[:len(arcs)]], segs[~covered[len(arcs):]]
+
+
+def boundary_distance(region: Region, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each of the ``(N, 2)`` points, its distance to the region's boundary
+    pieces and the nearest point of them, ``(dist, nearest)``: on an arc the
+    radial foot if it lies on the sweep, else the nearer end; on a segment the
+    clamped projection."""
+    arcs, segs = _pieces(region)
+    pts = np.asarray(pts, dtype=np.float64)[:, None, :]
+    v = pts - arcs[:, :2]  # (N, A, 2)
+    rho = np.linalg.norm(v, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        feet = arcs[:, :2] + (arcs[:, 2] / rho)[..., None] * v
+    ends = np.concatenate([_arc_points(arcs, 0.0), _arc_points(arcs, 1.0)])
+    near = np.concatenate([feet, np.broadcast_to(ends, (len(pts), *ends.shape)),
+                           _project(pts, segs[:, :2], segs[:, 2:] - segs[:, :2])[0]], axis=1)
+    dist = np.linalg.norm(pts - near, axis=-1)
+    dist[:, :len(arcs)][~_on_sweep(v, arcs[:, 3], arcs[:, 4]) | (rho == 0.0)] = np.inf  # a foot off its arc
+    rows, best = np.arange(len(dist)), dist.argmin(axis=1)
+    return dist[rows, best], near[rows, best]
+
+
+def polygons_in_region(region: Region, verts: np.ndarray) -> np.ndarray:
+    """Which closed polygons, given as ``(P, V, 2)`` vertex loops, lie inside the
+    2-D region: exact up to the margin, a bool per polygon.
+
+    A polygon is inside when its vertices lie in the region farther than the
+    margin from the boundary pieces, no piece end lies inside it (even-odd
+    rule) or within the margin of an edge, no edge crosses or nears an arc
+    (``_edge_arc_hits``) and no edge crosses a segment.
+    """
+    verts = np.asarray(verts, dtype=np.float64)
+    m = _margin(region)
+    arcs, segs = _pieces(region)
+    flat = verts.reshape(-1, 2)
+    ok = region.contains_many(flat).astype(bool) & (boundary_distance(region, flat)[0] > m)
+    ok = ok.reshape(verts.shape[:2]).all(axis=1)
+    a = verts[:, :, None, :]  # (P, V, 1, 2): edge k runs from a to a + ab
+    ab = np.roll(verts, -1, axis=1)[:, :, None, :] - a
+    ends = np.concatenate([_arc_points(arcs, 0.0), _arc_points(arcs, 1.0), segs[:, :2], segs[:, 2:]])
+    ok &= ~kernels.in_polygons(ends, verts).any(axis=1) & ~(_project(ends, a, ab)[1] <= m).any(axis=(1, 2))
+    ok &= np.isnan(_edge_arc_hits(a, ab, arcs, m)).all(axis=(1, 2, 3))
+    s0, s = segs[:, :2], segs[:, 2:] - segs[:, :2]
+    crossed = (_cross(ab, s0 - a) * _cross(ab, s0 + s - a) < 0.0) & (_cross(s, a - s0) * _cross(s, a + ab - s0) < 0.0)
+    return ok & ~crossed.any(axis=(1, 2))
+
+
+def images_in_region(d: Region, omega: Region, probes: SimilarityArray) -> np.ndarray:
+    """Which images h_i(D) of a 2-D region D under a probe array lie inside the
+    2-D region ``omega``, a bool per probe: a ball of D maps to a ball
+    (``balls_in_region``), a rect or polygon of D to the polygon of its mapped
+    corners (``polygons_in_region``).
+    """
+    if d.dim != 2 or omega.dim != 2:
+        raise ValueError("image containment is 2-D")
+    ok = np.ones(len(probes), dtype=bool)
+    for p in d.primitives:
+        if isinstance(p, Ball):
+            ok &= balls_in_region(omega, probes.apply_many(np.asarray([p.center]))[:, 0], probes.scale * p.radius)[0]
+        else:
+            ok &= polygons_in_region(omega, probes.apply_many(np.asarray(_corners(p), dtype=np.float64)))
+    return ok
 
 
 @dataclass(frozen=True, eq=False)
@@ -471,9 +590,9 @@ class MarkedSet:
     """A bounded region with a marked interior point.
 
     ``outer_radius`` is the supremum of distances from the marked point to the
-    set; ``inner_radius`` its distance to the complement of the interior.
-    Both are exact for single primitives and come from dense boundary sampling
-    for composites.
+    set; ``inner_radius`` its distance to the complement of the interior, in
+    2-D its distance to the boundary pieces.  Both are exact; a 3-D marked
+    set must be a single ball or box.
     """
 
     region: Region
@@ -482,14 +601,15 @@ class MarkedSet:
     def __post_init__(self):
         object.__setattr__(self, "marked_point", tuple(float(v) for v in self.marked_point))
         q = as_point(self.marked_point, self.region.dim)
-        if not self.region.contains_interior(q):
+        if not self.region.contains(q):
             raise ValueError("marked point must lie in the interior of the region")
         outer = max(_primitive_max_dist(p, q) for p in self.region.primitives)
-        if len(self.region.primitives) == 1:
+        if self.region.dim == 2:
+            inner = float(boundary_distance(self.region, q[None, :])[0][0])
+        elif len(self.region.primitives) == 1:
             inner = _primitive_inner_dist(self.region.primitives[0], q)
         else:
-            pts = self.region.boundary_samples(DEFAULT_BOUNDARY_SAMPLES)
-            inner = float(np.min(np.linalg.norm(pts - q, axis=1)))
+            raise ValueError("a 3-D marked set must be a single ball or box")
         object.__setattr__(self, "_outer", float(outer))
         object.__setattr__(self, "_inner", float(inner))
         volume, stderr, method = self.region.measure_detail()

@@ -97,6 +97,36 @@ class TestCheckQns:
         result = runner.invoke(main, ["check-qns", "--config", cfg, "--workers", "0"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("samples", ["0", "-5", "999"])
+    def test_samples_below_the_floor_exit_2(self, runner, tmp_path, samples):
+        cfg = write_json(tmp_path / "p.json", PROBLEM)
+        result = runner.invoke(main, ["check-qns", "--config", cfg, "--samples", samples])
+        assert result.exit_code == 2
+
+    def test_samples_at_the_floor(self, runner, tmp_path):
+        cfg = write_json(tmp_path / "p.json", PROBLEM)
+        result = runner.invoke(main, ["check-qns", "--config", cfg, "--samples", "1000"])
+        assert result.exit_code == 0
+
+    @pytest.mark.parametrize("probes", [
+        {"radius_range": [0.5, 0.1]}, {"radius_range": [0.0, 0.5]}, {"radius_range": ["abc", "0.5"]},
+        {"center_resolution": 0}, {"radii_per_center": 0},
+    ], ids=["reversed-radius-range", "zero-radius", "non-numeric-radius", "no-centers", "no-radii"])
+    def test_invalid_probe_settings_exit_2(self, runner, tmp_path, probes):
+        doc = json.loads(json.dumps(PROBLEM))
+        doc["probes"].update(probes)
+        cfg = write_json(tmp_path / "p.json", doc)
+        result = runner.invoke(main, ["check-qns", "--config", cfg])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert "invalid problem description" in result.output
+
+    def test_decimal_string_radius_range(self, runner, tmp_path):
+        doc = json.loads(json.dumps(PROBLEM))
+        doc["probes"]["radius_range"] = [repr(float(v)) for v in doc["probes"]["radius_range"]]
+        cfg = write_json(tmp_path / "p.json", doc)
+        result = runner.invoke(main, ["check-qns", "--config", cfg, "--samples", "1000"])
+        assert result.exit_code == 0
+
     def test_wholesale_containment_failure_exit_2(self, runner, tmp_path):
         doc = json.loads(json.dumps(PROBLEM))
         doc["probes"]["radius_range"] = [50.0, 60.0]

@@ -26,8 +26,9 @@ from qnslab.quadrature import (
     mean_over_image,
     sample_in_ball,
 )
-from qnslab.regions import MarkedSet, Polygon, Rect, Region
+from qnslab.regions import MarkedSet, Polygon, Rect, Region, images_in_region
 from test_qns_engine import reference_sample_mean
+from test_regions import RING, dense_points
 
 OMEGA = Region((Ball((0.0, 0.0), 4.0),))
 SUPPORT = Region((Ball((0.0, 0.0), 1.0, closed=True),))
@@ -180,8 +181,8 @@ class TestSampleMemo:
         self.assert_matches_one_probe_calls(outcomes, lambda b: mean_over_ball(u, b, spec), balls)
 
     def test_image_array_matches_one_probe_calls(self):
-        # a domain of two rects: an image that straddles x = 0 is not certified,
-        # so its probe maps and checks the whole over-draw
+        # a domain of two open rects: their shared edge x = 0 is a slit outside
+        # the domain, so the images that straddle it are refused
         u = indicator_field(SUPPORT, Region((Rect((-4.0, -4.0), (0.0, 4.0)), Rect((0.0, -4.0), (4.0, 4.0)))))
         d = MarkedSet(Region((Rect((-0.5, -0.5), (0.5, 0.5)),)), (0.0, 0.0))
         spec = QuadratureSpec(method="mc", target_rel_error=0.01, max_samples=30_000, seed=13, workers=2)
@@ -189,9 +190,9 @@ class TestSampleMemo:
                 Similarity(0.5, np.eye(2), (-1.0, 0.5)), Similarity(1.0, np.eye(2), (2.0, 0.0))]
         probes = SimilarityArray(np.array([h.scale for h in sims]), np.stack([h.orthogonal for h in sims]),
                                  np.array([h.translation for h in sims]))
-        assert quadrature._images_certified(d.region, u.domain, probes).tolist() == [False, False, True, True]
+        assert images_in_region(d.region, u.domain, probes).tolist() == [False, False, True, True]
         outcomes = quadrature._image_means(u, d, probes, spec)
-        assert len({res.n_samples for res in outcomes}) > 1
+        assert len({res.n_samples for res in outcomes if not isinstance(res, Exception)}) > 1
         self.assert_matches_one_probe_calls(outcomes, lambda h: mean_over_image(u, d, h, spec), sims)
 
     @pytest.mark.parametrize("method", ["mc", "stratified", "auto"])
@@ -218,8 +219,8 @@ class TestSampleMemo:
 
     @pytest.mark.parametrize("field", ["indicator", "constant"])
     def test_labeled_image_array_matches_one_probe_calls_on_child_specs(self, field):
-        # certified and uncertified images, and one that leaves the domain;
-        # an uncertified constant-field image checks its own containment sample
+        # images inside one rect, two across the slit x = 0 between the rects,
+        # and one that leaves the domain
         omega = Region((Rect((-4.0, -4.0), (0.0, 4.0)), Rect((0.0, -4.0), (4.0, 4.0))))
         u = indicator_field(SUPPORT, omega) if field == "indicator" else constant_field(1.0, omega)
         d = MarkedSet(Region((Rect((-0.5, -0.5), (0.5, 0.5)),)), (0.0, 0.0))
@@ -229,7 +230,7 @@ class TestSampleMemo:
                 Similarity(2.0, np.eye(2), (3.5, 0.0))]
         probes = SimilarityArray(np.array([h.scale for h in sims]), np.stack([h.orthogonal for h in sims]),
                                  np.array([h.translation for h in sims]))
-        assert quadrature._images_certified(d.region, omega, probes).tolist() == [False, False, True, True, False]
+        assert images_in_region(d.region, omega, probes).tolist() == [False, False, True, True, False]
         labels = [f"image:{i}" for i in range(len(sims))]
         outcomes = quadrature._image_means(u, d, probes, spec, labels)
         assert isinstance(outcomes[4], DomainError)
@@ -249,8 +250,9 @@ class TestSampleMemo:
         assert mean_over_ball(u, ball, spec).mean == expected
 
     def test_over_draw_outside_the_domain_is_rejected(self):
-        # the first `size` mapped candidates lie in the domain and one
-        # over-drawn candidate does not: the call must still fail
+        # the first `size` mapped candidates, the ones that enter the mean, lie
+        # in the domain and one over-drawn candidate does not: h(D) leaves the
+        # domain, so the call must still fail
         d = MarkedSet(Region((Ball((0.0, 0.0), 1.0),)), (0.0, 0.0))
         spec = QuadratureSpec(method="mc", max_samples=4096, seed=14)
         base = quadrature._image_base(d, spec.seed, 0, 0, 4096)
@@ -620,7 +622,7 @@ class TestDeriveSeed:
 
 
 class TestImageCertificate:
-    """``_images_certified`` proves h(D) ⊆ Ω from convex domain primitives."""
+    """``images_in_region`` certifies h(D) ⊆ Ω exactly, up to its margin."""
 
     MARKED = [
         Region((Ball((0.0, 0.0), 1.0),)),
@@ -635,23 +637,22 @@ class TestImageCertificate:
             Rect((-2.0, -2.0), (0.3, 2.0)), Rect((0.5, -2.0), (2.0, 2.0)),
             Rect((0.3, -2.0), (0.5, -0.1)), Rect((0.3, 0.1), (0.5, 2.0)),
         )),
+        # a non-convex polygon domain: an L of two 4x2 arms
+        Region((Polygon(((-2.0, -2.0), (2.0, -2.0), (2.0, 0.0), (0.0, 0.0), (0.0, 2.0), (-2.0, 2.0))),)),
     ]
 
     @staticmethod
     def certified(d, omega, *sims):
-        return quadrature._images_certified(d, omega, SimilarityArray(
+        return images_in_region(d, omega, SimilarityArray(
             np.array([h.scale for h in sims]), np.stack([h.orthogonal for h in sims]),
             np.array([h.translation for h in sims])))
 
     @pytest.mark.parametrize("di", range(4))
-    @pytest.mark.parametrize("oi", range(3))
+    @pytest.mark.parametrize("oi", range(4))
     def test_never_certifies_an_image_that_leaves(self, di, oi):
         d, omega = self.MARKED[di], self.DOMAINS[oi]
         rng = np.random.Generator(np.random.PCG64(100 + 10 * di + oi))
-        dense = d.boundary_samples(4000)
-        lo, hi = d.bbox
-        inner = lo + rng.random((4000, 2)) * (hi - lo)
-        dense = np.concatenate([dense, inner[d.contains_many(inner).astype(bool)]])
+        dense = dense_points(d, 4000, rng)
         o_lo, o_hi = omega.bbox
         sims = []
         for _ in range(400):
@@ -684,18 +685,30 @@ class TestImageCertificate:
         assert self.certified(square, box, Similarity(0.99, np.eye(2), (0.5, 0.5))).all()
 
     def test_refuses_images_that_hold_a_hole(self):
-        disk, holed = self.MARKED[0], self.DOMAINS[2]
+        disk, square, holed = self.MARKED[0], self.MARKED[1], self.DOMAINS[2]
         assert not self.certified(disk, holed, Similarity(0.6, np.eye(2), (0.0, 0.0)),
                                   Similarity(1.0, np.eye(2), (0.0, 0.0))).any()
         # the same disk inside one rect of the domain
         assert self.certified(disk, holed, Similarity(0.5, np.eye(2), (-1.0, 0.0))).all()
+        # a disk and a square around the hole of a ring of disks, their boundaries inside the ring
+        rng = np.random.Generator(np.random.PCG64(5))
+        for d, h in ((disk, Similarity(1.0, np.eye(2), (0.0, 0.0))), (square, Similarity.rotation(0.2, scale=1.3))):
+            assert RING.contains_many(h.apply_many(dense_points(d, 2000, rng)[:2000])).all()
+            assert not self.certified(d, RING, h).any()
+        assert self.certified(disk, RING, Similarity(0.2, np.eye(2), (1.0, 0.0))).all()
 
-    def test_polygon_domains_and_3d_prove_nothing(self):
+    def test_polygon_domains_are_decided_and_3d_is_refused(self):
         tri = Region((Polygon(((-3.0, -3.0), (3.0, -3.0), (0.0, 3.0))),))
-        assert not self.certified(self.MARKED[0], tri, Similarity(0.1, np.eye(2), (0.0, 0.0))).any()
+        assert self.certified(self.MARKED[0], tri, Similarity(0.1, np.eye(2), (0.0, 0.0))).all()
+        assert not self.certified(self.MARKED[0], tri, Similarity(1.0, np.eye(2), (0.0, 2.5))).any()
+        # the L-shaped marked set against the L-shaped domain: inside an arm, and across the notch
+        ell, omega = self.MARKED[3], self.DOMAINS[3]
+        assert self.certified(ell, omega, Similarity(1.0, np.eye(2), (-1.0, 1.0))).all()
+        assert not self.certified(ell, omega, Similarity(2.0, np.eye(2), (0.5, 0.5))).any()
         ball3 = Region((Ball((0.0, 0.0, 0.0), 1.0),))
         h3 = Similarity(0.1, np.eye(3), (0.0, 0.0, 0.0))
-        assert not self.certified(ball3, Region((Ball((0.0, 0.0, 0.0), 5.0),)), h3).any()
+        with pytest.raises(ValueError):
+            self.certified(ball3, Region((Ball((0.0, 0.0, 0.0), 5.0),)), h3)
 
     def test_certified_image_maps_only_the_mean_samples(self, monkeypatch):
         d = MarkedSet(self.MARKED[1], (0.0, 0.0))
@@ -709,10 +722,11 @@ class TestImageCertificate:
                             lambda self, pts: mapped.append(len(pts)) or apply_many(self, pts))
         res = mean_over_image(CHI, d, h, spec)
         assert checks == [] and sum(mapped) == res.n_samples == 8192
-        # outside the certificate every accepted candidate is mapped and checked
+        # an image within the margin of the domain's boundary is refused before any sample is mapped
         far = indicator_field(SUPPORT, Region((Rect((-4.0, -4.0), (4.0, 4.0)), Ball((0.0, 0.0), 0.1))))
         mapped.clear()
         near = Similarity(1.0, np.eye(2), (3.5 - 1e-12, 0.0))
         assert not self.certified(d.region, far.domain, near).any()
-        res = mean_over_image(far, d, near, spec)
-        assert sum(checks) == sum(mapped) > res.n_samples
+        with pytest.raises(DomainError):
+            mean_over_image(far, d, near, spec)
+        assert checks == [] and mapped == []

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnslab import regions
-from qnslab.geometry import Ball, Similarity, as_point, lens_area
+from qnslab.counterexample import build_domain, default_sequences
+from qnslab.geometry import Ball, Similarity, SimilarityArray, as_point, lens_area
 from qnslab.regions import (
     MarkedSet,
     Polygon,
@@ -16,7 +17,10 @@ from qnslab.regions import (
     Region,
     balls_in_one_primitive,
     balls_in_region,
+    boundary_distance,
+    images_in_region,
     load_region,
+    polygons_in_region,
     region_from_json,
     region_to_json,
     similarity_image_measure,
@@ -164,8 +168,8 @@ class TestMarkedSet:
         assert d.outer_radius == 1.0 and d.inner_radius == 1.0
 
     def test_two_ball_radii(self):
-        # outer radius exact (farthest union point), inner by boundary sampling;
-        # the waist of the union sits sqrt(3)/2 from the midpoint
+        # outer radius exact (farthest union point), inner from the boundary
+        # pieces; the waist of the union sits sqrt(3)/2 from the midpoint
         d = MarkedSet(TWO_BALL, (0.5, 0.0))
         assert math.isclose(d.outer_radius, 1.5, rel_tol=1e-12)
         assert math.isclose(d.inner_radius, math.sqrt(3.0) / 2.0, abs_tol=2e-3)
@@ -174,12 +178,20 @@ class TestMarkedSet:
         with pytest.raises(ValueError):
             MarkedSet(UNIT_DISK, (1.0, 0.0))
 
+    @pytest.mark.parametrize("c", [0.1, 0.5, 0.9, 0.99])
+    def test_two_disk_inner_radius_is_exact(self, c):
+        # the waist of two unit disks at (+-c, 0) sits sqrt(1 - c^2) from the origin
+        d = MarkedSet(Region((Ball((-c, 0.0), 1.0), Ball((c, 0.0), 1.0))), (0.0, 0.0))
+        assert math.isclose(d.inner_radius, math.sqrt(1.0 - c * c), rel_tol=1e-12)
+
+    def test_3d_composite_is_refused(self):
+        with pytest.raises(ValueError):
+            MarkedSet(BALL_BOX, (0.0, 0.0, 0.0))
+        assert MarkedSet(Region((Ball((0.0, 0.0, 0.0), 2.0),)), (0.5, 0.0, 0.0)).inner_radius == 1.5
+
     def test_boundary_sample_bounds(self):
         d = MarkedSet(TWO_BALL, (0.5, 0.0))
         p = np.array(d.marked_point)
-        boundary = d.region.boundary_samples(4000)
-        dists = np.linalg.norm(boundary - p, axis=1)
-        assert np.all(dists >= d.inner_radius - 1e-9)
         rng = np.random.Generator(np.random.PCG64(3))
         pts = rng.random((20_000, 2)) * np.array([4.0, 2.0]) + np.array([-1.0, -1.0])
         inside = pts[d.region.contains_many(pts).astype(bool)]
@@ -189,7 +201,7 @@ class TestMarkedSet:
 def one_ball(region, center, radius):
     """``balls_in_region`` on a one-ball array: ``(ok, direction)``."""
     ok, directions = balls_in_region(region, np.asarray([center], dtype=np.float64), np.asarray([float(radius)]))
-    return bool(ok[0]), directions[0]
+    return bool(ok[0]), tuple(directions[0].tolist())
 
 
 class TestBallInRegion:
@@ -197,7 +209,7 @@ class TestBallInRegion:
         ok, _ = one_ball(UNIT_DISK, (0.0, 0.0), 0.99)
         assert ok
         ok, direction = one_ball(UNIT_DISK, (0.5, 0.0), 0.6)
-        assert not ok and direction is not None
+        assert not ok and direction == (1.0, 0.0)  # toward the nearest boundary point
 
     def test_union_spanning_ball(self):
         ok, _ = one_ball(TWO_BALL, (0.5, 0.0), 0.6)
@@ -209,8 +221,8 @@ class TestBallInRegion:
 
     def test_containment_builds_no_region(self, monkeypatch):
         # the square (0,0)-(2,2) as a polygon, joined to a rect: every probe
-        # ball tests the polygon primitive, and neither that test nor
-        # contains_interior builds a Region of its own
+        # ball tests the polygon primitive, and that test builds no Region of
+        # its own
         square = Polygon(((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)))
         region = Region((square, Rect((2.0, 0.5), (3.0, 1.5))))
         built = []
@@ -219,83 +231,211 @@ class TestBallInRegion:
         rng = np.random.Generator(np.random.PCG64(8))
         balls = [(tuple(rng.uniform(0.0, 3.0, 2)), float(rng.uniform(0.05, 1.0))) for _ in range(200)]
         answers = [one_ball(region, c, r) for c, r in balls]
-        interior = [region.contains_interior(c) for c, _ in balls]
         assert built == []
         assert {ok for ok, _ in answers} == {True, False}
         # the same answers as from primitives built afresh for every call
         monkeypatch.undo()
         for (c, r), got in zip(balls, answers):
             assert got == one_ball(Region((Polygon(square.vertices), region.primitives[1])), c, r)
-        opened = Region(tuple(regions._as_open(p) for p in region.primitives))
-        assert interior == [opened.contains(c) for c, _ in balls]
 
 
 def ball_in_region_oracle(region, center, radius):
-    """The per-ball containment check as it stood before the array form, kept as the oracle."""
+    """The per-ball sampled containment check as it stood before the array form:
+    the oracle of the sampled 3-D check."""
     c = as_point(center, region.dim)
     if balls_in_one_primitive(region, c[None, :], np.asarray([radius], dtype=np.float64))[0]:
-        return True, None
-    if region.dim == 2:
-        theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    else:
-        dirs = regions._fibonacci_sphere(64)
+        return True, (0.0,) * region.dim
+    dirs = regions._fibonacci_sphere(64)
     for rho in (1.0, 0.7, 0.35):
         pts = c + radius * rho * dirs
         mask = region.contains_many(pts).astype(bool)
         if not mask.all():
-            return False, tuple(dirs[int(np.argmin(mask))])
+            return False, tuple(dirs[int(np.argmin(mask))].tolist())
     if not region.contains(c):
-        return False, tuple(dirs[0] * 0.0)
-    return True, None
+        return False, (0.0,) * region.dim
+    return True, (0.0,) * region.dim
 
 
 # Two overlapping disks joined by a rect (as in tests/test_quadrature.py).
 SPANNED = Region((Ball((-1.0, 0.0), 1.5), Ball((1.0, 0.0), 1.5), Rect((-1.0, -0.5), (3.0, 0.5))))
 # The check-qns benchmark domain: two unit disks at (+-1.35, 0) joined by a bridge of half-height 0.25.
 BRIDGED = Region((Ball((-1.35, 0.0), 1.0), Ball((1.35, 0.0), 1.0), Rect((-1.35, -0.25), (1.35, 0.25))))
-# A square with a square hole (as in tests/test_qns_engine.py): a ball around the
-# hole can keep every sampled ring point inside and fail on its center alone.
+# A square with a square hole (as in tests/test_qns_engine.py).  Its open rects
+# share the edges x = 0.3 and x = 0.5 outside the hole: slits, outside the region.
 HOLED = Region((Rect((-2.0, -2.0), (0.3, 2.0)), Rect((0.5, -2.0), (2.0, 2.0)),
                 Rect((0.3, -2.0), (0.5, -0.1)), Rect((0.3, 0.1), (0.5, 2.0))))
+HOLED_SLITS = [((x, y0), (x, y1)) for x in (0.3, 0.5) for y0, y1 in ((-2.0, -0.1), (0.1, 2.0))]
+# Ten overlapping disks around a hole (as in tests/test_backend.py).
+RING = Region(tuple(Ball((math.cos(t), math.sin(t)), 0.5) for t in np.linspace(0, 2 * math.pi, 10, endpoint=False)))
+# The second component of the default chain domain: a disk of radius 5.1e-6 at
+# the origin, bridges of half-height 6.4e-7 and 4e-13, and neighbor disks.
+CHAIN = build_domain(default_sequences(3, 5)).components[1].omega_local
 BALL_BOX = Region((Ball((0.0, 0.0, 0.0), 1.0), Rect((0.5, -0.4, -0.4), (2.0, 0.4, 0.4))))
+# each 2-D domain with the box its random shapes are drawn in: the chain
+# component's is the junction of its center disk and its left bridge
+DOMAINS_2D = {"bridged": (BRIDGED, BRIDGED.bbox), "spanned": (SPANNED, SPANNED.bbox), "holed": (HOLED, HOLED.bbox),
+              "ring": (RING, RING.bbox), "chain": (CHAIN, (np.array([-8e-6, -1e-6]), np.array([-2e-6, 1e-6])))}
+
+
+def dense_points(region, n, rng):
+    """About n points of a 2-D region's closure: its primitives' boundaries, evenly
+    spaced, and uniform points of the region drawn in its bounding box."""
+    out = []
+    for p in region.primitives:
+        if isinstance(p, Ball):
+            t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+            out.append(np.asarray(p.center) + p.radius * np.stack([np.cos(t), np.sin(t)], axis=1))
+        else:
+            v = np.asarray(regions._corners(p))
+            s = np.linspace(0.0, 1.0, n // len(v), endpoint=False)[:, None]
+            out.extend(a + s * (b - a) for a, b in zip(v, np.roll(v, -1, axis=0)))
+    lo, hi = region.bbox
+    cand = lo + rng.random((n, 2)) * (hi - lo)
+    return np.concatenate(out + [cand[region.contains_many(cand).astype(bool)]])
+
+
+def random_balls(box, n, seed):
+    """n balls with centers uniform in the box ``(lo, hi)`` and radii up to a fifth of its largest side."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    lo, hi = box
+    centers = lo + rng.random((n, len(lo))) * (hi - lo)
+    return centers, rng.uniform(0.02, 0.4, n) * float(np.max(hi - lo)) / 2.0
+
+
+UNIT_CIRCLE = Region((Ball((0.0, 0.0), 1.0, closed=True),))
+
+
+class TestBoundaryModel:
+    """2-D containment from the boundary pieces: sound against dense samples, complete up to slits."""
+
+    def test_waist_of_two_disks(self):
+        # two unit disks at +-0.9 (cos pi/64, sin pi/64): a ball at the origin
+        # just wider than the waist sqrt(0.19) leaves the union
+        u = (math.cos(math.pi / 64.0), math.sin(math.pi / 64.0))
+        region = Region((Ball((-0.9 * u[0], -0.9 * u[1]), 1.0), Ball((0.9 * u[0], 0.9 * u[1]), 1.0)))
+        factors = [0.999, 1.001, 1.01, 1.03]
+        ok, directions = balls_in_region(region, np.zeros((4, 2)), math.sqrt(0.19) * np.asarray(factors))
+        assert ok.tolist() == [True, False, False, False]
+        # refuted toward the waist, perpendicular to the line of centers
+        assert np.allclose(np.abs(directions[1:] @ np.asarray(u)), 0.0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(directions[1:], axis=1), 1.0)
+
+    @pytest.mark.parametrize("name", list(DOMAINS_2D))
+    def test_accepted_balls_hold_only_points_of_the_region(self, name):
+        region, box = DOMAINS_2D[name]
+        centers, radii = random_balls(box, 1500, seed=len(name))
+        ok, directions = balls_in_region(region, centers, radii)
+        assert 0 < ok.sum() < len(ok)
+        # some accepted balls span several primitives (in HOLED, every such ball crosses a slit)
+        assert (ok & ~balls_in_one_primitive(region, centers, radii)).any() == (name != "holed")
+        disk = dense_points(UNIT_CIRCLE, 400, np.random.Generator(np.random.PCG64(1)))
+        for c, r in zip(centers[ok], radii[ok]):
+            assert region.contains_many(c + r * disk).all()
+        # a refused ball is refuted toward a point of the boundary pieces
+        refused = ~ok & region.contains_many(centers).astype(bool)
+        dist, near = boundary_distance(region, centers[refused])
+        assert np.allclose(directions[refused], (near - centers[refused]) / dist[:, None])
+
+    @pytest.mark.parametrize("name", list(DOMAINS_2D))
+    def test_a_ball_with_clearance_is_accepted(self, name):
+        # a ball whose 1% wider copy has every dense sample in the region is
+        # accepted, unless it crosses a slit (a line that sampling cannot see)
+        region, box = DOMAINS_2D[name]
+        centers, radii = random_balls(box, 1500, seed=7 + len(name))
+        circle = dense_points(UNIT_CIRCLE, 2000, np.random.Generator(np.random.PCG64(2)))
+        wide = np.asarray([region.contains_many(c + 1.01 * r * circle).all() for c, r in zip(centers, radii)])
+        if name == "holed":
+            a = np.asarray([s[0] for s in HOLED_SLITS])
+            ab = np.asarray([s[1] for s in HOLED_SLITS]) - a
+            slit_dist = regions._project(centers[:, None, :], a, ab)[1].min(axis=1)
+            wide &= slit_dist > 1.01 * radii
+        assert wide.sum() > 100
+        assert balls_in_region(region, centers[wide], radii[wide])[0].all()
+
+    def test_slits_and_seams_are_refused(self):
+        # a ball across HOLED's slit x = 0.3 leaves the region; two closed rects
+        # sharing an edge hold its seam, which is still refused conservatively
+        ok, direction = one_ball(HOLED, (0.32, 1.0), 0.05)
+        assert not ok and direction == pytest.approx((-1.0, 0.0), abs=1e-12)
+        seam = Region((Rect((0.0, 0.0), (1.0, 1.0), closed=True), Rect((1.0, 0.0), (2.0, 1.0), closed=True)))
+        assert seam.contains_many(np.asarray([[1.0, 0.5]])).all()
+        assert not one_ball(seam, (1.0, 0.5), 0.1)[0]
+        assert one_ball(seam, (0.5, 0.5), 0.1)[0]
+
+    @pytest.mark.parametrize("name", list(DOMAINS_2D))
+    def test_accepted_polygons_hold_only_points_of_the_region(self, name):
+        region, (lo, hi) = DOMAINS_2D[name]
+        rng = np.random.Generator(np.random.PCG64(30 + len(name)))
+        n = 600
+        centers = lo + rng.random((n, 2)) * (hi - lo)
+        radii = rng.uniform(0.02, 0.4, n) * float(np.max(hi - lo)) / 2.0
+        angles = np.sort(rng.random((n, 4)) * 2.0 * math.pi, axis=1)
+        verts = centers[:, None, :] + radii[:, None, None] * np.stack([np.cos(angles), np.sin(angles)], axis=2)
+        ok = polygons_in_region(region, verts)
+        assert 0 < ok.sum() < len(ok)
+        for v in verts[ok]:
+            quad = Region((Polygon(tuple(map(tuple, v))),))
+            assert region.contains_many(dense_points(quad, 800, rng)).all()
+
+    @pytest.mark.parametrize("name", list(DOMAINS_2D))
+    def test_accepted_images_hold_only_points_of_the_region(self, name):
+        region, (lo, hi) = DOMAINS_2D[name]
+        rng = np.random.Generator(np.random.PCG64(50 + len(name)))
+        span = float(np.max(hi - lo))
+        marked = [UNIT_CIRCLE, Region((Rect((-0.5, -0.5), (0.5, 0.5)),)), TWO_BALL,
+                  Region((Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 0.5), (0.5, 0.5), (0.5, 1.0), (0.0, 1.0))),))]
+        n = 200
+        for d in marked:
+            theta = rng.uniform(0.0, 2.0 * math.pi, n)
+            flip = np.where(rng.random(n) < 0.5, -1.0, 1.0)  # half of them reflections
+            rot = np.stack([np.stack([np.cos(theta), -np.sin(theta) * flip], axis=1),
+                            np.stack([np.sin(theta), np.cos(theta) * flip], axis=1)], axis=1)
+            rot.setflags(write=False)
+            probes = SimilarityArray(rng.uniform(0.02, 0.4, n) * span / 2.0, rot, lo + rng.random((n, 2)) * (hi - lo))
+            ok = images_in_region(d, region, probes)
+            assert 0 < ok.sum() < n
+            dense = dense_points(d, 1000, rng)
+            assert region.contains_many(probes.take(ok).apply_many(dense).reshape(-1, 2)).all()
+
+    def test_an_edge_across_the_boundary_is_refused(self):
+        # thin triangles with every vertex in the region and no piece end inside
+        # or near them, whose long edge leaves the region: across the gap above
+        # BRIDGED's bridge (crossing arcs), and across the notch of an L (crossing segments)
+        assert not polygons_in_region(BRIDGED, np.asarray([[(-1.35, 0.9), (1.35, 0.9), (1.35, 0.8)]]))[0]
+        ell = Region((Polygon(((-2.0, -2.0), (2.0, -2.0), (2.0, 0.0), (0.0, 0.0), (0.0, 2.0), (-2.0, 2.0))),))
+        assert not polygons_in_region(ell, np.asarray([[(1.5, -0.5), (-0.5, 1.5), (1.4, -0.5)]]))[0]
+        assert polygons_in_region(ell, np.asarray([[(0.5, -0.6), (-0.6, 0.5), (-1.5, -1.5)]]))[0]  # passes the notch
+
+    def test_polygon_holding_a_hole_is_refused(self):
+        # a square around the ring's hole, with every edge inside the ring
+        square = 0.95 * np.asarray([[[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]]) / math.sqrt(2.0)
+        assert RING.contains_many(dense_points(Region((Polygon(tuple(map(tuple, square[0]))),)), 800,
+                                               np.random.Generator(np.random.PCG64(4)))[:800]).all()
+        assert not polygons_in_region(RING, square)[0]
+        assert polygons_in_region(RING, 0.2 * square + np.asarray([1.0, 0.0]))[0]
 
 
 class TestBallsInRegion:
-    """The array check equals the per-ball check, verdicts and witness directions bit for bit."""
+    """The sampled 3-D check equals the per-ball oracle, verdicts and witness directions bit for bit."""
 
-    @staticmethod
-    def random_balls(region, n, seed):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        lo, hi = region.bbox
-        centers = lo + rng.random((n, region.dim)) * (hi - lo)
-        return centers, rng.uniform(0.02, 0.4, n) * float(np.max(hi - lo)) / 2.0
-
-    @pytest.mark.parametrize("region, n", [(SPANNED, 1500), (BRIDGED, 3000), (HOLED, 1500), (BALL_BOX, 1500)],
-                             ids=["spanned", "bridged", "holed", "ball-box"])
-    def test_matches_the_per_ball_oracle(self, region, n):
-        centers, radii = self.random_balls(region, n, seed=n + region.dim)
-        if region is HOLED:  # around the hole: only the center misses
-            centers, radii = np.concatenate([centers, [[0.4, 0.0]]]), np.append(radii, 0.5)
+    @pytest.mark.parametrize("region", [BALL_BOX], ids=["ball-box"])
+    def test_matches_the_per_ball_oracle(self, region):
+        centers, radii = random_balls(region.bbox, 1500, seed=1503)
         ok, directions = balls_in_region(region, centers, radii)
         want = [ball_in_region_oracle(region, c, r) for c, r in zip(centers, radii.tolist())]
         assert ok.dtype == bool and ok.tolist() == [w[0] for w in want]
-        assert [repr(d) for d in directions] == [repr(w[1]) for w in want]
+        assert [tuple(d) for d in directions.tolist()] == [w[1] for w in want]
         sampled = ~balls_in_one_primitive(region, centers, radii)
         assert ok.any() and (~ok).any() and (ok & sampled).any()  # some balls pass the sampled check
-        if region is BRIDGED:
-            assert sampled.sum() > regions._BALL_GROUP
-        if region is HOLED:
-            assert not ok[-1] and directions[-1] == (0.0, 0.0)
 
     def test_sampled_balls_go_to_the_kernel_in_groups(self, monkeypatch):
-        centers, radii = self.random_balls(BRIDGED, 3000, seed=3002)
-        rest = int((~balls_in_one_primitive(BRIDGED, centers, radii)).sum())
+        centers, radii = random_balls(BALL_BOX.bbox, 3000, seed=3003)
+        rest = int((~balls_in_one_primitive(BALL_BOX, centers, radii)).sum())
         calls = []
         contains_many = Region.contains_many
         monkeypatch.setattr(Region, "contains_many",
                             lambda self, pts: calls.append(len(pts)) or contains_many(self, pts))
-        balls_in_region(BRIDGED, centers, radii)
+        balls_in_region(BALL_BOX, centers, radii)
         groups = [min(regions._BALL_GROUP, rest - lo) for lo in range(0, rest, regions._BALL_GROUP)]
         assert len(groups) > 1
         # per group, one call on the ring points and one on the centers
