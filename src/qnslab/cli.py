@@ -67,6 +67,13 @@ def _parse_window(text: str | None):
     return (lo, hi)
 
 
+def _count(value, name: str) -> int:
+    """A probe count from a problem file: an integer, or a string that spells one."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)  # int("3.9") raises ValueError
+
+
 def _load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -111,7 +118,8 @@ def cmd_analyze_set(config_path, window, out_dir):
 @click.option("--max-K", "max_k", default=None, type=float, help="fail (exit 1) if the estimate exceeds this")
 @click.option("--seed", default=0, type=int)
 @click.option("--workers", default=1, type=click.IntRange(min=1))
-@click.option("--samples", default=8192, type=click.IntRange(min=1000), help="samples per probe (at least 1000)")
+@click.option("--samples", default=8192, type=click.IntRange(min=1000),
+              help="sample cap of a probe mean with no closed form (at least 1000)")
 @click.option("--out", "out_dir", default=None, type=click.Path())
 def cmd_check_qns(config_path, max_k, seed, workers, samples, out_dir):
     """Estimate the ball-mean constant of a field over a region."""
@@ -124,8 +132,8 @@ def cmd_check_qns(config_path, max_k, seed, workers, samples, out_dir):
         if "radius_set" in doc:
             radius_set = radius_set_from_json(doc["radius_set"])
         grid = BallProbeGrid(
-            center_resolution=int(probes.get("center_resolution", 9)),
-            radii_per_center=int(probes.get("radii_per_center", 8)),
+            center_resolution=_count(probes.get("center_resolution", 9), "center_resolution"),
+            radii_per_center=_count(probes.get("radii_per_center", 8), "radii_per_center"),
             radius_range=tuple(map(float, probes["radius_range"])) if "radius_range" in probes else None,
             radius_set=radius_set,
         )
@@ -133,7 +141,7 @@ def cmd_check_qns(config_path, max_k, seed, workers, samples, out_dir):
         click.echo(f"invalid problem description: {exc}", err=True)
         sys.exit(2)
     spec = QuadratureSpec(
-        method="mc", target_rel_error=0.1, max_samples=samples,
+        method="auto", target_rel_error=0.1, max_samples=samples,
         seed=derive_seed(seed, "check-qns"), workers=workers,
     )
     est = estimate_K(u, omega, grid, spec)

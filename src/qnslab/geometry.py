@@ -216,11 +216,21 @@ def _chord_segment(r: float, t: float) -> float:
     """
     if t >= 1.0:
         return 0.5 * r * r * (t - math.sin(t))
+    return _chord_series(r, t)
+
+
+def _chord_series(r, t):
+    """The series form of ``_chord_segment``, for floats or arrays."""
     t2 = t * t
     s = 1.0
     for k in (16, 14, 12, 10, 8, 6, 4):  # Horner form of 1 - t^2/20 + t^4/840 - ...
         s = 1.0 - t2 / (k * (k + 1)) * s
     return 0.5 * r * r * t * t2 / 6.0 * s
+
+
+def chord_segments(r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``_chord_segment`` over arrays of radii and central angles."""
+    return np.where(t >= 1.0, 0.5 * r * r * (t - np.sin(t)), _chord_series(r, t))
 
 
 def lens_area(r1: float, r2: float, d: float) -> float:
@@ -258,6 +268,31 @@ def lens_area(r1: float, r2: float, d: float) -> float:
     # difference d - r1 is exact (Sterbenz), so no digits cancel
     d2 = ((d - r1) * (d + r1) + r2 * r2) / (2.0 * d) if 2.0 * d >= r1 else d - d1
     return _chord_segment(r1, 2.0 * math.atan2(h, d1)) + _chord_segment(r2, 2.0 * math.atan2(h, d2))
+
+
+def lens_angles(r1, r2, d) -> tuple:
+    """``lens_area``'s geometry over arrays of radii and center distances:
+    ``(t1, t2, h, x1)``, the half-angles that the common chord subtends at
+    centers 1 and 2, the half-chord, and the chord's signed distance from
+    center 1 along the line to center 2.  The lens is
+    ``chord_segments(r1, 2 t1) + chord_segments(r2, 2 t2)``, with
+    ``lens_area``'s arithmetic.  Disjoint disks give ``t1 = t2 = 0``, disk 2
+    inside disk 1 gives ``(0, pi)`` and disk 1 inside disk 2 ``(pi, 0)``; ``h``
+    and ``x1`` are then what the formulas give (``h`` is 0 past tangency).
+    """
+    r1, r2, d = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (r1, r2, d)))
+    big, small = np.maximum(r1, r2), np.minimum(r1, r2)
+    c, b, a = np.sort(np.stack([r1, r2, d]), axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        heron = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
+        h = np.sqrt(np.maximum(heron, 0.0)) / (2.0 * d)
+        x_big = (d * d + (big - small) * (big + small)) / (2.0 * d)
+        x_small = np.where(2.0 * d >= big, ((d - big) * (d + big) + small * small) / (2.0 * d), d - x_big)
+    x1, x2 = np.where(r1 >= r2, x_big, x_small), np.where(r1 >= r2, x_small, x_big)
+    apart, one_in_two, two_in_one = d >= r1 + r2, d <= r2 - r1, d <= r1 - r2
+    t1 = np.where(apart | two_in_one, 0.0, np.where(one_in_two, math.pi, np.arctan2(h, x1)))
+    t2 = np.where(apart | one_in_two, 0.0, np.where(two_in_one, math.pi, np.arctan2(h, x2)))
+    return t1, t2, h, x1
 
 
 def lens_constant() -> float:

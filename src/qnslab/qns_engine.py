@@ -32,7 +32,7 @@ from .quadrature import ContainmentError, MeanResult, QuadratureSpec, _ball_mean
 from .radius_sets import RadiusSet, log_eps_net
 from .regions import MarkedSet, Region, _pieces
 
-DEFAULT_PROBE_SPEC = QuadratureSpec(method="mc", target_rel_error=0.1, max_samples=8192)
+DEFAULT_PROBE_SPEC = QuadratureSpec(method="auto", target_rel_error=0.1, max_samples=8192)
 
 
 # -- ball probe grids ----------------------------------------------------------
@@ -108,6 +108,8 @@ class KEstimate:
     seed: int
     workers: int
     method: str
+    exact_means: int  # admitted probes whose mean is a closed form
+    sampled_means: int
     note: str = "K_hat is a certified lower bound for the true constant; pass verdicts use stderr slack"
 
     def to_json(self) -> dict:
@@ -118,7 +120,8 @@ class KEstimate:
             "probes": {"used": self.probes_used, "skipped": self.probes_skipped},
             "seed": self.seed,
             "worker_count": self.workers,
-            "quadrature": {"method": self.method, "stderr_max": self.stderr_max},
+            "quadrature": {"method": self.method, "stderr_max": self.stderr_max,
+                           "exact_means": self.exact_means, "sampled_means": self.sampled_means},
             "note": self.note,
         }
 
@@ -170,6 +173,7 @@ def estimate_K(
     used = 0
     stderr_max = 0.0
     admitted, skipped = _ball_probes(u, probes.centers(omega), probes.radii(omega), spec)
+    provenance = _provenance([p.mean for p in admitted])
     for idx, c, r, val, res in admitted:
         if res.mean <= 0.0:
             if val <= 0.0:
@@ -183,8 +187,15 @@ def estimate_K(
             best = (ratio, idx)
             witness = {"center": list(c), "radius": r, "value": val, "mean": res.mean, "stderr": res.stderr}
     if used == 0:
-        return KEstimate(0.0, None, 0, skipped, 0.0, True, spec.seed, spec.workers, spec.method)
-    return KEstimate(best[0], witness, used, skipped, stderr_max, False, spec.seed, spec.workers, spec.method)
+        return KEstimate(0.0, None, 0, skipped, 0.0, True, spec.seed, spec.workers, spec.method, *provenance)
+    return KEstimate(best[0], witness, used, skipped, stderr_max, False, spec.seed, spec.workers, spec.method,
+                     *provenance)
+
+
+def _provenance(means: list) -> tuple[int, int]:
+    """How many of the means are closed forms, and how many were sampled."""
+    exact = sum(res.method == "exact" for res in means)
+    return exact, len(means) - exact
 
 
 @dataclass
@@ -198,6 +209,8 @@ class CheckReport:
     seed: int
     workers: int
     method: str
+    exact_means: int
+    sampled_means: int
 
     def to_json(self) -> dict:
         return {
@@ -207,7 +220,8 @@ class CheckReport:
             "probes": {"used": self.probes_used, "skipped": self.probes_skipped},
             "seed": self.seed,
             "worker_count": self.workers,
-            "quadrature": {"method": self.method, "stderr_max": self.stderr_max},
+            "quadrature": {"method": self.method, "stderr_max": self.stderr_max,
+                           "exact_means": self.exact_means, "sampled_means": self.sampled_means},
         }
 
 
@@ -233,7 +247,8 @@ def check_K(
                 {"center": list(c), "radius": r, "value": val, "mean": res.mean,
                  "stderr": res.stderr, "ratio": (val / res.mean if res.mean > 0 else math.inf)}
             )
-    return CheckReport(not failures, k, failures, used, skipped, stderr_max, spec.seed, spec.workers, spec.method)
+    return CheckReport(not failures, k, failures, used, skipped, stderr_max, spec.seed, spec.workers, spec.method,
+                       *_provenance([p.mean for p in admitted]))
 
 
 @dataclass
@@ -397,6 +412,7 @@ def generalized_test(
     every = SimilarityArray(np.tile(probe_scale, len(centers)), probe_part,
                             (centers[:, None, :] - probe_offset).reshape(-1, 2))
     outcomes = _image_means(u, d, every, spec)
+    provenance = _provenance([res for res in outcomes if not isinstance(res, DomainError)])
     best = (-math.inf, -1)
     witness = None
     used = 0
@@ -436,8 +452,9 @@ def generalized_test(
                     "stderr": res.stderr,
                 }
     if used == 0:
-        return KEstimate(0.0, None, 0, skipped, 0.0, True, spec.seed, spec.workers, spec.method)
-    return KEstimate(best[0], witness, used, skipped, stderr_max, False, spec.seed, spec.workers, spec.method)
+        return KEstimate(0.0, None, 0, skipped, 0.0, True, spec.seed, spec.workers, spec.method, *provenance)
+    return KEstimate(best[0], witness, used, skipped, stderr_max, False, spec.seed, spec.workers, spec.method,
+                     *provenance)
 
 
 # -- scale-function admissibility -------------------------------------------------

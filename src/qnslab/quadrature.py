@@ -9,11 +9,20 @@ cross-check of the closed forms.  The closed forms, reported as method
 - constant fields (under every method);
 - harmonic fields over a ball: the mean is the value at the center (the mean
   value property, exact in 2-D and 3-D since x^2 - y^2 is harmonic in both);
-- over a 2-D disk, the indicator of a union of pairwise-disjoint 2-D disks:
-  the mean is sum_i lens_area(r, r_i, |c - c_i|) / (pi r^2).
+- over a 2-D disk, the indicator of any 2-D support S: the mean is
+  area(B ∩ S) / (pi r^2), by Green's theorem over S's boundary pieces
+  (``regions.ball_areas``); for a union of pairwise-disjoint disks it is
+  sum_i lens_area(r, r_i, |c - c_i|) / (pi r^2), summed as such;
+- over a 2-D disk B, a radial bump h * max(0, 1 - |y - p|^2 / rho^2): the
+  mean is h * (A - I2 / rho^2) / (pi r^2), with A = lens_area(r, rho, |c - p|)
+  and I2 the integral of |y - p|^2 over the lens, 1/4 of the flux of
+  |v|^2 v (v = y - p) through the lens's two arcs, both in closed form;
+- a weighted sum of such terms, over the balls where all of them have one:
+  sum_i w_i * mean_i.  A sum with any other term samples as a whole.
 
-``"auto"`` is resolved before any sampling, so no result reports it.  Image
-means have no closed form besides constants: they are plain Monte Carlo under
+Every other mean, and every 3-D indicator or bump, samples (``"auto"`` as
+``"stratified"``).  ``"auto"`` is resolved before any sampling, so no result
+reports it.  Image means have no closed form besides constants: they are plain Monte Carlo under
 every method (rejection sampling in D does not stratify) and report ``"mc"``.
 Containment runs first, as one call over a whole probe array of ``(P, dim)``
 ball centers and ``(P,)`` radii (``balls_in_region``) or of images
@@ -64,8 +73,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .fields import DomainError, Field
-from .geometry import Ball, Similarity, SimilarityArray, lens_area
-from .regions import MarkedSet, _pair_overlap_kind, balls_in_region, images_in_region
+from .geometry import Ball, Similarity, SimilarityArray, chord_segments, lens_angles, lens_area
+from .regions import MarkedSet, _pair_overlap_kind, ball_areas, balls_in_region, images_in_region
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -291,19 +300,44 @@ def _disjoint_disk_support(u: Field) -> tuple | None:
     return disks
 
 
-def _exact_ball_means(u: Field, centers: np.ndarray, radii: np.ndarray) -> list:
+def _closed_form(u: Field) -> bool:
+    """Whether ``u``'s ball means have a closed form under ``"auto"``: a
+    constant or harmonic field, a 2-D indicator or radial bump, or a weighted
+    sum of such terms."""
+    if u.kind == "weighted_sum":
+        return all(_closed_form(term) for _, term in u.terms)
+    return u.kind in ("constant", "harmonic") or u.dim == 2 and u.kind in ("indicator", "radial_bump")
+
+
+def _exact_ball_means(u: Field, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """The closed-form means over an array of balls of a field with one (see
-    ``_ball_means``): a constant, a harmonic field (its values at the centers),
-    or the indicator of pairwise-disjoint 2-D disks (sum of lens areas over
-    the disk area; ``lens_area`` is 0 for a disjoint disk)."""
+    ``_closed_form`` and the module docstring)."""
     if u.kind == "constant":
-        return [u.params["value"]] * len(radii)
+        return np.full(len(radii), u.params["value"])
     if u.kind == "harmonic":
-        return u.values(centers).tolist()
-    disks = u.params["support"].primitives
-    dists = [np.sqrt(np.square(centers - np.asarray(p.center)).sum(axis=1)).tolist() for p in disks]
-    return [sum(lens_area(r, p.radius, d) for p, d in zip(disks, ds)) / (math.pi * r * r)
-            for r, ds in zip(radii.tolist(), zip(*dists))]
+        return u.values(centers)
+    area = math.pi * radii * radii
+    if u.kind == "indicator":
+        disks = _disjoint_disk_support(u)
+        if disks is None:
+            return ball_areas(u.params["support"], centers, radii) / area
+        dists = [np.sqrt(np.square(centers - np.asarray(p.center)).sum(axis=1)).tolist() for p in disks]
+        return np.asarray([sum(lens_area(r, p.radius, d) for p, d in zip(disks, ds)) / (math.pi * r * r)
+                           for r, ds in zip(radii.tolist(), zip(*dists))])
+    if u.kind == "radial_bump":
+        rho, height = u.params["radius"], u.params["height"]
+        d = np.hypot(*(centers - np.asarray(u.params["center"])).T)
+        beta, gamma, _, _ = lens_angles(radii, rho, d)
+        lens = chord_segments(radii, 2.0 * beta) + chord_segments(rho, 2.0 * gamma)
+        # the integral of |y - center|^2 over the lens, as 1/4 of the flux of |v|^2 v through its two arcs
+        moment = (0.5 * rho**4 * gamma + 0.5 * radii**2 * beta * (2.0 * d * d + radii**2)
+                  + 0.25 * radii**2 * d * d * np.sin(2.0 * beta)
+                  - 0.5 * radii * d * (d * d + 3.0 * radii**2) * np.sin(beta))
+        return np.maximum(height * (lens - moment / rho**2) / area, 0.0)
+    out = np.zeros(len(radii))
+    for w, term in u.terms:
+        out += w * _exact_ball_means(term, centers, radii)
+    return out
 
 
 def _seeds(spec: QuadratureSpec, labels: list[str] | None, indices) -> list[int]:
@@ -333,9 +367,9 @@ def _ball_means(u: Field, centers: np.ndarray, radii: np.ndarray, spec: Quadratu
 
     Containment is one ``balls_in_region`` call over the whole array (exact
     in 2-D, sampled for a 3-D ball that no single primitive holds), and the
-    closed forms are one call too.  A mean is closed-form for
-    a constant field under every method, and under ``"auto"`` for a harmonic
-    field or the indicator of disjoint 2-D disks.  Without ``labels`` every probe runs on
+    closed forms are one call too.  A mean is closed-form for a constant
+    field under every method, and under ``"auto"`` for every field of
+    ``_closed_form``.  Without ``labels`` every probe runs on
     ``spec``'s seed and the sampled ones share each chunk's base sample; with
     them, outcome i equals a one-probe call on ``spec.child(labels[i])``.
     """
@@ -351,9 +385,8 @@ def _ball_means(u: Field, centers: np.ndarray, radii: np.ndarray, spec: Quadratu
     for i in np.flatnonzero(~ok).tolist():
         out[i] = ContainmentError(tuple(centers[i].tolist()), float(radii[i]), tuple(directions[i].tolist()))
     contained = [i for i, res in enumerate(out) if res is None]
-    if u.kind == "constant" or spec.method == "auto" and (
-            u.kind == "harmonic" or _disjoint_disk_support(u) is not None):
-        for i, mean in zip(contained, _exact_ball_means(u, centers[contained], radii[contained])):
+    if u.kind == "constant" or spec.method == "auto" and _closed_form(u):
+        for i, mean in zip(contained, _exact_ball_means(u, centers[contained], radii[contained]).tolist()):
             out[i] = MeanResult(mean, 0.0, 1, "exact")
         return out
     method = "stratified" if spec.method == "auto" else spec.method

@@ -1,9 +1,11 @@
 """Composite measurable sets: finite unions of balls, axis rectangles, polygons.
 
 Regions are immutable.  Measure uses closed forms for single primitives,
-inclusion-exclusion for certified pairwise overlaps (disk-disk, box-box), and
-seeded Monte Carlo otherwise.  A ``MarkedSet`` adds a marked interior point
-together with its outer radius ``R_D`` and inner radius ``r_D``.
+inclusion-exclusion for certified pairwise overlaps (disk-disk, box-box),
+Green's theorem over the boundary pieces for every other 2-D region
+(``ball_areas``, which also gives the area of a region inside any disk), and
+seeded Monte Carlo for every other 3-D region.  A ``MarkedSet`` adds a marked
+interior point together with its outer radius ``R_D`` and inner radius ``r_D``.
 
 Containment of a ball is exact when one primitive holds it.  In 2-D every
 containment decision (balls, polygons, similarity images, a marked set's
@@ -17,7 +19,6 @@ sets are refused.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -26,7 +27,8 @@ from typing import Callable, Union
 import numpy as np
 
 from . import _kernels_py as kernels
-from .geometry import Ball, Similarity, SimilarityArray, as_point, lens_area, unit_ball_volume
+from .geometry import (Ball, Similarity, SimilarityArray, as_point, chord_segments, lens_angles, lens_area,
+                       unit_ball_volume)
 
 # The sampled 3-D check of balls_in_region: boundary directions, the multiples
 # of the radius they are tested at, and the balls per membership call, which
@@ -235,6 +237,10 @@ class Region:
                 total -= _pair_overlap_measure(prims[i], prims[j], kind)
             method = "inclusion-exclusion" if overlaps else "disjoint-sum"
             return total, 0.0, method
+        if self.dim == 2:  # ½∮ over the boundary pieces: the area inside a ball that holds them all
+            lo, hi = self._bbox
+            area = ball_areas(self, 0.5 * (lo + hi)[None, :], np.asarray([float(np.hypot(*(hi - lo)))]))
+            return float(area[0]), 0.0, "exact"
         return self._measure_mc()
 
     def _measure_mc(self, n: int = 2_000_000) -> tuple[float, float, str]:
@@ -450,40 +456,42 @@ def _arc_points(arcs: np.ndarray, fraction: float) -> np.ndarray:
     return arcs[:, :2] + arcs[:, 2:3] * np.stack([np.cos(t), np.sin(t)], axis=1)
 
 
-def _meet(e: tuple, f: tuple, m: float) -> list:
-    """Points where two boundary elements, each a circle ``(center, radius)``
-    or an edge ``(a, b)``, cross or touch, or come within m of each other (a
-    near-tangent, or an end of an edge near the other element)."""
-    if np.ndim(e[1]) > np.ndim(f[1]):
-        e, f = f, e  # a circle first
-    if np.ndim(f[1]) == 0:  # two circles
-        (c, r), (c2, r2) = e, f
-        v = c2 - c
-        d = math.hypot(*v)
-        if d == 0.0 or d > r + r2 + m or d < abs(r - r2) - m:
-            return []
-        along = (d * d + r * r - r2 * r2) / (2.0 * d)
-        h = math.sqrt(max(r * r - along * along, 0.0))
-        return [c + (along * v + s * h * np.array([-v[1], v[0]])) / d for s in (1.0, -1.0)]
-    if np.ndim(e[1]) == 0:  # a circle and an edge
-        (c, r), (a, b) = e, f
-        ts = _edge_arc_hits(a, b - a, np.array([[*c, r, 0.0, 2.0 * math.pi]]), m).ravel()
-        return [a + t * (b - a) for t in ts[~np.isnan(ts)]]
-    (a, b), (c, g) = e, f  # two edges
-    near = [q for q, (s, t) in ((a, (c, g)), (b, (c, g)), (c, (a, b)), (g, (a, b)))
-            if _project(q, s, t - s)[1] <= m]
+def _circle_meets(c: np.ndarray, r: np.ndarray, c2: np.ndarray, r2: np.ndarray, m: float) -> tuple:
+    """Where the circles (c, r) and (c2, r2), row by row, cross or touch, or come
+    within m of each other (a near-tangent): ``(rows, points)``, each meeting
+    row listed twice, with its two points."""
+    v = c2 - c
+    d = np.asarray([math.hypot(x, y) for x, y in v.tolist()]).reshape(len(v))
+    rows = np.flatnonzero((d != 0.0) & (d <= r + r2 + m) & (d >= np.abs(r - r2) - m))
+    v, d, r, r2 = v[rows], d[rows, None], r[rows, None], r2[rows, None]
+    along = (d * d + r * r - r2 * r2) / (2.0 * d)
+    h = np.sqrt(np.maximum(r * r - along * along, 0.0))
+    perp = np.stack([-v[:, 1], v[:, 0]], axis=1)
+    return np.tile(rows, 2), np.concatenate([c[rows] + (along * v + s * h * perp) / d for s in (1.0, -1.0)])
+
+
+def _edge_meets(a: np.ndarray, b: np.ndarray, c: np.ndarray, g: np.ndarray, m: float) -> tuple:
+    """Where the edges (a, b) and (c, g), row by row, cross, or where an end of one
+    lies within m of the other: ``(rows, points)``, a row per point."""
+    ends = [(a, c, g), (b, c, g), (c, a, b), (g, a, b)]
+    rows = [np.flatnonzero(_project(q, s, t - s)[1] <= m) for q, s, t in ends]
+    points = [q[k] for (q, _, _), k in zip(ends, rows)]
     den = _cross(b - a, g - c)
-    if den != 0.0:
+    with np.errstate(divide="ignore", invalid="ignore"):
         t, s = _cross(c - a, g - c) / den, _cross(c - a, b - a) / den
-        if 0.0 <= t <= 1.0 and 0.0 <= s <= 1.0:
-            near.append(a + t * (b - a))
-    return near
+    crossed = np.flatnonzero((den != 0.0) & (0.0 <= t) & (t <= 1.0) & (0.0 <= s) & (s <= 1.0))
+    rows.append(crossed)
+    points.append(a[crossed] + t[crossed, None] * (b - a)[crossed])
+    return np.concatenate(rows), np.concatenate(points)
 
 
 def _pieces(region: Region) -> tuple[np.ndarray, np.ndarray]:
     """The region's boundary pieces, built on first use and kept on the region:
     ``(arcs, segments)``, arcs as rows (center x, center y, radius, start angle,
-    sweep) and segments as rows (a x, a y, b x, b y)."""
+    sweep) and segments as rows (a x, a y, b x, b y).  Each piece runs with
+    its primitive on its left (arcs counter-clockwise, a polygon's edges in
+    its counter-clockwise order), so an edge that two primitives share runs
+    once each way; of pieces that coincide and run the same way, one is kept."""
     return _cached(region, "_pieces_cache", lambda: _build_pieces(region))
 
 
@@ -491,36 +499,70 @@ def _build_pieces(region: Region) -> tuple[np.ndarray, np.ndarray]:
     if region.dim != 2:
         raise ValueError("the boundary model is 2-D")
     m = _margin(region)
-    elements = []  # each primitive's circle or edges
-    for p in region.primitives:
+    # each primitive's circle or edges, as elements in primitive order
+    circles, ends, kinds, prims = [], [], [], []
+    for n, p in enumerate(region.primitives):
         if isinstance(p, Ball):
-            elements.append((np.asarray(p.center), p.radius))
+            kinds.append(len(circles))
+            circles.append((*p.center, p.radius))
         else:
             v = np.asarray(_corners(p), dtype=np.float64)
-            elements.extend(zip(v, np.roll(v, -1, axis=0)))
-    cuts = [[] for _ in elements]
-    for (x, e), (y, f) in itertools.combinations(enumerate(elements), 2):
-        pts = _meet(e, f, m)  # edges of one polygon meet only at their shared ends
-        cuts[x] += pts
-        cuts[y] += pts
-    arcs, segs = [], []
-    for e, pts in zip(elements, cuts):
-        if np.ndim(e[1]) == 0:
-            (cx, cy), r = e
+            if isinstance(p, Polygon) and p.signed_area() < 0.0:
+                v = v[::-1]
+            kinds.extend(~np.arange(len(ends), len(ends) + len(v)))
+            ends.extend(np.concatenate([v, np.roll(v, -1, axis=0)], axis=1))
+        prims.extend([n] * (len(kinds) - len(prims)))
+    kinds = np.asarray(kinds)
+    circle_of = np.flatnonzero(kinds >= 0)  # the element of each circle, and of each edge
+    edge_of = np.flatnonzero(kinds < 0)
+    circles, ends = np.asarray(circles).reshape(-1, 3), np.asarray(ends).reshape(-1, 4)
+    owners, points = [np.zeros(0, dtype=int)], [np.zeros((0, 2))]
+
+    def meet(x: np.ndarray, y: np.ndarray, rows: np.ndarray, pts: np.ndarray) -> None:
+        # the points where element x[k] meets element y[k] cut both of them
+        owners.extend((x[rows], y[rows]))
+        points.extend((pts, pts))
+
+    i, j = np.triu_indices(len(circles), 1)
+    meet(circle_of[i], circle_of[j], *_circle_meets(circles[i, :2], circles[i, 2], circles[j, :2], circles[j, 2], m))
+    full = np.concatenate([circles, np.tile([0.0, 2.0 * math.pi], (len(circles), 1))], axis=1)
+    a, ab = ends[:, None, :2], ends[:, None, 2:] - ends[:, None, :2]
+    ts = _edge_arc_hits(a, ab, full, m)  # (edge, circle, 3)
+    e, k, n = np.nonzero(~np.isnan(ts))
+    meet(edge_of[e], circle_of[k], np.arange(len(e)), a[e, 0] + ts[e, k, n, None] * ab[e, 0])
+    i, j = np.triu_indices(len(ends), 1)  # edges of one polygon meet only at their shared ends
+    meet(edge_of[i], edge_of[j], *_edge_meets(ends[i, :2], ends[i, 2:], ends[j, :2], ends[j, 2:], m))
+    owners, points = np.concatenate(owners), np.concatenate(points)
+    arcs, segs, arc_of, seg_of = [], [], [], []  # and the primitive of each piece
+    for x, kind in enumerate(kinds):
+        pts = points[owners == x]
+        if kind >= 0:
+            cx, cy, r = circles[kind]
             # an uncut circle is one arc, from angle 0
             angles = sorted(set(np.mod([math.atan2(q[1] - cy, q[0] - cx) for q in pts] or [0.0], 2.0 * math.pi)))
             arcs += [(cx, cy, r, s, w) for s, w in zip(angles, np.diff(angles, append=angles[0] + 2.0 * math.pi))]
+            arc_of += [prims[x]] * len(angles)
         else:
-            a, b = e
+            a, b = ends[~kind, :2], ends[~kind, 2:]
             ts = sorted({0.0, 1.0, *(min(max((q - a) @ (b - a) / ((b - a) @ (b - a)), 0.0), 1.0) for q in pts)})
             segs += [(*((1.0 - t0) * a + t0 * b), *((1.0 - t1) * a + t1 * b)) for t0, t1 in zip(ts[:-1], ts[1:])]
+            seg_of += [prims[x]] * (len(ts) - 1)
     arcs, segs = np.asarray(arcs).reshape(-1, 5), np.asarray(segs).reshape(-1, 4)
     mids = np.concatenate([_arc_points(arcs, 0.5), 0.5 * (segs[:, :2] + segs[:, 2:])])
     # a midpoint lies on its own primitive's boundary, so no primitive but another holds it with the margin
     covered = np.zeros(len(mids), dtype=bool)
     for p in region.primitives:
         covered |= _balls_in_primitive(p, mids, np.full(len(mids), m))
-    return arcs[~covered[:len(arcs)]], segs[~covered[len(arcs):]]
+    kept_arcs, kept_segs = ~covered[:len(arcs)], ~covered[len(arcs):]
+    return (_distinct(arcs[kept_arcs], np.asarray(arc_of, dtype=int)[kept_arcs], m),
+            _distinct(segs[kept_segs], np.asarray(seg_of, dtype=int)[kept_segs], m))
+
+
+def _distinct(rows: np.ndarray, prims: np.ndarray, m: float) -> np.ndarray:
+    """The pieces, without those that equal a piece of an earlier primitive
+    within m in every column (and so run the same way)."""
+    same = (np.abs(rows[:, None] - rows[None]) <= m).all(axis=2) & (prims[:, None] > prims[None])
+    return rows[~same.any(axis=1)]
 
 
 def boundary_distance(region: Region, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -541,6 +583,101 @@ def boundary_distance(region: Region, pts: np.ndarray) -> tuple[np.ndarray, np.n
     dist[:, :len(arcs)][~_on_sweep(v, arcs[:, 3], arcs[:, 4]) | (rho == 0.0)] = np.inf  # a foot off its arc
     rows, best = np.arange(len(dist)), dist.argmin(axis=1)
     return dist[rows, best], near[rows, best]
+
+
+def ball_areas(region: Region, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """area(B_i ∩ region) for the 2-D balls B_i given as ``(P, 2)`` centers and
+    ``(P,)`` radii, by Green's theorem: ½∮(x dy - y dx), in coordinates
+    relative to each ball's center, over the boundary of B_i ∩ region.
+
+    That boundary is the part of each boundary piece inside the ball (an arc
+    clips to at most two sub-arcs of its sweep, a segment to one sub-segment),
+    and the arcs of the ball's circle between its crossings with the pieces
+    whose midpoint lies in the region (one ``contains_many`` call; a circle
+    with no crossing is tested at one point).  Touching within the margin
+    counts as crossing, and a piece on the ball's own circle counts in place
+    of the ball's arcs on it.  Every arc adds the triangle on its chord plus
+    its circular segment, and the triangles are summed apart from the
+    segments, so for a disk the result is ``lens_area``'s sum of two
+    segments, to a few ulps.
+    """
+    arcs, segs = _pieces(region)
+    m = _margin(region)
+    centers, r = np.asarray(centers, dtype=np.float64), np.asarray(radii, dtype=np.float64)[:, None]
+    # -- arcs: the circle of each arc meets the ball's in the chord of lens_angles
+    v = arcs[:, :2] - centers[:, None, :]  # arc centers relative to ball centers, (P, A, 2)
+    d = np.hypot(v[..., 0], v[..., 1])
+    rho, start, sweep = arcs[:, 2], arcs[:, 3], arcs[:, 4]
+    beta, gamma, h, x = lens_angles(r, rho, d)
+    own = (d <= m) & (np.abs(r - rho) <= m)
+    near = ~own & (d >= np.abs(r - rho) - m) & (d <= r + rho + m)
+    held = own | ~near & (d < r - rho)  # the whole circle inside the ball, or on its circle
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = v / d[..., None]
+    w = np.stack([-u[..., 1], u[..., 0]], axis=-1)
+    # the crossings at angles psi -+ beta on the ball's circle, psi the direction of the arc center
+    p_minus, p_plus = x[..., None] * u - h[..., None] * w, x[..., None] * u + h[..., None] * w
+    # the arc's part inside the ball runs from p_plus to p_minus: offsets [lo, hi] from its start, mod 2 pi
+    lo = np.mod(np.arctan2(v[..., 1], v[..., 0]) + math.pi - gamma - start, 2.0 * math.pi)
+    lo = np.where(sweep >= 2.0 * math.pi, 0.0, lo)  # a whole circle starts where the part does
+    hi = np.where(held, np.inf, lo + 2.0 * gamma)
+    first, wraps = near & (lo <= sweep), (near | held) & (hi > 2.0 * math.pi)
+    ends1, ends2 = first & (hi <= sweep), wraps & (hi - 2.0 * math.pi <= sweep)  # at p_minus
+    e0 = v + rho[:, None] * np.stack([np.cos(start), np.sin(start)], axis=1)
+    e1 = v + rho[:, None] * np.stack([np.cos(start + sweep), np.sin(start + sweep)], axis=1)
+    tri = [np.where(first, _cross(p_plus, np.where(ends1[..., None], p_minus, e1)), 0.0),
+           np.where(wraps, _cross(e0, np.where(ends2[..., None], p_minus, e1)), 0.0)]
+    seg = [np.where(first, chord_segments(rho, np.where(ends1, 2.0 * gamma, sweep - lo)), 0.0),
+           np.where(wraps, chord_segments(rho, np.minimum(hi - 2.0 * math.pi, sweep)), 0.0)]
+    # -- segments: the part inside the ball is [t1, t2] of a + t*ab, clipped to [0, 1]
+    a = segs[:, :2] - centers[:, None, :]
+    ab = segs[:, 2:] - segs[:, :2]
+    dd = (ab * ab).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a piece between cuts an ulp apart is a point: nan, no part
+        foot = -(a * ab).sum(axis=-1) / dd
+        root = np.sqrt(np.maximum(foot * foot - ((a * a).sum(axis=-1) - r * r) / dd, 0.0))
+        off = _cross(ab, a) / np.sqrt(dd)  # the line's distance from the center, toward the segment's primitive
+    t1, t2 = foot - root, foot + root
+    inside = (np.abs(off) <= r + m) & (t1 <= 1.0) & (t2 >= 0.0)
+    q1 = a + np.maximum(t1, 0.0)[..., None] * ab
+    q2 = a + np.minimum(t2, 1.0)[..., None] * ab
+    tri.append(np.where(inside, _cross(q1, q2), 0.0))
+    # -- the ball's circle, cut at the crossings: an arc from column 2k to 2k + 1 of the
+    # pair spans 2 * half[k] (from p_minus to p_plus of an arc, from the exit to the entry of a segment)
+    n_cuts = 2 * (len(arcs) + len(segs))
+    cuts = np.concatenate([np.stack([p_minus, p_plus], axis=2), np.stack([q2, q1], axis=2)], axis=1)
+    cuts = cuts.reshape(len(r), n_cuts, 2)
+    cut = np.concatenate([np.stack([ends1 | ends2, first], axis=2),
+                          np.stack([inside & (t2 <= 1.0), inside & (t1 >= 0.0)], axis=2)], axis=1)
+    cut = cut.reshape(len(r), n_cuts)
+    half = np.concatenate([beta, np.arctan2(root * np.sqrt(dd), off)], axis=1)
+    theta = np.where(cut, np.arctan2(cuts[..., 1], cuts[..., 0]), np.inf)
+    col = np.argsort(theta, axis=1, kind="stable")
+    theta = np.take_along_axis(theta, col, axis=1)
+    cuts = np.take_along_axis(cuts, col[..., None], axis=1)
+    n = cut.sum(axis=1)[:, None]
+    k = np.arange(n_cuts)
+    nxt = np.where(k + 1 < n, k + 1, 0)
+    valid = k < n
+    with np.errstate(invalid="ignore"):
+        width = np.take_along_axis(theta, nxt, axis=1) - theta + np.where(k + 1 < n, 0.0, 2.0 * math.pi)
+    pair = 2.0 * np.take_along_axis(half, col // 2, axis=1)
+    pair_next = (col % 2 == 0) & (np.take_along_axis(col, nxt, axis=1) == col + 1)
+    width = np.where(pair_next & (pair < math.pi), pair, width)  # the accurate width of a thin lens or cap
+    width[~valid] = 0.0
+    # which of the ball's arcs (a whole circle when there is no cut) lie in the region: those whose
+    # midpoint the region holds, except on a piece of the ball's own circle, which counts instead
+    ball, arc = np.nonzero(k < np.maximum(n, 1))
+    mid = np.where(n > 0, theta + 0.5 * width, 0.0)[ball, arc]
+    held_arc = np.zeros(cut.shape, dtype=bool)
+    held_arc[ball, arc] = region.contains_many(
+        centers[ball] + r[ball] * np.stack([np.cos(mid), np.sin(mid)], axis=1)).astype(bool) & ~(
+        own[ball] & (np.mod(mid[:, None] - start, 2.0 * math.pi) <= sweep)).any(axis=1)
+    on = held_arc & valid
+    tri.append(np.where(on, _cross(cuts, np.take_along_axis(cuts, nxt[..., None], axis=1)), 0.0))
+    seg.append(np.where(on, chord_segments(r, width), 0.0))
+    seg.append(np.where((n == 0) & held_arc[:, :1], math.pi * r * r, 0.0))
+    return 0.5 * sum(t.sum(axis=1) for t in tri) + sum(t.sum(axis=1) for t in seg)
 
 
 def polygons_in_region(region: Region, verts: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from qnslab.cli import main
+from qnslab.geometry import lens_area
 
 
 @pytest.fixture
@@ -110,8 +111,10 @@ class TestCheckQns:
 
     @pytest.mark.parametrize("probes", [
         {"radius_range": [0.5, 0.1]}, {"radius_range": [0.0, 0.5]}, {"radius_range": ["abc", "0.5"]},
-        {"center_resolution": 0}, {"radii_per_center": 0},
-    ], ids=["reversed-radius-range", "zero-radius", "non-numeric-radius", "no-centers", "no-radii"])
+        {"center_resolution": 0}, {"radii_per_center": 0}, {"center_resolution": 3.9},
+        {"center_resolution": "3.9"}, {"center_resolution": True}, {"radii_per_center": 2.5},
+    ], ids=["reversed-radius-range", "zero-radius", "non-numeric-radius", "no-centers", "no-radii",
+            "fractional-centers", "fractional-string-centers", "boolean-centers", "fractional-radii"])
     def test_invalid_probe_settings_exit_2(self, runner, tmp_path, probes):
         doc = json.loads(json.dumps(PROBLEM))
         doc["probes"].update(probes)
@@ -126,6 +129,22 @@ class TestCheckQns:
         cfg = write_json(tmp_path / "p.json", doc)
         result = runner.invoke(main, ["check-qns", "--config", cfg, "--samples", "1000"])
         assert result.exit_code == 0
+
+    def test_decimal_string_counts(self, runner, tmp_path):
+        doc = json.loads(json.dumps(PROBLEM))
+        doc["probes"].update(center_resolution="11", radii_per_center="5")
+        outputs = [strip_stamp(runner.invoke(main, ["check-qns", "--config", write_json(tmp_path / name, d)]).output)
+                   for name, d in (("s.json", doc), ("p.json", PROBLEM))]
+        assert outputs[0] == outputs[1]
+
+    def test_means_are_exact(self, runner, tmp_path):
+        # the indicator of a disk has closed-form means, so K_hat is the grid's exact supremum
+        result = runner.invoke(main, ["check-qns", "--config", write_json(tmp_path / "p.json", PROBLEM)])
+        doc = strip_stamp(result.output)
+        assert doc["quadrature"]["method"] == "auto" and doc["quadrature"]["stderr_max"] == 0.0
+        assert doc["quadrature"]["sampled_means"] == 0 and doc["quadrature"]["exact_means"] >= doc["probes"]["used"]
+        r, c = doc["witness"]["radius"], doc["witness"]["center"]
+        assert doc["K_hat"] == pytest.approx(math.pi * r * r / lens_area(r, 1.0, math.hypot(*c)), rel=1e-12)
 
     def test_wholesale_containment_failure_exit_2(self, runner, tmp_path):
         doc = json.loads(json.dumps(PROBLEM))

@@ -88,6 +88,8 @@ class TestEstimateK:
         doc = est.to_json()
         assert set(doc) >= {"verdict", "K_hat", "witness", "probes", "seed", "worker_count", "quadrature"}
         assert doc["quadrature"]["method"] == "mc"
+        # every admitted probe's mean was sampled, including the vacuous 0/0 probes that are not used
+        assert doc["quadrature"]["exact_means"] == 0 and doc["quadrature"]["sampled_means"] >= est.probes_used > 0
 
 
 class TestCheckK:

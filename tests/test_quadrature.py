@@ -404,7 +404,10 @@ class TestBallArrays:
         constant_field(2.5, SPANNED),
         harmonic_field(10.0, 2.0, SPANNED),
         indicator_field(Region((Ball((-1.0, 0.0), 0.7, closed=True), Ball((1.2, 0.2), 0.5))), SPANNED),
-    ], ids=["constant", "harmonic", "disjoint-disks"])
+        indicator_field(Region((Ball((-1.0, 0.0), 0.7), Rect((-1.0, -0.2), (1.5, 0.3)))), SPANNED),
+        sum_field([(2.0, radial_bump_field((0.5, 0.1), 0.8, 1.0, SPANNED)), (1.0, constant_field(0.5, SPANNED))],
+                  SPANNED),
+    ], ids=["constant", "harmonic", "disjoint-disks", "overlapping-support", "bump-plus-constant"])
     def test_exact_kinds(self, u):
         spec = QuadratureSpec(seed=4)
         outcomes = quadrature._ball_means(u, self.CENTERS, self.RADII, spec)
@@ -542,9 +545,43 @@ class TestExactDiskMeans:
         ],
         ids=["overlapping-disks", "polygon", "rect"],
     )
-    def test_other_supports_are_sampled(self, support):
-        res = mean_over_ball(indicator_field(support, OMEGA), Ball((0.0, 0.0), 1.5), QuadratureSpec(seed=1))
-        assert res.method == "stratified" and res.stderr > 0.0
+    def test_other_supports_are_exact(self, support):
+        u = indicator_field(support, OMEGA)
+        res = mean_over_ball(u, Ball((0.0, 0.0), 1.5), QuadratureSpec(seed=1))
+        assert res.method == "exact" and res.stderr == 0.0
+        mc = mean_over_ball(u, Ball((0.0, 0.0), 1.5), QuadratureSpec(method="mc", seed=11, max_samples=200_000))
+        assert abs(res.mean - mc.mean) <= 5.0 * mc.stderr
+
+    BUMP = radial_bump_field((0.3, -0.2), 0.7, 1.5, OMEGA)
+    MIXED = indicator_field(Region((Polygon(((-1.0, -1.0), (1.0, -0.5), (0.3, 1.2))), Ball((0.5, 0.2), 0.6),
+                                    Rect((-0.2, -1.5), (1.5, 0.0)))), OMEGA)
+
+    @pytest.mark.parametrize("u", [
+        BUMP, sum_field([(0.8, BUMP), (1.3, MIXED), (0.5, constant_field(1.0, OMEGA))], OMEGA),
+    ], ids=["radial-bump", "weighted-sum"])
+    def test_closed_forms_match_mc(self, u):
+        # balls inside the bump, across its edge, holding it, and off it
+        centers, radii = np.asarray([[0.3, -0.2], [0.5, 0.0], [0.9, -0.2], [0.0, 0.0], [-1.2, 0.9], [2.0, 2.0]]), \
+            np.asarray([0.3, 0.6, 0.5, 1.9, 0.6, 0.5])
+        exact = quadrature._ball_means(u, centers, radii, QuadratureSpec())
+        mc = quadrature._ball_means(u, centers, radii, QuadratureSpec(method="mc", target_rel_error=1e-4,
+                                                                      max_samples=400_000, seed=12))
+        assert {res.method for res in exact} == {"exact"}
+        for e, m in zip(exact, mc):
+            assert abs(e.mean - m.mean) <= 5.0 * max(m.stderr, 1e-15)
+
+    def test_weighted_sum_is_the_sum_of_its_terms(self):
+        terms = [(0.8, self.BUMP), (1.3, self.MIXED), (0.5, harmonic_field(10.0, 2.0, OMEGA))]
+        centers, radii = np.asarray([[0.5, 0.0], [0.0, 0.0], [-1.2, 0.9]]), np.asarray([0.6, 1.9, 0.6])
+        means = [res.mean for res in quadrature._ball_means(sum_field(terms, OMEGA), centers, radii, QuadratureSpec())]
+        parts = [[res.mean for res in quadrature._ball_means(t, centers, radii, QuadratureSpec())] for _, t in terms]
+        assert means == pytest.approx([sum(w * p[i] for (w, _), p in zip(terms, parts)) for i in range(3)], rel=1e-15)
+
+    def test_sum_with_a_term_without_closed_form_is_sampled(self):
+        omega3 = Region((Ball((0.0, 0.0, 0.0), 4.0),))
+        u = sum_field([(1.0, constant_field(1.0, omega3)),
+                       (1.0, indicator_field(Region((Ball((0.0, 0.0, 0.0), 1.0),)), omega3))], omega3)
+        assert mean_over_ball(u, Ball((0.5, 0.0, 0.0), 1.0), QuadratureSpec(seed=1)).method == "stratified"
 
     def test_3d_ball_is_sampled(self):
         omega3 = Region((Ball((0.0, 0.0, 0.0), 4.0),))

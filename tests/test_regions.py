@@ -1,5 +1,8 @@
+import importlib.util
+import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,19 +94,18 @@ class TestMeasure:
         assert math.isclose(value, math.pi * (1 + 4), rel_tol=1e-12)
 
     def test_mc_fallback_matches_inclusion_exclusion(self):
-        # ball overlapping a rectangle forces sampling; compare against the
-        # splits computed analytically: area = pi + 4 - overlap(quarter disk cap)
+        # a ball overlapping a rectangle has no inclusion-exclusion term; its
+        # area comes from Green's theorem over the boundary pieces
         r = Region((Ball((0.0, 0.0), 1.0), Rect((0.0, -1.0), (2.0, 1.0))))
         value, stderr, method = r.measure_detail()
-        assert method == "monte-carlo"
+        assert method == "exact" and stderr == 0.0
         # exact union area: rect (4) plus the left half-disk of B(0,1)
-        exact = 4.0 + math.pi / 2.0
-        assert abs(value - exact) <= 3.0 * stderr
+        assert math.isclose(value, 4.0 + math.pi / 2.0, rel_tol=1e-12)
 
     def test_three_way_overlap_mc(self):
         r = Region((Ball((0.0, 0.0), 1.0), Ball((0.5, 0.0), 1.0), Ball((0.25, 0.2), 1.0)))
         value, stderr, method = r.measure_detail()
-        assert method == "monte-carlo"
+        assert method == "exact" and stderr == 0.0
         rng = np.random.Generator(np.random.PCG64(123))
         pts = rng.random((400_000, 2)) * 4.0 - 2.0
         hits = r.contains_many(pts).astype(bool).mean()
@@ -413,6 +415,214 @@ class TestBoundaryModel:
                                                np.random.Generator(np.random.PCG64(4)))[:800]).all()
         assert not polygons_in_region(RING, square)[0]
         assert polygons_in_region(RING, 0.2 * square + np.asarray([1.0, 0.0]))[0]
+
+
+def meet_reference(e, f, m):
+    """Where two boundary elements meet, one pair at a time: the scalar form
+    that the array form of ``_build_pieces`` replaced, kept as its oracle."""
+    if np.ndim(e[1]) > np.ndim(f[1]):
+        e, f = f, e  # a circle first
+    if np.ndim(f[1]) == 0:  # two circles
+        (c, r), (c2, r2) = e, f
+        v = c2 - c
+        d = math.hypot(*v)
+        if d == 0.0 or d > r + r2 + m or d < abs(r - r2) - m:
+            return []
+        along = (d * d + r * r - r2 * r2) / (2.0 * d)
+        h = math.sqrt(max(r * r - along * along, 0.0))
+        return [c + (along * v + s * h * np.array([-v[1], v[0]])) / d for s in (1.0, -1.0)]
+    if np.ndim(e[1]) == 0:  # a circle and an edge
+        (c, r), (a, b) = e, f
+        ts = regions._edge_arc_hits(a, b - a, np.array([[*c, r, 0.0, 2.0 * math.pi]]), m).ravel()
+        return [a + t * (b - a) for t in ts[~np.isnan(ts)]]
+    (a, b), (c, g) = e, f  # two edges
+    near = [q for q, (s, t) in ((a, (c, g)), (b, (c, g)), (c, (a, b)), (g, (a, b)))
+            if regions._project(q, s, t - s)[1] <= m]
+    den = regions._cross(b - a, g - c)
+    if den != 0.0:
+        t, s = regions._cross(c - a, g - c) / den, regions._cross(c - a, b - a) / den
+        if 0.0 <= t <= 1.0 and 0.0 <= s <= 1.0:
+            near.append(a + t * (b - a))
+    return near
+
+
+def reference_pieces(region):
+    """The boundary pieces as the pairwise form built them (every polygon here
+    runs counter-clockwise, and no two pieces coincide)."""
+    m = regions._margin(region)
+    elements = []
+    for p in region.primitives:
+        if isinstance(p, Ball):
+            elements.append((np.asarray(p.center), p.radius))
+        else:
+            v = np.asarray(regions._corners(p), dtype=np.float64)
+            elements.extend(zip(v, np.roll(v, -1, axis=0)))
+    cuts = [[] for _ in elements]
+    for (x, e), (y, f) in itertools.combinations(enumerate(elements), 2):
+        pts = meet_reference(e, f, m)
+        cuts[x] += pts
+        cuts[y] += pts
+    arcs, segs = [], []
+    for e, pts in zip(elements, cuts):
+        if np.ndim(e[1]) == 0:
+            (cx, cy), r = e
+            angles = sorted(set(np.mod([math.atan2(q[1] - cy, q[0] - cx) for q in pts] or [0.0], 2.0 * math.pi)))
+            arcs += [(cx, cy, r, s, w) for s, w in zip(angles, np.diff(angles, append=angles[0] + 2.0 * math.pi))]
+        else:
+            a, b = e
+            ts = sorted({0.0, 1.0, *(min(max((q - a) @ (b - a) / ((b - a) @ (b - a)), 0.0), 1.0) for q in pts)})
+            segs += [(*((1.0 - t0) * a + t0 * b), *((1.0 - t1) * a + t1 * b)) for t0, t1 in zip(ts[:-1], ts[1:])]
+    arcs, segs = np.asarray(arcs).reshape(-1, 5), np.asarray(segs).reshape(-1, 4)
+    mids = np.concatenate([regions._arc_points(arcs, 0.5), 0.5 * (segs[:, :2] + segs[:, 2:])])
+    covered = np.zeros(len(mids), dtype=bool)
+    for p in region.primitives:
+        covered |= regions._balls_in_primitive(p, mids, np.full(len(mids), m))
+    return arcs[~covered[:len(arcs)]], segs[~covered[len(arcs):]]
+
+
+def composite_regions(seed):
+    """The domain and the indicator support of the ``composite-check`` benchmark problem at a seed."""
+    spec = importlib.util.spec_from_file_location("workloads", Path(__file__).parents[1] / "e2ebench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    doc = workloads.composite_problem(seed)
+    return region_from_json(doc["region"])[0], region_from_json(doc["field"]["terms"][1][1]["support"])[0]
+
+
+ELL = Region((Polygon(((-2.0, -2.0), (2.0, -2.0), (2.0, 0.0), (0.0, 0.0), (0.0, 2.0), (-2.0, 2.0))),))
+SEAM = Region((Rect((0.0, 0.0), (1.0, 1.0), closed=True), Rect((1.0, 0.0), (2.0, 1.0), closed=True)))
+# a polygon, a disk and a rect that overlap one another
+MIXED = Region((Polygon(((-1.0, -1.0), (1.0, -0.5), (0.3, 1.2))), Ball((0.5, 0.2), 0.6),
+                Rect((-0.2, -1.5), (1.5, 0.0))))
+PIECE_FIXTURES = {"unit-disk": UNIT_DISK, "two-ball": TWO_BALL, "spanned": SPANNED, "bridged": BRIDGED,
+                  "holed": HOLED, "ring": RING, "chain": CHAIN, "ell": ELL, "seam": SEAM, "mixed": MIXED,
+                  "triangle": Region((Polygon(((0.0, 0.0), (2.0, 0.0), (0.0, 2.0))),))}
+
+
+class TestPieces:
+    @pytest.mark.parametrize("name", list(PIECE_FIXTURES))
+    def test_match_the_pairwise_form(self, name):
+        region = PIECE_FIXTURES[name]
+        for got, want in zip(regions._pieces(region), reference_pieces(region)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [1, 2, 5150])
+    def test_match_the_pairwise_form_on_the_benchmark_problem(self, seed):
+        for region in composite_regions(seed):
+            for got, want in zip(regions._pieces(region), reference_pieces(region)):
+                assert np.array_equal(got, want)
+
+    def test_clockwise_polygons_run_counter_clockwise(self):
+        cw = Region((Polygon(ELL.primitives[0].vertices[::-1]),))
+        segs = regions._pieces(cw)[1]
+        assert regions._cross(segs[:, :2], segs[:, 2:]).sum() == 2.0 * abs(ELL.primitives[0].signed_area())
+        assert {tuple(row) for row in segs.tolist()} == {tuple(row) for row in regions._pieces(ELL)[1].tolist()}
+
+    def test_coinciding_pieces_are_kept_once(self):
+        # two rects with one bottom line share the piece from x = 1 to 2, running one way;
+        # two equal disks share their whole circle
+        segs = regions._pieces(Region((Rect((0.0, 0.0), (2.0, 1.0)), Rect((1.0, 0.0), (3.0, 2.0)))))[1]
+        assert [row for row in segs.tolist() if row[1] == row[3] == 0.0] == [[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 2.0, 0.0],
+                                                                             [2.0, 0.0, 3.0, 0.0]]
+        assert len(regions._pieces(Region((Ball((0.0, 0.0), 1.0), Ball((0.0, 0.0), 1.0, closed=True))))[0]) == 1
+
+
+def disk_area_mc(region, centers, radii, n, seed):
+    """area(B ∩ region) for each ball by plain sampling, with its standard error."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rho, theta = np.sqrt(rng.random(n)), 2.0 * math.pi * rng.random(n)
+    unit = np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=1)
+    frac = np.asarray([region.contains_many(c + r * unit).mean() for c, r in zip(centers, radii)])
+    return frac * math.pi * radii**2, math.pi * radii**2 * np.sqrt(frac * (1.0 - frac) / n)
+
+
+class TestBallAreas:
+    """``ball_areas``: area(B ∩ S) by Green's theorem over S's boundary pieces."""
+
+    def test_matches_lens_area(self):
+        rng = np.random.Generator(np.random.PCG64(61))
+        for k in range(2000):
+            o, c = rng.uniform(-2.0, 2.0, 2), rng.uniform(-2.0, 2.0, 2)
+            rho, r = rng.uniform(0.05, 2.0, 2)
+            if k % 3 == 0:  # a thin lens: the disks overlap by 1e-10 to 1e-2 of the sum of the radii
+                t = rng.uniform(0.0, 2.0 * math.pi)
+                c = o + (r + rho) * (1.0 - 10.0 ** rng.uniform(-10.0, -2.0)) * np.array([math.cos(t), math.sin(t)])
+            area = regions.ball_areas(Region((Ball(tuple(o), rho, closed=bool(k % 2)),)), c[None], np.array([r]))[0]
+            want = lens_area(r, rho, float(np.hypot(*(o - c))))
+            assert abs(area - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("name", ["bridged", "holed", "spanned", "mixed", "composite-1", "composite-2",
+                                      "composite-5150"])
+    def test_matches_monte_carlo(self, name):
+        if name.startswith("composite"):
+            region = composite_regions(int(name.split("-")[1]))[1]
+        else:
+            region = {"bridged": BRIDGED, "holed": HOLED, "spanned": SPANNED, "mixed": MIXED}[name]
+        lo, hi = region.bbox
+        rng = np.random.Generator(np.random.PCG64(70 + len(name)))
+        centers = lo - 0.2 + rng.random((40, 2)) * (hi - lo + 0.4)
+        radii = rng.uniform(0.02, 0.6, 40) * float(np.max(hi - lo))
+        area = regions.ball_areas(region, centers, radii)
+        want, stderr = disk_area_mc(region, centers, radii, 200_000, seed=9)
+        assert ((area > 0.0) & (area < 0.999 * math.pi * radii**2)).sum() >= 10  # most balls cross the boundary
+        assert np.all(np.abs(area - want) <= 5.0 * np.maximum(stderr, 1e-12))
+
+    def test_random_regions_match_monte_carlo(self):
+        # unions of up to four balls, rects and star-shaped polygons (either orientation, open or
+        # closed): the area inside random balls, and the region's own measure, against sampling
+        rng = np.random.Generator(np.random.PCG64(73))
+
+        def primitive():
+            kind, closed, c = int(rng.integers(4)), bool(rng.integers(2)), rng.uniform(-1.0, 1.0, 2)
+            if kind == 0:
+                return Ball(tuple(c), rng.uniform(0.1, 0.8), closed)
+            if kind == 1:
+                half = rng.uniform(0.05, 0.5, 2)
+                return Rect(tuple(c - half), tuple(c + half), closed)
+            n = int(rng.integers(3, 8))
+            angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
+            while np.diff(angles, append=angles[0] + 2.0 * math.pi).max() >= math.pi:  # keep c inside: simple
+                angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
+            v = c + rng.uniform(0.2, 0.9, (n, 1)) * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+            return Polygon(tuple(map(tuple, v if kind == 2 else v[::-1])), closed)
+
+        for _ in range(25):
+            region = Region(tuple(primitive() for _ in range(int(rng.integers(2, 5)))))
+            lo, hi = region.bbox
+            centers = lo - 0.3 + rng.random((8, 2)) * (hi - lo + 0.6)
+            radii = rng.uniform(0.05, 1.2, 8)
+            want, stderr = disk_area_mc(region, centers, radii, 100_000, seed=10)
+            stderr = np.maximum(stderr, math.pi * radii**2 * math.sqrt(3e-5))  # three expected hits
+            assert np.all(np.abs(regions.ball_areas(region, centers, radii) - want) <= 5.0 * stderr)
+            value, _, method = region.measure_detail()
+            pts = lo + rng.random((100_000, 2)) * (hi - lo)
+            p = region.contains_many(pts).mean()
+            box = float(np.prod(hi - lo))
+            assert method != "monte-carlo"
+            assert abs(value - p * box) <= 5.0 * box * math.sqrt(max(p * (1.0 - p), 3e-5) / 100_000)
+
+    def test_clockwise_polygon_support(self):
+        ccw = MIXED.primitives[0]
+        cw = Region((Polygon(ccw.vertices[::-1]),) + MIXED.primitives[1:])
+        centers, radii = random_balls(MIXED.bbox, 300, seed=72)
+        assert np.allclose(regions.ball_areas(cw, centers, radii), regions.ball_areas(MIXED, centers, radii),
+                           rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("support, center, radius, want", [
+        ((Ball((0.0, 0.0), 1.0), Rect((0.5, -0.2), (2.0, 0.2))), (0.0, 0.0), 1.0, math.pi),  # the ball's own circle
+        ((Ball((2.0, 0.0), 1.0, closed=True), Rect((5.0, 5.0), (6.0, 6.0))), (0.0, 0.0), 1.0, 0.0),  # touching outside
+        ((Ball((0.5, 0.0), 0.5, closed=True), Rect((5.0, 5.0), (6.0, 6.0))), (0.0, 0.0), 1.0, math.pi / 4.0),
+        ((Ball((0.0, 0.0), 2.0, closed=True), Rect((5.0, 5.0), (6.0, 6.0))), (1.0, 0.0), 1.0, math.pi),
+        ((Rect((-5.0, -1.0), (5.0, 5.0), closed=True),), (0.0, 0.0), 1.0, math.pi),  # an edge touching inside
+        ((Rect((-5.0, 1.0), (5.0, 5.0), closed=True),), (0.0, 0.0), 1.0, 0.0),  # and outside
+        ((Polygon(((1.0, 0.0), (3.0, 0.0), (3.0, 2.0))),), (0.0, 0.0), 1.0, 0.0),  # a corner on the circle
+        (HOLED.primitives, (0.3, 1.0), 0.5, math.pi / 4.0),  # across a slit
+        (HOLED.primitives, (0.4, 0.0), 1.0, math.pi - 0.04),  # around the hole
+    ], ids=["own-circle", "touching-disk-outside", "touching-disk-inside", "inside-touching-disk",
+            "touching-edge-inside", "touching-edge-outside", "corner", "slit", "hole"])
+    def test_touching_and_shared_boundaries(self, support, center, radius, want):
+        area = regions.ball_areas(Region(tuple(support)), np.asarray([center]), np.asarray([radius]))[0]
+        assert area == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 class TestBallsInRegion:
