@@ -68,7 +68,10 @@ def _parse_window(text: str | None):
 
 
 def _count(value, name: str) -> int:
-    """A probe count from a problem file: an integer, or a string that spells one."""
+    """A probe count from a problem file: an integer, an integral float such
+    as ``9.0``, or a string that spells an integer."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"{name} must be an integer, not {value!r}")
     return int(value)  # int("3.9") raises ValueError

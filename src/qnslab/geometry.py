@@ -277,8 +277,9 @@ def lens_angles(r1, r2, d) -> tuple:
     center 1 along the line to center 2.  The lens is
     ``chord_segments(r1, 2 t1) + chord_segments(r2, 2 t2)``, with
     ``lens_area``'s arithmetic.  Disjoint disks give ``t1 = t2 = 0``, disk 2
-    inside disk 1 gives ``(0, pi)`` and disk 1 inside disk 2 ``(pi, 0)``; ``h``
-    and ``x1`` are then what the formulas give (``h`` is 0 past tangency).
+    inside disk 1 gives ``(0, pi)`` and disk 1 inside disk 2 ``(pi, 0)``, which
+    two coincident equal disks give too; ``h`` and ``x1`` are then what the
+    formulas give (``h`` is 0 past tangency).
     """
     r1, r2, d = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (r1, r2, d)))
     big, small = np.maximum(r1, r2), np.minimum(r1, r2)
@@ -289,7 +290,8 @@ def lens_angles(r1, r2, d) -> tuple:
         x_big = (d * d + (big - small) * (big + small)) / (2.0 * d)
         x_small = np.where(2.0 * d >= big, ((d - big) * (d + big) + small * small) / (2.0 * d), d - x_big)
     x1, x2 = np.where(r1 >= r2, x_big, x_small), np.where(r1 >= r2, x_small, x_big)
-    apart, one_in_two, two_in_one = d >= r1 + r2, d <= r2 - r1, d <= r1 - r2
+    apart, one_in_two = d >= r1 + r2, d <= r2 - r1
+    two_in_one = (d <= r1 - r2) & ~one_in_two
     t1 = np.where(apart | two_in_one, 0.0, np.where(one_in_two, math.pi, np.arctan2(h, x1)))
     t2 = np.where(apart | one_in_two, 0.0, np.where(two_in_one, math.pi, np.arctan2(h, x2)))
     return t1, t2, h, x1

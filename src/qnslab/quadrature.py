@@ -11,8 +11,8 @@ cross-check of the closed forms.  The closed forms, reported as method
   value property, exact in 2-D and 3-D since x^2 - y^2 is harmonic in both);
 - over a 2-D disk, the indicator of any 2-D support S: the mean is
   area(B ∩ S) / (pi r^2), by Green's theorem over S's boundary pieces
-  (``regions.ball_areas``); for a union of pairwise-disjoint disks it is
-  sum_i lens_area(r, r_i, |c - c_i|) / (pi r^2), summed as such;
+  (``regions.ball_areas``; for a disk support that is ``lens_area`` to a few
+  ulps);
 - over a 2-D disk B, a radial bump h * max(0, 1 - |y - p|^2 / rho^2): the
   mean is h * (A - I2 / rho^2) / (pi r^2), with A = lens_area(r, rho, |c - p|)
   and I2 the integral of |y - p|^2 over the lens, 1/4 of the flux of
@@ -63,7 +63,6 @@ outcome equals a one-probe call on its spec bit for bit.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -73,8 +72,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .fields import DomainError, Field
-from .geometry import Ball, Similarity, SimilarityArray, chord_segments, lens_angles, lens_area
-from .regions import MarkedSet, _pair_overlap_kind, ball_areas, balls_in_region, images_in_region
+from .geometry import Ball, Similarity, SimilarityArray, chord_segments, lens_angles
+from .regions import MarkedSet, ball_areas, balls_in_region, images_in_region
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -287,19 +286,6 @@ def _outcome(res):
     return res
 
 
-def _disjoint_disk_support(u: Field) -> tuple | None:
-    """The disks of a 2-D indicator field whose support is a union of
-    pairwise-disjoint disks, or None when the field is not of that form."""
-    if u.kind != "indicator" or u.dim != 2:
-        return None
-    disks = u.params["support"].primitives
-    if not all(isinstance(p, Ball) for p in disks):
-        return None
-    if any(_pair_overlap_kind(p, q) != "disjoint" for p, q in itertools.combinations(disks, 2)):
-        return None
-    return disks
-
-
 def _closed_form(u: Field) -> bool:
     """Whether ``u``'s ball means have a closed form under ``"auto"``: a
     constant or harmonic field, a 2-D indicator or radial bump, or a weighted
@@ -318,12 +304,7 @@ def _exact_ball_means(u: Field, centers: np.ndarray, radii: np.ndarray) -> np.nd
         return u.values(centers)
     area = math.pi * radii * radii
     if u.kind == "indicator":
-        disks = _disjoint_disk_support(u)
-        if disks is None:
-            return ball_areas(u.params["support"], centers, radii) / area
-        dists = [np.sqrt(np.square(centers - np.asarray(p.center)).sum(axis=1)).tolist() for p in disks]
-        return np.asarray([sum(lens_area(r, p.radius, d) for p, d in zip(disks, ds)) / (math.pi * r * r)
-                           for r, ds in zip(radii.tolist(), zip(*dists))])
+        return ball_areas(u.params["support"], centers, radii) / area
     if u.kind == "radial_bump":
         rho, height = u.params["radius"], u.params["height"]
         d = np.hypot(*(centers - np.asarray(u.params["center"])).T)

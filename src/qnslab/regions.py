@@ -1,10 +1,10 @@
 """Composite measurable sets: finite unions of balls, axis rectangles, polygons.
 
 Regions are immutable.  Measure uses closed forms for single primitives,
-inclusion-exclusion for certified pairwise overlaps (disk-disk, box-box),
 Green's theorem over the boundary pieces for every other 2-D region
-(``ball_areas``, which also gives the area of a region inside any disk), and
-seeded Monte Carlo for every other 3-D region.  A ``MarkedSet`` adds a marked
+(``ball_areas``, which also gives the area of a region inside any disk),
+inclusion-exclusion for 3-D regions whose only overlaps are pairs of boxes,
+and seeded Monte Carlo for every other 3-D region.  A ``MarkedSet`` adds a marked
 interior point together with its outer radius ``R_D`` and inner radius ``r_D``.
 
 Containment of a ball is exact when one primitive holds it.  In 2-D every
@@ -27,7 +27,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import _kernels_py as kernels
-from .geometry import (Ball, Similarity, SimilarityArray, as_point, chord_segments, lens_angles, lens_area,
+from .geometry import (Ball, Similarity, SimilarityArray, as_point, chord_segments, lens_angles,
                        unit_ball_volume)
 
 # The sampled 3-D check of balls_in_region: boundary directions, the multiples
@@ -221,27 +221,19 @@ class Region:
         prims = self.primitives
         if len(prims) == 1:
             return _primitive_measure(prims[0]), 0.0, "exact"
-        overlaps = []
-        exact_ok = True
-        for i in range(len(prims)):
-            for j in range(i + 1, len(prims)):
-                kind = _pair_overlap_kind(prims[i], prims[j])
-                if kind == "disjoint":
-                    continue
-                if kind == "unknown":
-                    exact_ok = False
-                overlaps.append((i, j, kind))
-        if exact_ok and not _has_triple_bbox_overlap(prims, overlaps):
-            total = sum(_primitive_measure(p) for p in prims)
-            for i, j, kind in overlaps:
-                total -= _pair_overlap_measure(prims[i], prims[j], kind)
-            method = "inclusion-exclusion" if overlaps else "disjoint-sum"
-            return total, 0.0, method
         if self.dim == 2:  # ½∮ over the boundary pieces: the area inside a ball that holds them all
             lo, hi = self._bbox
             area = ball_areas(self, 0.5 * (lo + hi)[None, :], np.asarray([float(np.hypot(*(hi - lo)))]))
             return float(area[0]), 0.0, "exact"
-        return self._measure_mc()
+        kinds = {(i, j): _pair_overlap_kind(prims[i], prims[j])
+                 for i in range(len(prims)) for j in range(i + 1, len(prims))}
+        overlaps = [pair for pair, kind in kinds.items() if kind != "disjoint"]
+        if "unknown" in kinds.values() or _has_triple_overlap(overlaps):
+            return self._measure_mc()
+        total = sum(_primitive_measure(p) for p in prims)
+        for i, j in overlaps:
+            total -= _box_overlap_measure(prims[i], prims[j])
+        return total, 0.0, "inclusion-exclusion" if overlaps else "disjoint-sum"
 
     def _measure_mc(self, n: int = 2_000_000) -> tuple[float, float, str]:
         lo, hi = self._bbox
@@ -295,12 +287,10 @@ def _dist_point_rect(q: np.ndarray, r: Rect) -> float:
 
 
 def _pair_overlap_kind(p: Primitive, q: Primitive) -> str:
-    """"disjoint", an exact overlap kind ("disk-disk", "box-box"), or "unknown"."""
+    """"disjoint", "box-box" (an overlap of exact measure), or "unknown"."""
     if isinstance(p, Ball) and isinstance(q, Ball):
         d = float(np.linalg.norm(np.asarray(p.center) - np.asarray(q.center)))
-        if d >= p.radius + q.radius:
-            return "disjoint"
-        return "disk-disk" if p.dim == 2 else "unknown"
+        return "disjoint" if d >= p.radius + q.radius else "unknown"
     if isinstance(p, Rect) and isinstance(q, Rect):
         for k in range(p.dim):
             if p.hi[k] <= q.lo[k] or q.hi[k] <= p.lo[k]:
@@ -318,18 +308,16 @@ def _pair_overlap_kind(p: Primitive, q: Primitive) -> str:
     return "unknown"
 
 
-def _pair_overlap_measure(p: Primitive, q: Primitive, kind: str) -> float:
-    if kind == "disk-disk":
-        d = float(np.linalg.norm(np.asarray(p.center) - np.asarray(q.center)))
-        return lens_area(p.radius, q.radius, d)
+def _box_overlap_measure(p: Rect, q: Rect) -> float:
     lo = np.maximum(np.asarray(p.lo), np.asarray(q.lo))
     hi = np.minimum(np.asarray(p.hi), np.asarray(q.hi))
     return float(np.prod(np.maximum(hi - lo, 0.0)))
 
 
-def _has_triple_bbox_overlap(prims, overlaps) -> bool:
+def _has_triple_overlap(overlaps) -> bool:
+    """Whether three primitives overlap pairwise, given the overlapping pairs."""
     adj: dict[int, set[int]] = {}
-    for i, j, _ in overlaps:
+    for i, j in overlaps:
         adj.setdefault(i, set()).add(j)
         adj.setdefault(j, set()).add(i)
     for i, nbrs in adj.items():
@@ -397,9 +385,10 @@ def _balls_in_primitive(p: Primitive, c: np.ndarray, r: np.ndarray) -> np.ndarra
         return inside.all(axis=1)
     # a polygon holds the ball when it holds the center and every edge is farther than r
     a = np.asarray(p.vertices)
-    edge_dist = _project(c[:, None, :], a, np.roll(a, -1, axis=0) - a)[1]
+    edge_dist = np.concatenate([_project(c[b, None, :], a, np.roll(a, -1, axis=0) - a)[1].min(axis=1)
+                                for b in _row_blocks(len(c), len(a))])
     inside = kernels.contains_many((p,), (_padded_box(p),), c).astype(bool)
-    return inside & (edge_dist.min(axis=1) > r)
+    return inside & (edge_dist > r)
 
 
 # -- the 2-D boundary model ----------------------------------------------------
@@ -412,6 +401,7 @@ def _balls_in_primitive(p: Primitive, c: np.ndarray, r: np.ndarray) -> np.ndarra
 # Containment margin, relative to the region's largest coordinate: rounding in
 # mapping a point or in a membership test errs by a few ulps, far inside it.
 _MARGIN = 1e-9
+_PAIR_BLOCK = 1 << 18  # element or piece pairs per block of an all-pairs test
 
 
 def _margin(region: Region) -> float:
@@ -523,15 +513,26 @@ def _build_pieces(region: Region) -> tuple[np.ndarray, np.ndarray]:
         owners.extend((x[rows], y[rows]))
         points.extend((pts, pts))
 
-    i, j = np.triu_indices(len(circles), 1)
-    meet(circle_of[i], circle_of[j], *_circle_meets(circles[i, :2], circles[i, 2], circles[j, :2], circles[j, 2], m))
     full = np.concatenate([circles, np.tile([0.0, 2.0 * math.pi], (len(circles), 1))], axis=1)
-    a, ab = ends[:, None, :2], ends[:, None, 2:] - ends[:, None, :2]
-    ts = _edge_arc_hits(a, ab, full, m)  # (edge, circle, 3)
-    e, k, n = np.nonzero(~np.isnan(ts))
-    meet(edge_of[e], circle_of[k], np.arange(len(e)), a[e, 0] + ts[e, k, n, None] * ab[e, 0])
-    i, j = np.triu_indices(len(ends), 1)  # edges of one polygon meet only at their shared ends
-    meet(edge_of[i], edge_of[j], *_edge_meets(ends[i, :2], ends[i, 2:], ends[j, :2], ends[j, 2:], m))
+    # only elements whose bounding boxes, padded by m, overlap can meet: the circles, then the edges
+    n_c = len(circles)
+    lo = np.concatenate([circles[:, :2] - circles[:, 2:], np.minimum(ends[:, :2], ends[:, 2:])]) - m
+    hi = np.concatenate([circles[:, :2] + circles[:, 2:], np.maximum(ends[:, :2], ends[:, 2:])]) + m
+    for rows in _row_blocks(len(lo), len(lo)):
+        i, j = np.nonzero((lo[rows, None] <= hi[None]).all(axis=2) & (lo[None] <= hi[rows, None]).all(axis=2))
+        i += rows.start
+        i, j = i[j > i], j[j > i]
+        cc, ce, ee = j < n_c, (i < n_c) & (j >= n_c), i >= n_c
+        c1, c2 = i[cc], j[cc]
+        meet(circle_of[c1], circle_of[c2],
+             *_circle_meets(circles[c1, :2], circles[c1, 2], circles[c2, :2], circles[c2, 2], m))
+        c, e = i[ce], j[ce] - n_c
+        a, ab = ends[e, :2], ends[e, 2:] - ends[e, :2]
+        ts = _edge_arc_hits(a, ab, full[c], m)  # (pair, 3)
+        hit, n = np.nonzero(~np.isnan(ts))
+        meet(edge_of[e], circle_of[c], hit, a[hit] + ts[hit, n, None] * ab[hit])
+        e1, e2 = i[ee] - n_c, j[ee] - n_c  # edges of one polygon meet only at their shared ends
+        meet(edge_of[e1], edge_of[e2], *_edge_meets(ends[e1, :2], ends[e1, 2:], ends[e2, :2], ends[e2, 2:], m))
     owners, points = np.concatenate(owners), np.concatenate(points)
     arcs, segs, arc_of, seg_of = [], [], [], []  # and the primitive of each piece
     for x, kind in enumerate(kinds):
@@ -558,11 +559,22 @@ def _build_pieces(region: Region) -> tuple[np.ndarray, np.ndarray]:
             _distinct(segs[kept_segs], np.asarray(seg_of, dtype=int)[kept_segs], m))
 
 
+def _row_blocks(n: int, width: int) -> list:
+    """Slices of range(n) whose rows, each against ``width`` others, make at
+    most about ``_PAIR_BLOCK`` pairs, so that an all-pairs test stays in
+    bounded memory (one slice, possibly empty, when they all fit)."""
+    step = max(1, _PAIR_BLOCK // max(width, 1))
+    return [slice(s, s + step) for s in range(0, max(n, 1), step)]
+
+
 def _distinct(rows: np.ndarray, prims: np.ndarray, m: float) -> np.ndarray:
     """The pieces, without those that equal a piece of an earlier primitive
     within m in every column (and so run the same way)."""
-    same = (np.abs(rows[:, None] - rows[None]) <= m).all(axis=2) & (prims[:, None] > prims[None])
-    return rows[~same.any(axis=1)]
+    dup = np.zeros(len(rows), dtype=bool)
+    for b in _row_blocks(len(rows), len(rows)):
+        same = (np.abs(rows[b, None] - rows[None]) <= m).all(axis=2) & (prims[b, None] > prims[None])
+        dup[b] = same.any(axis=1)
+    return rows[~dup]
 
 
 def boundary_distance(region: Region, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -623,12 +635,14 @@ def ball_areas(region: Region, centers: np.ndarray, radii: np.ndarray) -> np.nda
     hi = np.where(held, np.inf, lo + 2.0 * gamma)
     first, wraps = near & (lo <= sweep), (near | held) & (hi > 2.0 * math.pi)
     ends1, ends2 = first & (hi <= sweep), wraps & (hi - 2.0 * math.pi <= sweep)  # at p_minus
+    whole = held & (sweep >= 2.0 * math.pi)  # a whole circle in the ball adds pi rho^2, with no triangle
     e0 = v + rho[:, None] * np.stack([np.cos(start), np.sin(start)], axis=1)
     e1 = v + rho[:, None] * np.stack([np.cos(start + sweep), np.sin(start + sweep)], axis=1)
     tri = [np.where(first, _cross(p_plus, np.where(ends1[..., None], p_minus, e1)), 0.0),
-           np.where(wraps, _cross(e0, np.where(ends2[..., None], p_minus, e1)), 0.0)]
+           np.where(wraps & ~whole, _cross(e0, np.where(ends2[..., None], p_minus, e1)), 0.0)]
     seg = [np.where(first, chord_segments(rho, np.where(ends1, 2.0 * gamma, sweep - lo)), 0.0),
-           np.where(wraps, chord_segments(rho, np.minimum(hi - 2.0 * math.pi, sweep)), 0.0)]
+           np.where(whole, math.pi * rho * rho,
+                    np.where(wraps, chord_segments(rho, np.minimum(hi - 2.0 * math.pi, sweep)), 0.0))]
     # -- segments: the part inside the ball is [t1, t2] of a + t*ab, clipped to [0, 1]
     a = segs[:, :2] - centers[:, None, :]
     ab = segs[:, 2:] - segs[:, :2]

@@ -133,9 +133,21 @@ class TestCheckQns:
     def test_decimal_string_counts(self, runner, tmp_path):
         doc = json.loads(json.dumps(PROBLEM))
         doc["probes"].update(center_resolution="11", radii_per_center="5")
+        floats = json.loads(json.dumps(PROBLEM))
+        floats["probes"].update(center_resolution=11.0, radii_per_center=5.0)
         outputs = [strip_stamp(runner.invoke(main, ["check-qns", "--config", write_json(tmp_path / name, d)]).output)
-                   for name, d in (("s.json", doc), ("p.json", PROBLEM))]
-        assert outputs[0] == outputs[1]
+                   for name, d in (("s.json", doc), ("f.json", floats), ("p.json", PROBLEM))]
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_ball_on_the_bump_circle(self, runner, tmp_path):
+        # the 9-point grid puts a center on the bump's center and the largest radius is the bump's:
+        # that ball's mean is h/2, so K_hat stays finite and the check passes
+        doc = json.loads(json.dumps(PROBLEM))
+        doc["field"] = {"kind": "radial_bump", "center": ["0.0", "0.0"], "radius": "1.0", "height": "1.0"}
+        doc["probes"].update(center_resolution=9, radius_range=[0.25, 1.0])
+        result = runner.invoke(main, ["check-qns", "--config", write_json(tmp_path / "b.json", doc), "--max-K", "10"])
+        assert result.exit_code == 0
+        assert math.isfinite(strip_stamp(result.output)["K_hat"])
 
     def test_means_are_exact(self, runner, tmp_path):
         # the indicator of a disk has closed-form means, so K_hat is the grid's exact supremum

@@ -10,6 +10,8 @@ from qnslab.geometry import (
     Similarity,
     SimilarityArray,
     apply_similarity,
+    chord_segments,
+    lens_angles,
     lens_area,
     lens_constant,
     unit_ball_volume,
@@ -217,6 +219,25 @@ class TestLensArea:
         assert math.isclose(frac, 0.4999999737510934, rel_tol=1e-14)
         for r in (1e-25, 1e-22, 1e-16):
             assert 0.49 < lens_area(r, a, a) / (math.pi * r * r) <= 0.5
+
+
+class TestLensAngles:
+    @pytest.mark.parametrize("r1, r2, d, t", [
+        (1.0, 1.0, 0.0, (math.pi, 0.0)),  # coincident equal disks: the whole disk
+        (1.0, 0.5, 0.2, (0.0, math.pi)),
+        (0.5, 1.0, 0.2, (math.pi, 0.0)),
+        (1.0, 1.0, 2.5, (0.0, 0.0)),
+    ], ids=["coincident", "two-in-one", "one-in-two", "apart"])
+    def test_containment_cases(self, r1, r2, d, t):
+        t1, t2, _, _ = lens_angles(r1, r2, d)
+        assert (float(t1), float(t2)) == t
+
+    @pytest.mark.parametrize("r1, r2, d", [(1.0, 1.0, 0.0), (0.7, 0.7, 0.0), (1.0, 0.5, 0.2), (0.5, 1.0, 0.2),
+                                           (1.0, 1.0, 1.0), (1.0, 1.2, 0.9), (1.0, 1.0, 2.5)])
+    def test_segments_sum_to_lens_area(self, r1, r2, d):
+        t1, t2, _, _ = lens_angles(r1, r2, d)
+        lens = float(chord_segments(np.float64(r1), 2.0 * t1) + chord_segments(np.float64(r2), 2.0 * t2))
+        assert math.isclose(lens, lens_area(r1, r2, d), rel_tol=1e-14, abs_tol=1e-300)
 
 
 class TestLensConstant:

@@ -560,9 +560,9 @@ class TestExactDiskMeans:
         BUMP, sum_field([(0.8, BUMP), (1.3, MIXED), (0.5, constant_field(1.0, OMEGA))], OMEGA),
     ], ids=["radial-bump", "weighted-sum"])
     def test_closed_forms_match_mc(self, u):
-        # balls inside the bump, across its edge, holding it, and off it
-        centers, radii = np.asarray([[0.3, -0.2], [0.5, 0.0], [0.9, -0.2], [0.0, 0.0], [-1.2, 0.9], [2.0, 2.0]]), \
-            np.asarray([0.3, 0.6, 0.5, 1.9, 0.6, 0.5])
+        # balls inside the bump, on its own circle, across its edge, holding it, and off it
+        centers = np.asarray([[0.3, -0.2], [0.3, -0.2], [0.5, 0.0], [0.9, -0.2], [0.0, 0.0], [-1.2, 0.9], [2.0, 2.0]])
+        radii = np.asarray([0.3, 0.7, 0.6, 0.5, 1.9, 0.6, 0.5])
         exact = quadrature._ball_means(u, centers, radii, QuadratureSpec())
         mc = quadrature._ball_means(u, centers, radii, QuadratureSpec(method="mc", target_rel_error=1e-4,
                                                                       max_samples=400_000, seed=12))

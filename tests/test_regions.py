@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +83,7 @@ class TestMeasure:
     def test_two_ball_union_inclusion_exclusion(self):
         expected = 2.0 * math.pi - lens_area(1.0, 1.0, 1.0)
         value, stderr, method = TWO_BALL.measure_detail()
-        assert method == "inclusion-exclusion"
+        assert method == "exact"  # Green's theorem over the boundary pieces, as every 2-D union
         assert stderr == 0.0
         assert math.isclose(value, expected, rel_tol=1e-12)
         assert math.isclose(value, 5.0548, abs_tol=1e-4)
@@ -90,8 +91,14 @@ class TestMeasure:
     def test_disjoint_sum(self):
         r = Region((Ball((0.0, 0.0), 1.0), Ball((5.0, 0.0), 2.0)))
         value, stderr, method = r.measure_detail()
-        assert method == "disjoint-sum"
+        assert method == "exact"
         assert math.isclose(value, math.pi * (1 + 4), rel_tol=1e-12)
+        r3 = Region((Ball((0.0, 0.0, 0.0), 1.0), Ball((5.0, 0.0, 0.0), 2.0)))
+        assert r3.measure_detail() == (pytest.approx(4.0 / 3.0 * math.pi * (1 + 8), rel=1e-12), 0.0, "disjoint-sum")
+
+    def test_3d_box_inclusion_exclusion(self):
+        r = Region((Rect((0.0, 0.0, 0.0), (2.0, 1.0, 1.0)), Rect((1.0, 0.5, 0.0), (3.0, 2.0, 1.0))))
+        assert r.measure_detail() == (4.5, 0.0, "inclusion-exclusion")
 
     def test_mc_fallback_matches_inclusion_exclusion(self):
         # a ball overlapping a rectangle has no inclusion-exclusion term; its
@@ -512,6 +519,28 @@ class TestPieces:
             for got, want in zip(regions._pieces(region), reference_pieces(region)):
                 assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("name", list(PIECE_FIXTURES))
+    def test_blocks_do_not_change_the_pieces(self, name, monkeypatch):
+        # element pairs, piece pairs and polygon edge distances in blocks of a few pairs each
+        monkeypatch.setattr(regions, "_PAIR_BLOCK", 5)
+        region = Region(PIECE_FIXTURES[name].primitives)  # a fresh region: pieces are cached
+        for got, want in zip(regions._pieces(region), reference_pieces(region)):
+            assert np.array_equal(got, want)
+
+    def test_many_edges_in_bounded_memory(self):
+        # only element pairs whose bounding boxes overlap are built, a block at a time
+        angles = np.linspace(0.0, 2.0 * math.pi, 1000, endpoint=False)
+        rho = 1.0 + 0.3 * np.cos(7.0 * angles)
+        star = Polygon(tuple(map(tuple, np.stack([rho * np.cos(angles), rho * np.sin(angles)], axis=1))))
+        tracemalloc.start()
+        try:
+            arcs, segs = regions._pieces(Region((star, Ball((1.2, 0.0), 0.5))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(arcs) == 1 and len(segs) == 898
+        assert peak < 40e6
+
     def test_clockwise_polygons_run_counter_clockwise(self):
         cw = Region((Polygon(ELL.primitives[0].vertices[::-1]),))
         segs = regions._pieces(cw)[1]
@@ -550,6 +579,14 @@ class TestBallAreas:
             area = regions.ball_areas(Region((Ball(tuple(o), rho, closed=bool(k % 2)),)), c[None], np.array([r]))[0]
             want = lens_area(r, rho, float(np.hypot(*(o - c))))
             assert abs(area - want) <= 1e-12 * want
+
+    def test_whole_disks_are_exact(self):
+        # a disk inside the ball adds pi rho^2 exactly, as lens_area does for nested disks
+        support = Region((Ball((0.0, 0.0), 0.7), Ball((3.0, 0.0), 0.25), Ball((-3.0, 0.0), 1.0)))
+        centers, radii = np.array([[0.0, 0.0], [0.2, 0.1], [3.0, 0.0], [-3.0, 0.0]]), np.array([1.0, 1.0, 1.0, 1.0])
+        want = [lens_area(r, p.radius, math.hypot(*(c - p.center))) for c, r in zip(centers, radii)
+                for p in support.primitives if math.hypot(*(c - p.center)) < 2.0]
+        assert regions.ball_areas(support, centers, radii).tolist() == want
 
     @pytest.mark.parametrize("name", ["bridged", "holed", "spanned", "mixed", "composite-1", "composite-2",
                                       "composite-5150"])
