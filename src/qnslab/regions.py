@@ -535,8 +535,7 @@ def _build_pieces(region: Region) -> tuple[np.ndarray, np.ndarray]:
         meet(edge_of[e1], edge_of[e2], *_edge_meets(ends[e1, :2], ends[e1, 2:], ends[e2, :2], ends[e2, 2:], m))
     owners, points = np.concatenate(owners), np.concatenate(points)
     arcs, segs, arc_of, seg_of = [], [], [], []  # and the primitive of each piece
-    for x, kind in enumerate(kinds):
-        pts = points[owners == x]
+    for x, (kind, pts) in enumerate(zip(kinds, _by_owner(owners, points, len(kinds)))):
         if kind >= 0:
             cx, cy, r = circles[kind]
             # an uncut circle is one arc, from angle 0
@@ -559,6 +558,13 @@ def _build_pieces(region: Region) -> tuple[np.ndarray, np.ndarray]:
             _distinct(segs[kept_segs], np.asarray(seg_of, dtype=int)[kept_segs], m))
 
 
+def _by_owner(owners: np.ndarray, points: np.ndarray, n: int) -> list:
+    """The points of each owner 0..n-1, in their order in ``points``: the
+    rows ``points[owners == x]`` of each x, grouped by one stable sort."""
+    order = np.argsort(owners, kind="stable")
+    return np.split(points[order], np.searchsorted(owners[order], np.arange(1, n)))
+
+
 def _row_blocks(n: int, width: int) -> list:
     """Slices of range(n) whose rows, each against ``width`` others, make at
     most about ``_PAIR_BLOCK`` pairs, so that an all-pairs test stays in
@@ -569,10 +575,13 @@ def _row_blocks(n: int, width: int) -> list:
 
 def _distinct(rows: np.ndarray, prims: np.ndarray, m: float) -> np.ndarray:
     """The pieces, without those that equal a piece of an earlier primitive
-    within m in every column (and so run the same way)."""
+    within m in every column (and so run the same way).  Pieces come in
+    primitive order, so a block is compared only with the rows before its
+    last primitive."""
     dup = np.zeros(len(rows), dtype=bool)
     for b in _row_blocks(len(rows), len(rows)):
-        same = (np.abs(rows[b, None] - rows[None]) <= m).all(axis=2) & (prims[b, None] > prims[None])
+        earlier = rows[:np.searchsorted(prims, prims[b].max(initial=-1))]
+        same = (np.abs(rows[b, None] - earlier) <= m).all(axis=2) & (prims[b, None] > prims[:len(earlier)])
         dup[b] = same.any(axis=1)
     return rows[~dup]
 

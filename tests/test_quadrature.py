@@ -3,6 +3,7 @@ import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -74,6 +75,47 @@ class TestSampling:
     def test_negative_count_is_refused(self, stratified):
         with pytest.raises(ValueError):
             sample_in_ball(np.zeros(2), 1.0, -5, np.random.Generator(np.random.PCG64(0)), stratified)
+
+
+class TestAngleFactors:
+    """The ball sampler's cos and sin of 2 pi u against 110-bit mpmath values."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        u = np.concatenate([[0.0, 0.125, 0.25, 0.5, 0.75, 1.0 - 2.0**-53],
+                            np.random.Generator(np.random.PCG64(15)).random(100_000)])
+        with mpmath.workprec(110):
+            two_pi = 2 * mpmath.pi
+            exact = [v for x in u.tolist() for v in mpmath.cos_sin(two_pi * x)]
+            hi = np.array([float(v) for v in exact])
+            lo = np.array([float(v - h) for v, h in zip(exact, hi.tolist())])  # each value is hi + lo to about 2^-106
+        return u, hi.reshape(-1, 2), lo.reshape(-1, 2)
+
+    @staticmethod
+    def errors(factors, hi, lo):
+        """Max |error| of the cos and sin columns, and of c^2 + s^2 - 1, all to about 1e-32."""
+        cs = np.stack(factors, axis=1)
+        err = (cs - hi) - lo
+        # c^2 + s^2 - 1 = sum of (c - cos)(c + cos) over both factors
+        return np.abs(err).max(axis=0), np.abs((err * (cs + hi)).sum(axis=1)).max()
+
+    def test_match_mpmath(self, reference):
+        u, hi, lo = reference
+        factors = quadrature._turn_cos_sin(u)
+        err, unit = self.errors(factors, hi, lo)
+        assert (err <= 2.0**-51).all() and unit <= 2.0**-51
+        # the quarter turns are exact
+        assert np.array_equal(np.stack(factors, axis=1)[[0, 2, 3, 4]], [[1, 0], [0, 1], [-1, 0], [0, -1]])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_ball_base_angle(self, reference, dim):
+        # theta in 2-D and phi in 3-D are 2 pi times the last uniform of a row
+        u, hi, lo = reference
+        cube = np.random.Generator(np.random.PCG64(dim)).random((len(u), dim))
+        cube[:, -1] = u
+        base = quadrature._ball_base(cube)
+        err, unit = self.errors(base[1:3] if dim == 2 else base[2:4], hi, lo)
+        assert (err <= 2.0**-51).all() and unit <= 2.0**-51
 
 
 def joined_blocks(n, dim, rng, stratified):

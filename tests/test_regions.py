@@ -506,6 +506,14 @@ PIECE_FIXTURES = {"unit-disk": UNIT_DISK, "two-ball": TWO_BALL, "spanned": SPANN
                   "triangle": Region((Polygon(((0.0, 0.0), (2.0, 0.0), (0.0, 2.0))),))}
 
 
+def star_and_disk(n):
+    """An n-vertex star-shaped polygon about the origin with a disk across its rim."""
+    angles = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    rho = 1.0 + 0.3 * np.cos(7.0 * angles)
+    star = Polygon(tuple(map(tuple, np.stack([rho * np.cos(angles), rho * np.sin(angles)], axis=1))))
+    return Region((star, Ball((1.2, 0.0), 0.5)))
+
+
 class TestPieces:
     @pytest.mark.parametrize("name", list(PIECE_FIXTURES))
     def test_match_the_pairwise_form(self, name):
@@ -529,17 +537,23 @@ class TestPieces:
 
     def test_many_edges_in_bounded_memory(self):
         # only element pairs whose bounding boxes overlap are built, a block at a time
-        angles = np.linspace(0.0, 2.0 * math.pi, 1000, endpoint=False)
-        rho = 1.0 + 0.3 * np.cos(7.0 * angles)
-        star = Polygon(tuple(map(tuple, np.stack([rho * np.cos(angles), rho * np.sin(angles)], axis=1))))
         tracemalloc.start()
         try:
-            arcs, segs = regions._pieces(Region((star, Ball((1.2, 0.0), 0.5))))
+            arcs, segs = regions._pieces(star_and_disk(1000))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(arcs) == 1 and len(segs) == 898
         assert peak < 40e6
+
+    def test_grouped_cuts_match_the_mask_form(self, monkeypatch):
+        # one stable sort hands each element its meeting points in the order of points[owners == x]
+        region = star_and_disk(600)
+        grouped = regions._build_pieces(region)
+        monkeypatch.setattr(regions, "_by_owner", lambda owners, points, n: [points[owners == x] for x in range(n)])
+        assert len(grouped[0]) == 1 and len(grouped[1]) > 500
+        for got, want in zip(grouped, regions._build_pieces(region)):
+            assert np.array_equal(got, want)
 
     def test_clockwise_polygons_run_counter_clockwise(self):
         cw = Region((Polygon(ELL.primitives[0].vertices[::-1]),))
