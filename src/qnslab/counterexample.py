@@ -337,7 +337,7 @@ def certify_failure(dom: CounterexampleDomain, spec: QuadratureSpec = Quadrature
 # -- certification: the restricted pass side --------------------------------------
 
 
-# Relative rounding slack on a probe mean with stderr 0 in certify_restricted.
+# Relative rounding slack on an exact probe mean in certify_restricted.
 # Exact lens-area means are good to a few ulps; 1e-12 is far below the gap
 # 1.2e-5 between 2.5575 and the sharp constant 1/lens_constant() = 2.5575302...
 EXACT_MEAN_REL_TOL = 1e-12
@@ -487,10 +487,10 @@ def certify_restricted(
                 max_ratio = ratio
                 witness = {"m": comp.m, "center": [cx, cy], "radius": r,
                            "mean": res.mean, "stderr": res.stderr, "ratio": ratio}
-            if res.stderr > 0:
-                slack = 3.0 * k_const * res.stderr
-            else:
+            if res.method == "exact":
                 slack = EXACT_MEAN_REL_TOL * k_const * res.mean
+            else:  # a sampled mean keeps its 3-stderr slack, also when a zero-variance sample reports stderr 0
+                slack = 3.0 * k_const * res.stderr
             if 1.0 > k_const * res.mean + slack:
                 violations.append({"m": comp.m, "center": [cx, cy], "radius": r,
                                    "mean": res.mean, "stderr": res.stderr})

@@ -36,7 +36,9 @@ bit-identical across runs and depend on the seed, not on the worker count: a
 batch splits into chunks of ``_CHUNK`` samples (one chunk below twice that),
 each chunk draws its own child stream, and chunk sums are reduced in index
 order.  ``spec.workers`` only sizes the thread pool that runs a batch's
-chunks, one task per chunk, so a batch of one chunk starts no pool.
+chunks, one task per chunk.  A mean opens one pool, at its first batch of
+several chunks, runs every later such batch on it and shuts it down when it
+returns; a batch of one chunk runs in the caller and starts no pool.
 
 A sampled mean is two steps.  The base sample is a pure function of the seed,
 the (batch, chunk) index and the chunk size (and, for image means, of the
@@ -49,12 +51,16 @@ uniform stream does not depend on how they are computed, so the points equal
 those that libm ``np.cos`` and ``np.sin`` of the same uniforms give, up to
 the last-bit rounding of the factors.  The per-probe step maps the base
 sample by ``c + r*x`` or by ``h`` and evaluates the field.  A ball chunk runs
-in blocks of ``_BLOCK`` samples, drawn, placed and evaluated one at a time into a
-chunk-length buffer of values that is summed whole, so results are bit for bit
-those of a whole-chunk evaluation; an image chunk is one block, of which an
-image mean maps just the first ``size`` candidates.  Means take an array of
-probes (``_ball_means``, ``_image_means``); ``mean_over_ball`` and
-``mean_over_image`` are their one-probe cases.  The loop runs batch-major and
+in blocks of ``_BLOCK`` = 2^14 samples, drawn, placed and evaluated one at a
+time into a chunk-length buffer of values that is summed whole, so results are
+bit for bit those of a whole-chunk evaluation; an image chunk is one block, of
+which an image mean maps just the first ``size`` candidates.  A streamed block
+is freed stage by stage: its cube once the radial factors and angle steps are
+read from it, its base factors once placed, its points once evaluated.  So a
+task holds its chunk buffer (1 MiB at ``_CHUNK``) and at most seven block
+arrays, those of the angle factors, and two workers stay under 4 MiB.  Means
+take an array of probes (``_ball_means``, ``_image_means``); ``mean_over_ball``
+and ``mean_over_image`` are their one-probe cases.  The loop runs batch-major and
 draws each chunk's base sample once per seed: a seed with one probe in a task
 streams its blocks, and a seed that several probes share is held as a list.
 Without labels every probe runs on the spec seed: each ``qns_engine`` battery
@@ -70,6 +76,7 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple
@@ -150,11 +157,13 @@ def _turn_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 _TURN_COS, _TURN_SIN = _turn_table(_TURN)
 
 
-def _turn_cos_sin(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cos 2 pi u, sin 2 pi u) for u in [0, 1], each within 2^-52 of the true value.
+def _turn_cos_sin(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos 2 pi u, sin 2 pi u) for u in [0, 1] given as steps = _TURN u, each
+    within 2^-52 of the true value.  ``steps`` is used as scratch and left
+    holding an intermediate.
 
-    With k = rint(_TURN u), the angle is the table angle 2 pi k / _TURN plus
-    b = (_TURN u - k) 2 pi / _TURN, where the subtraction is exact and
+    With k = rint(steps), the angle is the table angle 2 pi k / _TURN plus
+    b = (steps - k) 2 pi / _TURN, where the subtraction is exact and
     |b| <= pi / _TURN.  1 - cos b and sin b are Taylor polynomials to b^6 and
     b^5 (the next terms are below 1e-17), and the angle-sum formulas apply
     them to the table values C and S as small corrections:
@@ -165,8 +174,8 @@ def _turn_cos_sin(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     1.54e-16, where libm ``np.cos`` and ``np.sin`` of the rounded angle
     2 pi u reach 6.9e-16.
     """
-    # the steps write into buffers that are free by then, so a call holds six arrays of u's size at most
-    b = u * _TURN
+    # each operation writes into a buffer that is free by then, so a call holds six arrays of steps' size at most
+    b = steps
     k = np.rint(b)
     b -= k
     b *= 2.0 * math.pi / _TURN
@@ -197,18 +206,34 @@ def _turn_cos_sin(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _ball_base(cube: np.ndarray) -> tuple:
     """Radius-free factors of uniform unit-ball points, from unit-cube points.
 
-    2-D: (rho, cos theta, sin theta); 3-D: (rho, sin t, cos phi, sin phi, cos t).
+    2-D: (rho, cos theta, sin theta); 3-D: (rho, sin t, cos t, cos phi, sin phi).
     The angle factors of theta = 2 pi u and phi = 2 pi u, for the row's last
     uniform u, come from ``_turn_cos_sin``: a table of 257 angles with short
     Taylor corrections, within 2^-52 of the true cos and sin, at about a
     third of the cost of libm ``np.cos`` and ``np.sin``; the points equal those
     of libm factors of the same uniforms up to last-bit rounding.
+
+    It is ``_angle_factors`` of ``_radial_factors``.  A block stream maps the
+    two stages one after the other, so that each cube is freed before the
+    angle factors, the peak of a block's memory, are computed.
     """
+    return _angle_factors(_radial_factors(cube))
+
+
+def _radial_factors(cube: np.ndarray) -> tuple:
+    """The factors of ``_ball_base`` before the angle ones, then the angle's
+    steps _TURN u: 2-D (rho, steps), 3-D (rho, sin t, cos t, steps)."""
+    steps = cube[:, -1] * _TURN
     if cube.shape[1] == 2:
-        return (np.sqrt(cube[:, 0]), *_turn_cos_sin(cube[:, 1]))
+        return np.sqrt(cube[:, 0]), steps
     cos_t = 1.0 - 2.0 * cube[:, 1]
     sin_t = np.sqrt(np.maximum(1.0 - cos_t * cos_t, 0.0))
-    return (np.cbrt(cube[:, 0]), sin_t, *_turn_cos_sin(cube[:, 2]), cos_t)
+    return np.cbrt(cube[:, 0]), sin_t, cos_t, steps
+
+
+def _angle_factors(radial: tuple) -> tuple:
+    """``_ball_base`` from ``_radial_factors``: the steps give way to cos and sin."""
+    return (*radial[:-1], *_turn_cos_sin(radial[-1]))
 
 
 def _place_in_ball(base: tuple, center: np.ndarray, radius: float) -> np.ndarray:
@@ -224,7 +249,7 @@ def _place_in_ball(base: tuple, center: np.ndarray, radius: float) -> np.ndarray
         np.multiply(r, cos_theta, out=pts[:, 0])
         np.multiply(r, sin_theta, out=pts[:, 1])
     else:
-        _, sin_t, cos_phi, sin_phi, cos_t = base
+        _, sin_t, cos_t, cos_phi, sin_phi = base
         r_sin = r * sin_t
         np.multiply(r_sin, cos_phi, out=pts[:, 0])
         np.multiply(r_sin, sin_phi, out=pts[:, 1])
@@ -235,24 +260,36 @@ def _place_in_ball(base: tuple, center: np.ndarray, radius: float) -> np.ndarray
 
 
 # Samples per block.  A chunk is drawn, placed and evaluated one block at a
-# time, so its temporaries stay cache-sized and are not re-faulted per chunk.
-_BLOCK = 2**13
+# time, so its temporaries stay cache-sized and are not re-faulted per chunk;
+# a block long enough that each numpy call runs long lets the pool's threads
+# overlap the calls, which release the interpreter lock.
+_BLOCK = 2**14
 
 
 def _cube_blocks(n: int, dim: int, rng: np.random.Generator, stratified: bool):
     """n points of the unit cube in blocks of at most ``_BLOCK`` rows: the values of one
     ``rng.random((n, dim))`` draw, except that stratified, the first g^dim <= n rows
-    are one jittered point per cell of a g^dim grid, cells in C order."""
+    are one jittered point per cell of a g^dim grid, cells in C order.
+
+    The blocks are drawn as they are read, and the stream holds none of them,
+    so a reader that drops a block frees it.
+    """
     g = max(int(round(n ** (1.0 / dim))), 1) if stratified else 0
     while g**dim > n:
         g -= 1
-    for lo in range(0, max(n, 1), _BLOCK):  # n = 0 gives one empty block
-        block = rng.random((min(n - lo, _BLOCK), dim))
-        k = min(max(g**dim - lo, 0), len(block))  # the rows of the block that lie in a cell
-        if k:
-            cells = np.stack(np.unravel_index(np.arange(lo, lo + k), (g,) * dim), axis=1)
-            block[:k] = (cells + block[:k]) / g
-        yield block
+    # n = 0 gives one empty block
+    return (_cube_block(rng, lo, min(n - lo, _BLOCK), dim, g) for lo in range(0, max(n, 1), _BLOCK))
+
+
+def _cube_block(rng: np.random.Generator, lo: int, size: int, dim: int, g: int) -> np.ndarray:
+    """Rows lo to lo + size of ``_cube_blocks`` on a grid of side g (0: none)."""
+    block = rng.random((size, dim))
+    k = min(max(g**dim - lo, 0), size)  # the rows of the block that lie in a cell
+    if k:
+        for j, cell in enumerate(np.unravel_index(np.arange(lo, lo + k), (g,) * dim)):
+            block[:k, j] += cell
+        block[:k] /= g
+    return block
 
 
 def sample_in_ball(center, radius: float, n: int, rng: np.random.Generator, stratified: bool = False) -> np.ndarray:
@@ -260,14 +297,6 @@ def sample_in_ball(center, radius: float, n: int, rng: np.random.Generator, stra
         raise ValueError("sample count must be non-negative")
     center = np.asarray(center, dtype=np.float64)
     return _place_in_ball(_ball_base(np.concatenate([*_cube_blocks(n, center.size, rng, stratified)])), center, radius)
-
-
-def _reduce_chunks(spec: QuadratureSpec, task_fn: Callable[[int], object], n_tasks: int) -> list:
-    """Run task_fn over task indices on ``spec.workers`` threads; results in index order."""
-    if spec.workers == 1 or n_tasks == 1:
-        return [task_fn(i) for i in range(n_tasks)]
-    with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-        return list(pool.map(task_fn, range(n_tasks)))
 
 
 def _stat_result(s1: float, s2: float, n: int, method: str) -> MeanResult:
@@ -290,8 +319,9 @@ def _sample_means(spec: QuadratureSpec, method: str, u: Field, base: Callable[[i
 
     ``base(seed, batch, chunk, size)`` returns one chunk's base sample on a
     seed as blocks, drawn as they are read, and probe i runs on ``seeds[i]``.
-    A batch runs one task per chunk, on the ``spec.workers`` pool when it has
-    several chunks, and a task runs its chunk for every running probe.  Each
+    A batch runs one task per chunk, on the call's one pool of ``spec.workers``
+    threads when it has several chunks, and a task runs its chunk for every
+    running probe.  Each
     chunk is drawn once per seed: a seed with one running probe streams its
     blocks, and probes that share a seed share a list of them.
     ``places[i]`` maps a block to probe i's points, where ``u`` is evaluated
@@ -306,47 +336,54 @@ def _sample_means(spec: QuadratureSpec, method: str, u: Field, base: Callable[[i
     n = 0
     batch_size = min(4096, spec.max_samples)
     batch_index = 0
-    while running:
-        n_chunks = max(batch_size // _CHUNK, 1)
-        sizes = [batch_size // n_chunks] * n_chunks
-        sizes[-1] += batch_size - sum(sizes)
-        last = {seeds[p]: p for p in running}  # the last running probe on each seed
+    pool = None
+    with ExitStack() as stack:
+        while running:
+            n_chunks = max(batch_size // _CHUNK, 1)
+            sizes = [batch_size // n_chunks] * n_chunks
+            sizes[-1] += batch_size - sum(sizes)
+            last = {seeds[p]: p for p in running}  # the last running probe on each seed
 
-        def run(i: int) -> list:  # chunk i of this batch, for every running probe
-            held = {}
-            vals = np.empty(sizes[i])
-            sums = []
+            def run(i: int) -> list:  # chunk i of this batch, for every running probe
+                held = {}
+                vals = np.empty(sizes[i])
+                sums = []
+                for p in running:
+                    seed = seeds[p]
+                    if seed not in held:  # probes that share a seed share a list of its blocks; a lone one streams
+                        blocks = base(seed, batch_index, i, sizes[i])
+                        held[seed] = blocks if last[seed] == p else list(blocks)
+                    blocks = held.pop(seed) if last[seed] == p else held[seed]
+                    lo = 0
+                    for pts in map(places[p], blocks):  # a streamed block's base is dropped once placed
+                        vals[lo:lo + len(pts)] = u.evaluate_many(pts, check_domain=False)
+                        lo += len(pts)
+                        del pts  # so that no block array is held while the next one is drawn
+                    # per-block sums would round differently; vals is squared in place once summed
+                    sums.append((float(vals.sum()), float(np.multiply(vals, vals, out=vals).sum())))
+                return sums
+
+            if n_chunks == 1 or spec.workers == 1:
+                tasks = map(run, range(n_chunks))
+            else:  # the mean's one pool, opened at its first batch of several chunks
+                pool = pool or stack.enter_context(ThreadPoolExecutor(max_workers=spec.workers))
+                tasks = pool.map(run, range(n_chunks))
+            # tasks come back in chunk order, so each probe's chunk sums add in that order
+            for task_sums in tasks:
+                for p, sums in zip(running, task_sums):
+                    s1[p] += sums[0]
+                    s2[p] += sums[1]
+            n += batch_size
+            batch_index += 1
+            still = []
             for p in running:
-                seed = seeds[p]
-                if seed not in held:  # probes that share a seed share a list of its blocks; a lone one streams
-                    blocks = base(seed, batch_index, i, sizes[i])
-                    held[seed] = blocks if last[seed] == p else list(blocks)
-                blocks = held.pop(seed) if last[seed] == p else held[seed]
-                lo = 0
-                for block in blocks:
-                    pts = places[p](block)
-                    vals[lo:lo + len(pts)] = u.evaluate_many(pts, check_domain=False)
-                    lo += len(pts)
-                # per-block sums would round differently; vals is squared in place once summed
-                sums.append((float(vals.sum()), float(np.multiply(vals, vals, out=vals).sum())))
-            return sums
-
-        # tasks come back in chunk order, so each probe's chunk sums add in that order
-        for task_sums in _reduce_chunks(spec, run, n_chunks):
-            for p, sums in zip(running, task_sums):
-                s1[p] += sums[0]
-                s2[p] += sums[1]
-        n += batch_size
-        batch_index += 1
-        still = []
-        for p in running:
-            result = _stat_result(s1[p], s2[p], n, method)
-            if n >= spec.max_samples or result.stderr <= spec.target_rel_error * abs(result.mean):
-                out[p] = result
-            else:
-                still.append(p)
-        running = still
-        batch_size = min(batch_size * 2, spec.max_samples - n)
+                result = _stat_result(s1[p], s2[p], n, method)
+                if n >= spec.max_samples or result.stderr <= spec.target_rel_error * abs(result.mean):
+                    out[p] = result
+                else:
+                    still.append(p)
+            running = still
+            batch_size = min(batch_size * 2, spec.max_samples - n)
     return out
 
 
@@ -444,8 +481,9 @@ def _ball_means(u: Field, centers: np.ndarray, radii: np.ndarray, spec: Quadratu
     method = "stratified" if spec.method == "auto" else spec.method
     stratified = method == "stratified"
 
-    def base(seed: int, batch: int, chunk: int, size: int):
-        return map(_ball_base, _cube_blocks(size, u.dim, _rng(seed, batch, chunk), stratified))
+    def base(seed: int, batch: int, chunk: int, size: int):  # _ball_base of each block, in its two stages
+        cubes = _cube_blocks(size, u.dim, _rng(seed, batch, chunk), stratified)
+        return map(_angle_factors, map(_radial_factors, cubes))
 
     places = [partial(_place_in_ball, center=centers[i], radius=float(radii[i])) for i in contained]
     for i, mean in zip(contained, _sample_means(spec, method, u, base, _seeds(spec, labels, contained), places)):

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,7 +25,7 @@ from qnslab.counterexample import (
 )
 from qnslab.geometry import Ball, lens_area, lens_constant
 from qnslab import counterexample
-from qnslab.quadrature import QuadratureSpec, derive_seed
+from qnslab.quadrature import MeanResult, QuadratureSpec, derive_seed
 from qnslab.radius_sets import RadiusSet, classify
 from qnslab.regions import MarkedSet, Region
 
@@ -205,6 +206,59 @@ class TestCertifyRestricted:
         for v in rep.violations:
             assert v["radius"] == radius[v["m"]]
             assert math.isclose(math.hypot(*v["center"]), radius[v["m"]], rel_tol=1e-12)
+
+    @pytest.mark.parametrize("method, violations", [("mc", 1), ("exact", 0)])
+    def test_only_exact_means_get_the_rounding_slack(self, monkeypatch, method, violations):
+        # a sampled mean whose first 4,096 points all hit or all miss reports stderr 0; it keeps the
+        # 3-stderr slack, which is then 0, while an exact mean gets EXACT_MEAN_REL_TOL
+        k = 1.0 / lens_constant()
+
+        def one_probe_below(u, centers, radii, spec, labels=None, _original=counterexample._ball_means):
+            out = _original(u, centers, radii, spec, labels)
+            if u is dom.components[0].field_local:
+                out[0] = MeanResult((1.0 / k) * (1.0 - 5e-13), 0.0, 4096, method)
+            return out
+
+        dom = build_domain(default_sequences(3, 3))
+        monkeypatch.setattr(counterexample, "_ball_means", one_probe_below)
+        probes = RestrictedProbeSpec(offsets=(0.0, 1.0), angles=4, radii_per_component=3)
+        rep = certify_restricted(dom, avoided_complement_set(dom), probes)
+        assert len(rep.violations) == violations and rep.passed == (violations == 0)
+
+    def test_exact_mean_tolerance_covers_the_sharp_probes(self, monkeypatch):
+        # the 60 sharp probes (center on the inner circle, radius a_m) against the lens area of the
+        # same float balls at 50 digits: the rounding of both the certified means and lens_area
+        # stays far below EXACT_MEAN_REL_TOL
+        calls = []
+
+        def recording(u, centers, radii, spec, labels=None, _original=counterexample._ball_means):
+            out = _original(u, centers, radii, spec, labels)
+            calls.append((u.params["support"].primitives[0].radius, centers, radii, out))
+            return out
+
+        def lens_mean(r, a, d):  # area(B(c, r) ∩ B(0, a)) / (pi r^2) at |c| = d, with mpmath
+            r, a = mpmath.mpf(r), mpmath.mpf(a)
+            lens = (r * r * mpmath.acos((d * d + r * r - a * a) / (2 * d * r))
+                    + a * a * mpmath.acos((d * d + a * a - r * r) / (2 * d * a))
+                    - mpmath.sqrt((-d + r + a) * (d + r - a) * (d - r + a) * (d + r + a)) / 2)
+            return lens / (mpmath.pi * r * r)
+
+        dom = build_domain(default_sequences(3, 5))
+        monkeypatch.setattr(counterexample, "_ball_means", recording)
+        certify_restricted(dom, avoided_complement_set(dom))
+        errors = []
+        with mpmath.workdps(50):
+            for comp, (a, centers, radii, out) in zip(dom.components, calls):
+                assert a == comp.inner_radius
+                for (cx, cy), r, res in zip(centers.tolist(), radii.tolist(), out):
+                    if r == a and math.isclose(math.hypot(cx, cy), a, rel_tol=1e-12):
+                        d = mpmath.sqrt(mpmath.mpf(cx) ** 2 + mpmath.mpf(cy) ** 2)
+                        exact = lens_mean(r, a, d)
+                        errors.append(float(abs(res.mean - exact) / exact))
+                        exact = lens_mean(r, a, mpmath.mpf(float(d)))
+                        errors.append(float(abs(lens_area(r, a, float(d)) / (math.pi * r * r) - exact) / exact))
+        assert len(errors) == 2 * 60
+        assert max(errors) <= counterexample.EXACT_MEAN_REL_TOL / 100  # about 6e-16 is seen
 
     @pytest.mark.parametrize("method", ["auto", "mc"])
     def test_probe_seeds_are_derived_only_for_sampled_means(self, monkeypatch, method):

@@ -327,7 +327,7 @@ class TestCommonRandomNumbers:
 
             monkeypatch.setattr(quadrature, name, draw)
 
-        tracking("_ball_base")
+        tracking("_angle_factors")
         tracking("_image_base")
         d = MarkedSet(Region((Ball((0.0, 0.0), 1.0),)), (0.0, 0.0))
         sims = SimilarityProbeGrid(center_resolution=5, scales_per_center=3, scale_range=(0.2, 0.9))
@@ -523,7 +523,7 @@ def reference_sample_mean(spec, draw_values, method):
             vals = draw_values(_b, i, _sizes[i])
             return float(vals.sum()), float((vals * vals).sum()), vals.size
 
-        for cs1, cs2, cn in quadrature._reduce_chunks(spec, run, n_chunks):
+        for cs1, cs2, cn in map(run, range(n_chunks)):
             s1 += cs1
             s2 += cs2
             n += cn

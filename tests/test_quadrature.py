@@ -101,7 +101,7 @@ class TestAngleFactors:
 
     def test_match_mpmath(self, reference):
         u, hi, lo = reference
-        factors = quadrature._turn_cos_sin(u)
+        factors = quadrature._turn_cos_sin(u * quadrature._TURN)
         err, unit = self.errors(factors, hi, lo)
         assert (err <= 2.0**-51).all() and unit <= 2.0**-51
         # the quarter turns are exact
@@ -114,7 +114,7 @@ class TestAngleFactors:
         cube = np.random.Generator(np.random.PCG64(dim)).random((len(u), dim))
         cube[:, -1] = u
         base = quadrature._ball_base(cube)
-        err, unit = self.errors(base[1:3] if dim == 2 else base[2:4], hi, lo)
+        err, unit = self.errors(base[-2:], hi, lo)
         assert (err <= 2.0**-51).all() and unit <= 2.0**-51
 
 
@@ -150,7 +150,7 @@ class TestStratifiedSampler:
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("stratified", [False, True])
     # 9999 and 133,333 put the grid's end g^dim inside a block in 2-D
-    @pytest.mark.parametrize("n", [1, 2025, 8191, 8192, 8193, 9999, 133_333, 262_144])
+    @pytest.mark.parametrize("n", [1, 2025, 8191, 8192, 8193, 9999, 16_383, 16_384, 16_385, 133_333, 262_144])
     def test_blocks_equal_one_whole_draw(self, dim, stratified, n):
         blocks = list(_cube_blocks(n, dim, np.random.Generator(np.random.PCG64(n)), stratified))
         assert all(len(b) <= quadrature._BLOCK for b in blocks) and len(blocks) == -(-n // quadrature._BLOCK)
@@ -362,8 +362,13 @@ class TestWorkerIndependence:
 
     def test_workers_run_one_task_per_chunk(self, monkeypatch):
         tasks = []
+        pools = []
 
         class Recording(quadrature.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
             def map(self, fn, *iterables):
                 items = list(iterables[0])
                 tasks.append((self._max_workers, len(items)))
@@ -373,11 +378,18 @@ class TestWorkerIndependence:
         spec = QuadratureSpec(method="mc", target_rel_error=1e-6, max_samples=8192, seed=21, workers=2)
         # batches of 4096 points, one chunk each: the chunk runs in the caller, with no pool
         assert quadrature._ball_means(DISK_RECT, *ball_arrays(self.BALLS), spec)[0].n_samples == 8192
-        assert tasks == []
+        assert tasks == [] and pools == []
         # batches of 4096 up to 2^17 points (258,048 in all), then 2^18 points in two chunks, two tasks
         spec = replace(spec, max_samples=520_192)
         assert quadrature._ball_means(DISK_RECT, *ball_arrays(self.BALLS), spec)[0].n_samples == 520_192
-        assert tasks == [(2, 2)]
+        assert tasks == [(2, 2)] and len(pools) == 1
+        # then 2^19 points in four chunks: the mean opens one pool, at its first batch of several
+        # chunks, runs every later batch on it, and shuts it down when it returns
+        tasks.clear()
+        pools.clear()
+        spec = replace(spec, max_samples=1_044_480)
+        assert quadrature._ball_means(DISK_RECT, *ball_arrays(self.BALLS), spec)[0].n_samples == 1_044_480
+        assert tasks == [(2, 2), (2, 4)] and len(pools) == 1 and pools[0]._shutdown
 
 
 class TestBlocks:
@@ -403,8 +415,17 @@ class TestBlocks:
 
     @pytest.mark.parametrize("method", ["mc", "stratified"])
     def test_chunk_temporaries_stay_block_sized(self, method):
+        self.assert_peak_below_4_mib(method, workers=1)
+
+    @pytest.mark.parametrize("method", ["mc", "stratified"])
+    def test_chunk_temporaries_stay_block_sized_on_two_workers(self, method):
+        # the two chunks of the last batch run at once; tracemalloc counts the allocations of every thread
+        self.assert_peak_below_4_mib(method, workers=2)
+
+    @staticmethod
+    def assert_peak_below_4_mib(method, workers):
         # batches of 4096 up to 2^17 points (258,048 in all), then 2^18 points in two chunks of 2^17
-        spec = QuadratureSpec(method=method, target_rel_error=1e-6, max_samples=520_192, seed=5)
+        spec = QuadratureSpec(method=method, target_rel_error=1e-6, max_samples=520_192, seed=5, workers=workers)
         tracemalloc.start()
         try:
             res = mean_over_ball(CHI, Ball((1.0, 0.0), 1.0), spec)
@@ -412,7 +433,7 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert res.n_samples == 520_192
-        # the 1 MiB chunk buffer of values and its square, plus a few blocks
+        # per running task, the 1 MiB chunk buffer of values (squared in place) plus a few blocks
         assert peak < 4 * 2**20
 
 
