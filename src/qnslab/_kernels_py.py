@@ -14,7 +14,7 @@ import numpy as np
 
 
 def contains_many(primitives, boxes, pts):
-    """Union membership of ``pts`` (N x dim float64) in ``primitives``.
+    """Union membership of ``pts`` (N x dim float64, of any layout) in ``primitives``.
 
     ``boxes[p]`` is the padded box ``(lo_0, hi_0, lo_1, ...)`` of
     ``primitives[p]``.  Returns a uint8 mask.  Balls and rectangles honor their

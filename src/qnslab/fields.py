@@ -65,7 +65,7 @@ class Field:
 
     def require_in_domain(self, pts: np.ndarray) -> None:
         """Raise ``DomainError`` unless every point lies in the domain."""
-        mask = self.domain.contains_many(np.ascontiguousarray(pts, dtype=np.float64))
+        mask = self.domain.contains_many(pts)
         if not mask.all():
             bad = np.asarray(pts)[int(np.argmin(mask))]
             raise DomainError(f"point {tuple(bad)} lies outside the field domain")

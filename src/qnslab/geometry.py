@@ -126,8 +126,8 @@ class Similarity:
             raise ValueError(f"expected points of shape (N, {self.dim})")
         # Column by column, x'_i = sum_k (scale*T)_ik x_k + t_i: faster than a matmul on N x dim, and
         # free of the BLAS kernel's fused multiply-adds, so the result does not depend on the host's BLAS.
-        # Row-major whatever the input's layout, since Region.contains_many would copy any other layout.
-        out = np.empty(pts.shape)
+        # Column-major whatever the input's layout, so that every column is written and later read contiguously.
+        out = np.empty(pts.shape, order="F")
         cols = [pts[:, k] for k in range(self.dim)]
         for i, (row, t) in enumerate(zip(self._linear, self.translation)):
             acc = row[0] * cols[0]

@@ -50,15 +50,21 @@ Taylor corrections, within 2^-52 of the true values (``_turn_cos_sin``).  The
 uniform stream does not depend on how they are computed, so the points equal
 those that libm ``np.cos`` and ``np.sin`` of the same uniforms give, up to
 the last-bit rounding of the factors.  The per-probe step maps the base
-sample by ``c + r*x`` or by ``h`` and evaluates the field.  A ball chunk runs
+sample by ``c + r*x`` or by ``h`` and evaluates the field.  Points are
+column-major ``(N, dim)`` arrays once accepted in D, placed or mapped, since
+every stage reads and writes whole columns.  A ball chunk runs
 in blocks of ``_BLOCK`` = 2^14 samples, drawn, placed and evaluated one at a
 time into a chunk-length buffer of values that is summed whole, so results are
 bit for bit those of a whole-chunk evaluation; an image chunk is one block, of
-which an image mean maps just the first ``size`` candidates.  A streamed block
-is freed stage by stage: its cube once the radial factors and angle steps are
-read from it, its base factors once placed, its points once evaluated.  So a
-task holds its chunk buffer (1 MiB at ``_CHUNK``) and at most seven block
-arrays, those of the angle factors, and two workers stay under 4 MiB.  Means
+which an image mean maps just the first ``size`` candidates.  An indicator
+takes no buffer: each block's points go to the support's membership test and
+the chunk is reduced by its hit count, which is exactly both float sums of
+its 0/1 values.  A streamed block is freed stage by stage: its cube once the
+radial factors and angle steps are read from it, its base factors once
+placed, its points once evaluated.  So a task holds at most seven block
+arrays, those of the angle factors (under 1 MiB at ``_BLOCK``), plus, for
+every field but an indicator, its chunk buffer (1 MiB at ``_CHUNK``), and two
+workers stay under 4 MiB.  Means
 take an array of probes (``_ball_means``, ``_image_means``); ``mean_over_ball``
 and ``mean_over_image`` are their one-probe cases.  The loop runs batch-major and
 draws each chunk's base sample once per seed: a seed with one probe in a task
@@ -240,10 +246,11 @@ def _place_in_ball(base: tuple, center: np.ndarray, radius: float) -> np.ndarray
     """The points center + radius * x of the ball for unit-ball factors x.
 
     Coordinates are written into one preallocated array, so placing a chunk
-    holds no more memory than drawing it.
+    holds no more memory than drawing it.  The array is column-major, since
+    every later stage reads and writes whole columns.
     """
     r = radius * base[0]
-    pts = np.empty((r.size, center.size))
+    pts = np.empty((r.size, center.size), order="F")
     if len(base) == 3:
         _, cos_theta, sin_theta = base
         np.multiply(r, cos_theta, out=pts[:, 0])
@@ -325,10 +332,17 @@ def _sample_means(spec: QuadratureSpec, method: str, u: Field, base: Callable[[i
     chunk is drawn once per seed: a seed with one running probe streams its
     blocks, and probes that share a seed share a list of them.
     ``places[i]`` maps a block to probe i's points, where ``u`` is evaluated
-    into the task's chunk-length buffer of values, summed whole.  Every probe
-    sees the same chunk layout and stops on its own error target or at the
-    sample cap, with its ``MeanResult``.
+    into the task's chunk-length buffer of values, summed whole.  An indicator
+    takes no buffer: both of its sums of 0/1 values are the chunk's hit count,
+    exactly (it is below 2^53), added up block by block.  Every probe sees the
+    same chunk layout and stops on its own error target or at the sample cap,
+    with its ``MeanResult``.
     """
+    support = u.params["support"] if u.kind == "indicator" else None
+
+    def hits(pts: np.ndarray) -> int:  # map releases each block once counted, before drawing the next
+        return np.count_nonzero(support.contains_many(pts))
+
     out: list = [None] * len(places)
     s1 = [0.0] * len(places)
     s2 = [0.0] * len(places)
@@ -346,7 +360,7 @@ def _sample_means(spec: QuadratureSpec, method: str, u: Field, base: Callable[[i
 
             def run(i: int) -> list:  # chunk i of this batch, for every running probe
                 held = {}
-                vals = np.empty(sizes[i])
+                vals = None if support is not None else np.empty(sizes[i])
                 sums = []
                 for p in running:
                     seed = seeds[p]
@@ -354,6 +368,10 @@ def _sample_means(spec: QuadratureSpec, method: str, u: Field, base: Callable[[i
                         blocks = base(seed, batch_index, i, sizes[i])
                         held[seed] = blocks if last[seed] == p else list(blocks)
                     blocks = held.pop(seed) if last[seed] == p else held[seed]
+                    if support is not None:
+                        count = float(sum(map(hits, map(places[p], blocks))))
+                        sums.append((count, count))
+                        continue
                     lo = 0
                     for pts in map(places[p], blocks):  # a streamed block's base is dropped once placed
                         vals[lo:lo + len(pts)] = u.evaluate_many(pts, check_domain=False)

@@ -197,7 +197,7 @@ class Region:
         return self._bbox
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.ascontiguousarray(pts, dtype=np.float64)
+        pts = np.asarray(pts, dtype=np.float64)  # any layout: the kernel reads by column
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(f"expected points of shape (N, {self.dim})")
         return kernels.contains_many(self.primitives, self._boxes, pts)

@@ -101,7 +101,8 @@ class TestSimilarityArray:
             assert (rows[i].scale, rows[i].translation, rows[i]._linear) == (h.scale, h.translation, h._linear)
             assert np.array_equal(rows[i].orthogonal, h.orthogonal) and not rows[i].orthogonal.flags.writeable
         column_major = sims[0].apply_many(np.asfortranarray(pts))
-        assert column_major.flags.c_contiguous and np.array_equal(column_major, sims[0].apply_many(pts))
+        assert column_major.flags.f_contiguous and np.array_equal(column_major, sims[0].apply_many(pts))
+        assert sims[0].apply_many(pts).flags.f_contiguous  # column-major from a row-major input too
         one = SimilarityArray.of(sims[0])
         assert len(one) == 1 and np.array_equal(one.apply_many(pts)[0], sims[0].apply_many(pts))
         some = arr.take(np.array([3, 5]))

@@ -71,6 +71,13 @@ class TestSampling:
         m2 = float(np.mean(np.sum(pts * pts, axis=1)))
         assert abs(m2 - 0.5) < 0.01
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_points_are_column_major(self, dim):
+        rng = np.random.Generator(np.random.PCG64(2))
+        assert sample_in_ball(np.zeros(dim), 1.5, 1000, rng).flags.f_contiguous
+        base = quadrature._ball_base(rng.random((1000, dim)))
+        assert quadrature._place_in_ball(base, np.ones(dim), 0.5).flags.f_contiguous
+
     @pytest.mark.parametrize("stratified", [False, True])
     def test_negative_count_is_refused(self, stratified):
         with pytest.raises(ValueError):
@@ -422,19 +429,79 @@ class TestBlocks:
         # the two chunks of the last batch run at once; tracemalloc counts the allocations of every thread
         self.assert_peak_below_4_mib(method, workers=2)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("method", ["mc", "stratified"])
+    def test_buffered_chunk_temporaries_stay_block_sized(self, method, workers):
+        # an indicator (CHI above) counts hits; a bump takes the chunk buffer of values
+        self.assert_peak_below_4_mib(method, workers, self.BUMP)
+
     @staticmethod
-    def assert_peak_below_4_mib(method, workers):
+    def assert_peak_below_4_mib(method, workers, u=CHI):
         # batches of 4096 up to 2^17 points (258,048 in all), then 2^18 points in two chunks of 2^17
         spec = QuadratureSpec(method=method, target_rel_error=1e-6, max_samples=520_192, seed=5, workers=workers)
         tracemalloc.start()
         try:
-            res = mean_over_ball(CHI, Ball((1.0, 0.0), 1.0), spec)
+            res = mean_over_ball(u, Ball((1.0, 0.0), 1.0), spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert res.n_samples == 520_192
-        # per running task, the 1 MiB chunk buffer of values (squared in place) plus a few blocks
+        # per running task, a few blocks, plus the 1 MiB chunk buffer of values (squared in place) off indicators
         assert peak < 4 * 2**20
+
+
+class TestHitCounts:
+    """An indicator's chunk sums are its hit count, with the results of the buffer of values."""
+
+    SUPPORTS = {"disk": SUPPORT, "disk-rect": DISK_RECT.params["support"],
+                "polygon": Region((Polygon(((-1.0, -1.2), (1.6, -0.4), (0.3, 1.5), (-0.6, 0.2))),))}
+    BALLS = [Ball((0.2, 0.1), 2.0), Ball((1.0, 0.0), 1.0)]
+    MARKED = {"square": MarkedSet(Region((Rect((-0.5, -0.5), (0.5, 0.5)),)), (0.0, 0.0)),
+              "two-ball": MarkedSet(Region((Ball((-0.4, 0.0), 0.6), Ball((0.4, 0.0), 0.6))), (0.0, 0.0))}
+    IMAGES = SimilarityArray(np.array([1.5, 0.8, 2.0]), np.stack([np.eye(2)] * 3),
+                             np.array([[0.0, 0.0], [0.9, -0.2], [-0.5, 0.3]]))
+
+    @staticmethod
+    def means_and_buffered_means(means, chi, monkeypatch):
+        """``means(chi)`` and ``means`` of the one-term sum of ``chi``, whose values are the
+        indicator's and which takes the buffer; the indicator never evaluates the field."""
+        evaluated = []
+        evaluate_many = Field.evaluate_many
+        monkeypatch.setattr(Field, "evaluate_many",
+                            lambda self, pts, **kw: evaluated.append(self.kind) or evaluate_many(self, pts, **kw))
+        counted = means(chi)
+        assert evaluated == []
+        buffered = means(sum_field([(1.0, chi)], chi.domain))
+        assert evaluated and set(evaluated) == {"weighted_sum"}
+        return counted, buffered
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("method", ["mc", "stratified"])
+    @pytest.mark.parametrize("support", SUPPORTS)
+    def test_ball_means_equal_the_buffer_path(self, support, method, workers, monkeypatch):
+        # batches of 4096 up to 2^17 points, then 2^18 points in two chunks; the two balls share each chunk
+        spec = QuadratureSpec(method=method, target_rel_error=1e-6, max_samples=520_192, seed=19, workers=workers)
+        counted, buffered = self.means_and_buffered_means(
+            lambda u: quadrature._ball_means(u, *ball_arrays(self.BALLS), spec),
+            indicator_field(self.SUPPORTS[support], OMEGA), monkeypatch)
+        assert counted == buffered and counted[0].n_samples == 520_192
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("marked", MARKED)
+    def test_image_means_equal_the_buffer_path(self, marked, workers, monkeypatch):
+        spec = QuadratureSpec(method="mc", target_rel_error=1e-6, max_samples=520_192, seed=23, workers=workers)
+        counted, buffered = self.means_and_buffered_means(
+            lambda u: quadrature._image_means(u, self.MARKED[marked], self.IMAGES, spec), CHI, monkeypatch)
+        assert counted == buffered and counted[0].n_samples == 520_192
+
+    def test_seeded_means_are_pinned(self):
+        # recorded before indicators counted hits: a change to the sample stream must update them on purpose
+        spec = QuadratureSpec(method="stratified", target_rel_error=1e-4, max_samples=300_000, seed=5)
+        assert mean_over_ball(CHI, Ball((1.0, 0.0), 1.0), spec) == (
+            0.3910866666666667, 0.0008909520743149262, 300_000, "stratified")
+        h = Similarity.rotation(0.4, scale=0.8, translation=(0.9, -0.2))
+        spec = QuadratureSpec(target_rel_error=1e-4, max_samples=300_000, seed=16)
+        assert mean_over_image(CHI, self.MARKED["square"], h, spec) == (0.55383, 0.0009075666270806836, 300_000, "mc")
 
 
 # Two overlapping disks joined by a rect: some probe balls fit one primitive,

@@ -72,6 +72,16 @@ class TestContains:
         assert TWO_BALL.contains((-0.5, 0.0))
         assert not TWO_BALL.contains((2.5, 0.0))
 
+    def test_column_major_points_reach_the_kernel_uncopied(self, monkeypatch):
+        seen = []
+        kernel = regions.kernels.contains_many
+        monkeypatch.setattr(regions.kernels, "contains_many",
+                            lambda prims, boxes, pts: seen.append(pts) or kernel(prims, boxes, pts))
+        pts = np.asfortranarray(np.random.Generator(np.random.PCG64(3)).uniform(-2.0, 2.0, (500, 2)))
+        mask = TWO_BALL.contains_many(pts)
+        assert len(seen) == 1 and np.shares_memory(seen[0], pts)
+        assert np.array_equal(mask, TWO_BALL.contains_many(np.ascontiguousarray(pts)))
+
 
 class TestMeasure:
     def test_unit_disk(self):
