@@ -17,13 +17,16 @@ exclude, without the files deleted from the working tree.  For every workload th
 benchmark's runner ``e2ebench/run.py --trace 0`` runs in alternating pairs:
 the parent goes first in even-numbered pairs and the change first in odd ones,
 so a slow drift of the host counts against both sides alike.  Each side then
-makes one ``--trace 1`` run for its per-layer split.
+makes one ``--trace 1`` run for its per-layer split, with the steal ticks of
+the host during that run.  A trace whose untraced operations took a mean time
+off the side's ``wall_s`` pair median by more than the ``BENCHMARK.json`` bound
+ran on a host unlike the pairs', so its split is marked ``"usable": false``.
 
 The output holds, per workload and end-to-end metric, every run of both sides,
 their medians and quartiles, the change/parent ratio of the medians, and in
 how many pairs the change was better or worse (in the direction that
 ``BENCHMARK.json`` gives); also the runner's environment line, the CPU model,
-and both trace splits.  A run's operations must all be correct, else the
+and both trace splits with their checks.  A run's operations must all be correct, else the
 script stops with the runner's output.
 
 With ``--pytest NODEID`` the script times one Tier-1 target instead of the
@@ -189,6 +192,21 @@ def steal_since(start: tuple[int, int] | None) -> dict | None:
     return {"steal": end[0] - start[0], "total": end[1] - start[1]}
 
 
+def trace_run(checkout: Path, workload: str, seed: int, seconds: float, pair_median: float, bound: float) -> tuple:
+    """One ``--trace 1`` run: ``(metrics, check)``, where the check holds the
+    run's steal ticks and whether its untraced mean ``wall_s`` lies within
+    ``bound`` (relative) of ``pair_median``, the side's median in the pairs."""
+    ticks = cpu_ticks()
+    metrics = run_bench(checkout, workload, seed, seconds, 1)["metrics"]
+    untraced = metrics.get("trace.untraced_wall_s")
+    usable = untraced is not None and abs(untraced - pair_median) <= bound * pair_median
+    if not usable:
+        print(f"{workload} trace in {checkout.name}: untraced {untraced} s against a pair median of "
+              f"{pair_median:.4g} s; its split is marked unusable", file=sys.stderr)
+    return metrics, {"steal_ticks": steal_since(ticks), "untraced_wall_s": untraced,
+                     "pair_median_wall_s": pair_median, "usable": usable}
+
+
 def print_summary(name: str, metric: str, m: dict, pairs: int) -> None:
     print(f"{name} {metric}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g} "
           f"({m['change_over_parent']:.3f}x), better {m['change_better_pairs']}/{pairs}, "
@@ -232,6 +250,7 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
     directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    wall_bound = next(m["bound"] for m in spec["end_to_end"] if m["name"] == "wall_s")
     command = "python3 e2ebench/run.py --workload {workload} --seed %d --seconds %g --trace {trace}" % (
         args.seed, args.seconds)
     with tempfile.TemporaryDirectory(prefix="bench_e2e_") as tmp:
@@ -269,9 +288,13 @@ def main(argv=None) -> int:
                 for metric, better in directions.items()
             }
             if not args.no_trace:
+                wall = out["runs"]["workloads"][name]["metrics"]["wall_s"]
+                traced = {side: trace_run(sides[side], name, args.seed, args.seconds, wall[side]["median"], wall_bound)
+                          for side in sides}
                 out["traces"][name] = {
                     "command": command.format(workload=name, trace=1),
-                    **{side: run_bench(sides[side], name, args.seed, args.seconds, 1)["metrics"] for side in sides},
+                    **{side: metrics for side, (metrics, _) in traced.items()},
+                    "checks": {side: check for side, (_, check) in traced.items()},
                 }
             args.out.write_text(json.dumps(out, indent=1) + "\n")  # partial results survive an interruption
     for name, entry in out["runs"]["workloads"].items():

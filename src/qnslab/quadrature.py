@@ -59,12 +59,34 @@ bit for bit those of a whole-chunk evaluation; an image chunk is one block, of
 which an image mean maps just the first ``size`` candidates.  An indicator
 takes no buffer: each block's points go to the support's membership test and
 the chunk is reduced by its hit count, which is exactly both float sums of
-its 0/1 values.  A streamed block is freed stage by stage: its cube once the
-radial factors and angle steps are read from it, its base factors once
-placed, its points once evaluated.  So a task holds at most seven block
-arrays, those of the angle factors (under 1 MiB at ``_BLOCK``), plus, for
-every field but an indicator, its chunk buffer (1 MiB at ``_CHUNK``), and two
-workers stay under 4 MiB.  Means
+its 0/1 values.
+
+A 2-D indicator screens each ball's block by radius before building any of
+its points (``_screened_hits``).  Once per probe array, ``radial_bounds``
+gives each ball's lo, its center's distance to the support's boundary
+pieces, and hi, its largest distance to them, less and plus a margin: the
+support's, and at least 1e-9 of the ball's |c|_inf + r, which dominates the
+rounding of placing and testing a point at any scale (the chain's m = 5 disk
+has radius 1.3e-32).  A row is placed at distance s = r * rho from the
+center, computed as placement computes it: if s < lo it is a hit exactly
+when the center is in the support, and if s > hi it is a miss.  Only the band rows between are
+taken out, given angle factors, placed and tested; elementwise operations
+give the same bits on a subset, so every hit count equals that of testing
+every row.  A seed with one probe streams radial factors alone, and the
+probe builds the angle factors of its band rows.  A seed that several probes
+share builds them for whole blocks, once for all its probes, since building
+them per probe's band costs a battery more than it saves.  3-D balls, other
+fields and images take every row.
+
+A streamed block is freed stage by stage: its cube once the radial factors
+and angle steps are read from it, its base factors once placed, its points
+once evaluated.  So a task holds at most seven block arrays, those of the
+angle factors (under 1 MiB at ``_BLOCK``), plus, for every field but an
+indicator, its chunk buffer (1 MiB at ``_CHUNK``), and two workers stay
+under 4 MiB.  A screened block whose band is part of it holds, besides,
+the index array of the band rows and its two radial factors while the band's
+copies go through those stages: about nine block arrays when the band is
+most of the block (1.1 MiB at 1 worker, measured), fewer as it narrows.  Means
 take an array of probes (``_ball_means``, ``_image_means``); ``mean_over_ball``
 and ``mean_over_image`` are their one-probe cases.  The loop runs batch-major and
 draws each chunk's base sample once per seed: a seed with one probe in a task
@@ -91,7 +113,7 @@ import numpy as np
 
 from .fields import DomainError, Field
 from .geometry import Ball, Similarity, SimilarityArray, chord_segments, lens_angles
-from .regions import MarkedSet, ball_areas, balls_in_region, images_in_region
+from .regions import MarkedSet, Region, ball_areas, balls_in_region, images_in_region, radial_bounds
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -165,8 +187,9 @@ _TURN_COS, _TURN_SIN = _turn_table(_TURN)
 
 def _turn_cos_sin(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(cos 2 pi u, sin 2 pi u) for u in [0, 1] given as steps = _TURN u, each
-    within 2^-52 of the true value.  ``steps`` is used as scratch and left
-    holding an intermediate.
+    within 2^-52 of the true value.  ``steps`` is used as scratch and
+    returned holding the cos, so that a caller that still holds it holds no
+    extra array.
 
     With k = rint(steps), the angle is the table angle 2 pi k / _TURN plus
     b = (steps - k) 2 pi / _TURN, where the subtraction is exact and
@@ -202,11 +225,12 @@ def _turn_cos_sin(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.multiply(c, b, out=t)  # C sin b
     b *= s  # S sin b
     b += c * m
-    np.subtract(c, b, out=c)  # cos = C - (C (1 - cos b) + S sin b)
+    np.subtract(c, b, out=b)  # cos = C - (C (1 - cos b) + S sin b), into steps' buffer
+    del c
     m *= s
     m -= t
     np.subtract(s, m, out=s)  # sin = S - (S (1 - cos b) - C sin b)
-    return c, s
+    return b, s
 
 
 def _ball_base(cube: np.ndarray) -> tuple:
@@ -266,6 +290,41 @@ def _place_in_ball(base: tuple, center: np.ndarray, radius: float) -> np.ndarray
     return pts
 
 
+def _hits(support: Region, place: Callable[[object], np.ndarray], block) -> int:
+    """The number of a block's points, ``place(block)``, that lie in an indicator's support."""
+    return np.count_nonzero(support.contains_many(place(block)))
+
+
+def _screened_hits(support: Region, center: np.ndarray, radius: float, lo: float, hi: float, inside: bool,
+                   block: tuple) -> int:
+    """``_hits`` of a 2-D ball's points, deciding what it can by radius alone.
+
+    ``block`` holds ``_radial_factors`` (a seed of one probe, streamed) or
+    ``_ball_base`` (a seed that several probes share); ``lo``, ``hi`` and
+    ``inside`` are the ball's ``radial_bounds``.  A row placed at distance
+    s = radius * rho from the center, computed as ``_place_in_ball`` computes
+    it, is a hit if s < lo and the center is inside, and a miss if s > hi.
+    Only the band rows between are taken, given angle factors, placed and
+    tested, and elementwise operations give the same bits on a subset, so the
+    count is that of ``_hits`` on every row.
+    """
+    n = 0
+    if lo > 0.0 or hi < radius:  # else no row is decided by its radius: s lies in [0, radius]
+        s = radius * block[0]
+        n = np.count_nonzero(s < lo) if inside else 0
+        band = np.flatnonzero((s >= lo) & (s <= hi))
+        if band.size == 0:
+            return n
+        if band.size < s.size:
+            block = tuple(x.take(band) for x in block)
+        del s, band
+    if len(block) == 2:
+        block = _angle_factors(block)
+    pts = _place_in_ball(block, center, radius)
+    del block  # the caller holds the block it passed, but not a band's subset or angle factors
+    return n + np.count_nonzero(support.contains_many(pts))
+
+
 # Samples per block.  A chunk is drawn, placed and evaluated one block at a
 # time, so its temporaries stay cache-sized and are not re-faulted per chunk;
 # a block long enough that each numpy call runs long lets the pool's threads
@@ -320,33 +379,29 @@ def _stat_result(s1: float, s2: float, n: int, method: str) -> MeanResult:
 _CHUNK = 2**17
 
 
-def _sample_means(spec: QuadratureSpec, method: str, u: Field, base: Callable[[int, int, int, int], object],
-                  seeds: list[int], places: list[Callable[[object], np.ndarray]]) -> list:
+def _sample_means(spec: QuadratureSpec, method: str, u: Field, base: Callable[[int, int, int, int, bool], object],
+                  seeds: list[int], probes: list[Callable[[object], object]]) -> list:
     """The batching loop of every sampled mean, batch-major over a probe array.
 
-    ``base(seed, batch, chunk, size)`` returns one chunk's base sample on a
-    seed as blocks, drawn as they are read, and probe i runs on ``seeds[i]``.
-    A batch runs one task per chunk, on the call's one pool of ``spec.workers``
-    threads when it has several chunks, and a task runs its chunk for every
-    running probe.  Each
-    chunk is drawn once per seed: a seed with one running probe streams its
-    blocks, and probes that share a seed share a list of them.
-    ``places[i]`` maps a block to probe i's points, where ``u`` is evaluated
+    ``base(seed, batch, chunk, size, shared)`` returns one chunk's base sample
+    on a seed as blocks, drawn as they are read, and probe i runs on
+    ``seeds[i]``.  A batch runs one task per chunk, on the call's one pool of
+    ``spec.workers`` threads when it has several chunks, and a task runs its
+    chunk for every running probe.  Each chunk is drawn once per seed: a seed
+    with one running probe streams its blocks, and probes that share a seed
+    share a list of them (``shared`` is then true).
+    ``probes[i]`` maps a block to probe i's points, where ``u`` is evaluated
     into the task's chunk-length buffer of values, summed whole.  An indicator
-    takes no buffer: both of its sums of 0/1 values are the chunk's hit count,
-    exactly (it is below 2^53), added up block by block.  Every probe sees the
-    same chunk layout and stops on its own error target or at the sample cap,
-    with its ``MeanResult``.
+    takes no buffer: ``probes[i]`` maps a block to its hit count, and both of
+    the chunk's sums of 0/1 values are the sum of those counts, exactly (it is
+    below 2^53).  Every probe sees the same chunk layout and stops on its own
+    error target or at the sample cap, with its ``MeanResult``.
     """
-    support = u.params["support"] if u.kind == "indicator" else None
-
-    def hits(pts: np.ndarray) -> int:  # map releases each block once counted, before drawing the next
-        return np.count_nonzero(support.contains_many(pts))
-
-    out: list = [None] * len(places)
-    s1 = [0.0] * len(places)
-    s2 = [0.0] * len(places)
-    running = list(range(len(places)))
+    counted = u.kind == "indicator"
+    out: list = [None] * len(probes)
+    s1 = [0.0] * len(probes)
+    s2 = [0.0] * len(probes)
+    running = list(range(len(probes)))
     n = 0
     batch_size = min(4096, spec.max_samples)
     batch_index = 0
@@ -360,20 +415,21 @@ def _sample_means(spec: QuadratureSpec, method: str, u: Field, base: Callable[[i
 
             def run(i: int) -> list:  # chunk i of this batch, for every running probe
                 held = {}
-                vals = None if support is not None else np.empty(sizes[i])
+                vals = None if counted else np.empty(sizes[i])
                 sums = []
                 for p in running:
                     seed = seeds[p]
                     if seed not in held:  # probes that share a seed share a list of its blocks; a lone one streams
-                        blocks = base(seed, batch_index, i, sizes[i])
-                        held[seed] = blocks if last[seed] == p else list(blocks)
+                        shared = last[seed] != p
+                        blocks = base(seed, batch_index, i, sizes[i], shared)
+                        held[seed] = list(blocks) if shared else blocks
                     blocks = held.pop(seed) if last[seed] == p else held[seed]
-                    if support is not None:
-                        count = float(sum(map(hits, map(places[p], blocks))))
+                    if counted:  # map releases each block once counted, before drawing the next
+                        count = float(sum(map(probes[p], blocks)))
                         sums.append((count, count))
                         continue
                     lo = 0
-                    for pts in map(places[p], blocks):  # a streamed block's base is dropped once placed
+                    for pts in map(probes[p], blocks):  # a streamed block's base is dropped once placed
                         vals[lo:lo + len(pts)] = u.evaluate_many(pts, check_domain=False)
                         lo += len(pts)
                         del pts  # so that no block array is held while the next one is drawn
@@ -498,13 +554,23 @@ def _ball_means(u: Field, centers: np.ndarray, radii: np.ndarray, spec: Quadratu
         return out
     method = "stratified" if spec.method == "auto" else spec.method
     stratified = method == "stratified"
+    screened = u.kind == "indicator" and u.dim == 2
 
-    def base(seed: int, batch: int, chunk: int, size: int):  # _ball_base of each block, in its two stages
-        cubes = _cube_blocks(size, u.dim, _rng(seed, batch, chunk), stratified)
-        return map(_angle_factors, map(_radial_factors, cubes))
+    def base(seed: int, batch: int, chunk: int, size: int, shared: bool):  # _ball_base of each block, in two stages
+        radial = map(_radial_factors, _cube_blocks(size, u.dim, _rng(seed, batch, chunk), stratified))
+        # a screened probe with a seed of its own takes the angle factors of its band rows alone
+        return radial if screened and not shared else map(_angle_factors, radial)
 
     places = [partial(_place_in_ball, center=centers[i], radius=float(radii[i])) for i in contained]
-    for i, mean in zip(contained, _sample_means(spec, method, u, base, _seeds(spec, labels, contained), places)):
+    if screened:
+        support = u.params["support"]
+        bounds = zip(*(b.tolist() for b in radial_bounds(support, centers[contained], radii[contained])))
+        probes = [partial(_screened_hits, support, centers[i], float(radii[i]), *b) for i, b in zip(contained, bounds)]
+    elif u.kind == "indicator":
+        probes = [partial(_hits, u.params["support"], place) for place in places]
+    else:
+        probes = places
+    for i, mean in zip(contained, _sample_means(spec, method, u, base, _seeds(spec, labels, contained), probes)):
         out[i] = mean
     return out
 
@@ -536,10 +602,12 @@ def _image_means(u: Field, d: MarkedSet, probes: SimilarityArray, spec: Quadratu
     if u.kind == "constant":
         means = [MeanResult(u.params["value"], 0.0, 1, "exact")] * len(admitted)
     else:
-        def base(seed: int, batch: int, chunk: int, size: int) -> list:
+        def base(seed: int, batch: int, chunk: int, size: int, shared: bool) -> list:
             return [_image_base(d, seed, batch, chunk, size)[:size]]  # one block: a split draw would change the stream
 
         places = [h.apply_many for h in probes.take(admitted).similarities()]
+        if u.kind == "indicator":
+            places = [partial(_hits, u.params["support"], place) for place in places]
         means = _sample_means(spec, "mc", u, base, _seeds(spec, labels, admitted), places)
     out = dict(zip(admitted, means))
     return [out[i] if i in out else DomainError("the image h(D) leaves the field domain") for i in range(len(probes))]

@@ -606,6 +606,29 @@ def boundary_distance(region: Region, pts: np.ndarray) -> tuple[np.ndarray, np.n
     return dist[rows, best], near[rows, best]
 
 
+def radial_bounds(region: Region, centers: np.ndarray, radii: np.ndarray) -> tuple:
+    """For the 2-D balls given as ``(P, 2)`` centers and ``(P,)`` radii, the
+    distances ``(lo, hi)`` from each center and its membership ``inside``: a
+    point nearer its center than lo has the center's membership, and one
+    farther than hi lies outside the region.
+
+    lo is the center's distance to the boundary pieces and hi its largest
+    distance to them (|c - center| + rho for an arc, the farther end for a
+    segment), less and plus a margin: the region's, and at least 1e-9 of the
+    ball's |c|_inf + r, so that it dominates the rounding of placing a point
+    in the ball and of testing it, however small the ball is.
+    """
+    arcs, segs = _pieces(region)
+    centers, radii = np.asarray(centers, dtype=np.float64), np.asarray(radii, dtype=np.float64)
+    m = np.maximum(_margin(region), _MARGIN * (np.abs(centers).max(axis=1, initial=0.0) + radii))
+    v = centers[:, None, :] - arcs[:, :2]
+    far = np.concatenate([np.hypot(v[..., 0], v[..., 1]) + arcs[:, 2],
+                          np.linalg.norm(centers[:, None, :] - segs[:, :2], axis=-1),
+                          np.linalg.norm(centers[:, None, :] - segs[:, 2:], axis=-1)], axis=1)
+    inside = region.contains_many(centers).astype(bool)
+    return boundary_distance(region, centers)[0] - m, far.max(axis=1, initial=0.0) + m, inside
+
+
 def ball_areas(region: Region, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """area(B_i ∩ region) for the 2-D balls B_i given as ``(P, 2)`` centers and
     ``(P,)`` radii, by Green's theorem: ½∮(x dy - y dx), in coordinates

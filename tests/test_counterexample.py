@@ -128,6 +128,21 @@ class TestCertifyFailure:
         assert ks[-1] >= 100.0 - 1e-9
         assert all(x < y for x, y in zip(ks, ks[1:]))
 
+    # (mean, stderr) of each component on the spec of the chain-failure-deep benchmark
+    # workload, recorded before the radial screen of indicator ball means
+    PINNED_ROWS = [(0.25009125, 0.00021653271320972115), (0.06251725, 0.00012104633214667435),
+                   (0.0277535, 8.213289533366411e-05), (0.01567275, 6.210297650720372e-05),
+                   (0.00998975, 4.972413238918011e-05)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_are_pinned(self, workers):
+        # a change to the sample stream or to the screen must update them on purpose
+        spec = QuadratureSpec(method="mc", target_rel_error=1e-3, max_samples=4_000_000,
+                              seed=derive_seed(5150, "chain-failure-deep"), workers=workers)
+        rep = certify_failure(build_domain(default_sequences(3, 5)), spec)
+        assert [(row.mean, row.stderr) for row in rep.rows] == self.PINNED_ROWS
+        assert rep.passed
+
 
 class TestCertifyRestricted:
     def test_admissible_set_classifies_unfavorable(self):

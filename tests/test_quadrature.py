@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -7,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from qnslab.counterexample import build_domain, default_sequences
 from qnslab.fields import (
     DomainError,
     Field,
@@ -27,7 +29,7 @@ from qnslab.quadrature import (
     mean_over_image,
     sample_in_ball,
 )
-from qnslab.regions import MarkedSet, Polygon, Rect, Region, images_in_region
+from qnslab.regions import MarkedSet, Polygon, Rect, Region, images_in_region, radial_bounds
 from test_qns_engine import reference_sample_mean
 from test_regions import RING, dense_points
 
@@ -435,13 +437,19 @@ class TestBlocks:
         # an indicator (CHI above) counts hits; a bump takes the chunk buffer of values
         self.assert_peak_below_4_mib(method, workers, self.BUMP)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("method", ["mc", "stratified"])
+    def test_screened_chunk_temporaries_stay_block_sized(self, method, workers):
+        # rows nearer the center than 0.5 are decided by radius; the band rows, three quarters, are taken out
+        self.assert_peak_below_4_mib(method, workers, ball=Ball((0.5, 0.0), 1.0))
+
     @staticmethod
-    def assert_peak_below_4_mib(method, workers, u=CHI):
+    def assert_peak_below_4_mib(method, workers, u=CHI, ball=Ball((1.0, 0.0), 1.0)):
         # batches of 4096 up to 2^17 points (258,048 in all), then 2^18 points in two chunks of 2^17
         spec = QuadratureSpec(method=method, target_rel_error=1e-6, max_samples=520_192, seed=5, workers=workers)
         tracemalloc.start()
         try:
-            res = mean_over_ball(u, Ball((1.0, 0.0), 1.0), spec)
+            res = mean_over_ball(u, ball, spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -502,6 +510,118 @@ class TestHitCounts:
         h = Similarity.rotation(0.4, scale=0.8, translation=(0.9, -0.2))
         spec = QuadratureSpec(target_rel_error=1e-4, max_samples=300_000, seed=16)
         assert mean_over_image(CHI, self.MARKED["square"], h, spec) == (0.55383, 0.0009075666270806836, 300_000, "mc")
+
+
+# The indicator of the chain's m = 5 disk (radius a_5, about 1.3e-32) on its component's domain.
+CHAIN_5 = build_domain(default_sequences(3, 5)).components[4].field_local
+A_5 = CHAIN_5.params["support"].primitives[0].radius
+
+
+def count_tested_points(monkeypatch) -> list:
+    """The sizes of the point arrays that ``Region.contains_many`` tests from now on."""
+    tested = []
+    contains_many = Region.contains_many
+    monkeypatch.setattr(Region, "contains_many", lambda self, pts: tested.append(len(pts)) or contains_many(self, pts))
+    return tested
+
+
+class TestRadialScreen:
+    """A 2-D indicator ball mean decides rows by their radius where it can,
+    with the hit counts of placing and testing every row."""
+
+    POLYGON = Region((Polygon(((-1.0, -1.2), (1.6, -0.4), (0.3, 1.5), (-0.6, 0.2))),))
+    TWO_DISKS = Region((Ball((-0.4, 0.0), 0.6, closed=True), Ball((0.4, 0.0), 0.6, closed=True)))
+    # per support, balls in units of its scale that meet its boundary: concentric with it (or about
+    # its middle), then with the center inside, on the boundary and outside
+    CASES = {
+        "disk": (CHI, 1.0, [((0.0, 0.0), 1.5), ((0.3, 0.2), 1.0), ((1.0, 0.0), 1.0), ((1.8, 0.3), 1.2)]),
+        "disk-rect": (DISK_RECT, 1.0, [((-0.5, 0.0), 1.5), ((0.5, 0.1), 0.6), ((1.5, 0.0), 0.8), ((2.3, 0.4), 1.2)]),
+        "polygon": (indicator_field(POLYGON, OMEGA), 1.0,
+                    [((0.0, 0.0), 1.5), ((0.2, 0.0), 0.8), ((0.3, 1.5), 1.0), ((1.8, 0.5), 1.2)]),
+        "two-disks": (indicator_field(TWO_DISKS, OMEGA), 1.0,
+                      [((0.0, 0.0), 1.5), ((-0.4, 0.0), 0.9), ((1.0, 0.0), 0.7), ((1.6, 0.4), 1.0)]),
+        # the first ball is certify_failure's, of radius 10 a_5
+        "chain-5": (CHAIN_5, A_5, [((0.0, 0.0), 10.0), ((0.3, 0.2), 1.0), ((1.0, 0.0), 1.0), ((1.8, 0.3), 1.2)]),
+    }
+    LABELS = ["concentric", "inside", "boundary", "outside"]
+
+    @classmethod
+    def balls(cls, support):
+        _, scale, balls = cls.CASES[support]
+        return np.asarray([c for c, _ in balls]) * scale, np.asarray([r for _, r in balls]) * scale
+
+    @staticmethod
+    @functools.cache
+    def reference_mean(support, method, seed, k):
+        """Ball k's mean as every row placed and tested: ``_ball_base`` of the chunk's
+        ``_cube_blocks``, ``_place_in_ball`` and the support's ``contains_many``."""
+        u = TestRadialScreen.CASES[support][0]
+        centers, radii = TestRadialScreen.balls(support)
+        spec = QuadratureSpec(method=method, target_rel_error=1e-6, max_samples=520_192, seed=seed)
+
+        def values(batch, chunk, size):
+            cube = np.concatenate(list(_cube_blocks(size, 2, quadrature._rng(seed, batch, chunk),
+                                                    method == "stratified")))
+            pts = quadrature._place_in_ball(quadrature._ball_base(cube), centers[k], float(radii[k]))
+            return u.params["support"].contains_many(pts).astype(np.float64)
+
+        return reference_sample_mean(spec, values, method)
+
+    @pytest.mark.parametrize("labels", [None, LABELS], ids=["shared", "labeled"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("method", ["mc", "stratified"])
+    @pytest.mark.parametrize("support", CASES)
+    def test_means_equal_placing_every_row(self, support, method, workers, labels, monkeypatch):
+        # batches of 4096 up to 2^17 points, then 2^18 points in two chunks; without labels the
+        # balls share each chunk's base sample, with them each streams its own
+        spec = QuadratureSpec(method=method, target_rel_error=1e-6, max_samples=520_192, seed=29, workers=workers)
+        centers, radii = self.balls(support)
+        seeds = [spec.seed] * 4 if labels is None else [derive_seed(spec.seed, label) for label in labels]
+        expected = [self.reference_mean(support, method, seed, k) for k, seed in enumerate(seeds)]
+        tested = count_tested_points(monkeypatch)
+        outcomes = quadrature._ball_means(self.CASES[support][0], centers, radii, spec, labels)
+        assert outcomes == expected and all(res.n_samples == 520_192 for res in outcomes)
+        # some rows were decided by their radius alone
+        assert sum(tested) < 4 * 520_192
+
+    @pytest.mark.parametrize("support", ["disk", "chain-5"])
+    def test_rows_within_ulps_of_the_bounds(self, support, monkeypatch):
+        u, scale, _ = self.CASES[support]
+        region = u.params["support"]
+        center, radius = np.asarray([0.25, 0.0]) * scale, 2.0 * scale
+        lo, hi, inside = (b[0] for b in radial_bounds(region, center[None, :], np.asarray([radius])))
+        assert 0.0 < lo < hi < radius and inside
+        # radial factors 1 to 4 ulps on each side of lo / radius and hi / radius
+        rho = []
+        for bound in (lo, hi):
+            for direction in (-1.0, 1.0):
+                x = bound / radius
+                for _ in range(4):
+                    x = np.nextafter(x, direction * np.inf)
+                    rho.append(x)
+        # each toward angles 0, pi/2, pi and 3 pi/2, exact in the table: the support's boundary is
+        # nearest the center toward 0 and farthest toward pi, where a bound off by its margin shows
+        rho = np.repeat(rho, 4)
+        steps = np.tile(np.arange(4) * (quadrature._TURN / 4.0), len(rho) // 4)
+        s = radius * rho
+        assert (s < lo).any() and (s > lo).any() and (s < hi).any() and (s > hi).any()
+
+        def screened(k):
+            return quadrature._screened_hits(region, center, radius, lo, hi, inside, (rho[k], steps[k].copy()))
+
+        def placed(k):
+            base = quadrature._angle_factors((rho[k], steps[k].copy()))
+            return np.count_nonzero(region.contains_many(quadrature._place_in_ball(base, center, radius)))
+
+        for k in range(len(rho)):
+            assert screened(slice(k, k + 1)) == placed(slice(k, k + 1))
+        tested = count_tested_points(monkeypatch)
+        assert screened(slice(None)) == placed(slice(None))
+        # the screen tested just the band rows; placing every row tests them all
+        assert tested == [np.count_nonzero((s >= lo) & (s <= hi)), len(rho)]
+        # a shared seed's block, which carries its angle factors, is screened alike
+        full = quadrature._angle_factors((rho, steps.copy()))
+        assert quadrature._screened_hits(region, center, radius, lo, hi, inside, full) == placed(slice(None))
 
 
 # Two overlapping disks joined by a rect: some probe balls fit one primitive,
