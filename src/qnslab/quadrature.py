@@ -29,7 +29,7 @@ ball centers and ``(P,)`` radii (``balls_in_region``) or of images
 (``images_in_region``, 2-D only; a refused image's outcome is a
 ``DomainError``), and so do the closed forms.  2-D containment is exact up to
 a margin (see ``regions``); a 3-D ball that no single primitive holds is
-checked by sampling.
+refused.
 
 All randomness is driven by PCG64 streams keyed on a seed, so results are
 bit-identical across runs and depend on the seed, not on the worker count: a
@@ -159,6 +159,8 @@ class ContainmentError(ValueError):
         self.center, self.radius, self.direction = center, radius, direction
 
     def __str__(self) -> str:
+        if not any(self.direction):  # a center outside the domain, or a ball nothing certifies
+            return f"ball at {self.center} with radius {self.radius} is not certified inside the domain"
         return f"ball at {self.center} with radius {self.radius} leaves the domain near direction {self.direction}"
 
 
@@ -515,7 +517,8 @@ def mean_over_ball(u: Field, ball: Ball, spec: QuadratureSpec = QuadratureSpec()
     """Average of ``u`` over the ball, with standard error.
 
     The one-probe case of ``_ball_means``.  The closed ball must lie inside
-    the field's domain; a violation reports the offending boundary direction.
+    the field's domain; a violation reports the offending boundary direction
+    where one is known.
     Under ``"auto"`` the closed forms of the module docstring are used where
     they apply; otherwise the mean is sampled.
     """
@@ -528,9 +531,9 @@ def _ball_means(u: Field, centers: np.ndarray, radii: np.ndarray, spec: Quadratu
     ``(P,)`` radii: one outcome per ball, its ``MeanResult`` or the
     ``ContainmentError`` that refuses it.
 
-    Containment is one ``balls_in_region`` call over the whole array (exact
-    in 2-D, sampled for a 3-D ball that no single primitive holds), and the
-    closed forms are one call too.  A mean is closed-form for a constant
+    Containment is one ``balls_in_region`` call over the whole array (exact;
+    a 3-D ball that no single primitive holds is refused), and the closed
+    forms are one call too.  A mean is closed-form for a constant
     field under every method, and under ``"auto"`` for every field of
     ``_closed_form``.  Without ``labels`` every probe runs on
     ``spec``'s seed and the sampled ones share each chunk's base sample; with

@@ -1,11 +1,11 @@
 """Composite measurable sets: finite unions of balls, axis rectangles, polygons.
 
-Regions are immutable.  Measure uses closed forms for single primitives,
-Green's theorem over the boundary pieces for every other 2-D region
-(``ball_areas``, which also gives the area of a region inside any disk),
-inclusion-exclusion for 3-D regions whose only overlaps are pairs of boxes,
-and seeded Monte Carlo for every other 3-D region.  A ``MarkedSet`` adds a marked
-interior point together with its outer radius ``R_D`` and inner radius ``r_D``.
+Regions are immutable.  Measure is exact: a closed form for a single
+primitive, and Green's theorem over the boundary pieces for every other 2-D
+region (``ball_areas``, which also gives the area of a region inside any
+disk).  A 3-D union of several primitives has no measure here.  A
+``MarkedSet`` adds a marked interior point together with its outer radius
+``R_D`` and inner radius ``r_D``.
 
 Containment of a ball is exact when one primitive holds it.  In 2-D every
 containment decision (balls, polygons, similarity images, a marked set's
@@ -13,8 +13,8 @@ inner radius) is exact, read from the region's boundary pieces, up to a
 margin of 1e-9 of its largest coordinate, so tangency is refused.  An edge
 that two open primitives share is a slit outside the region, and a seam of
 two closed ones is refused conservatively.  A 3-D ball that no single
-primitive holds is checked by sampling; 3-D images and 3-D composite marked
-sets are refused.
+primitive holds is refused, since no 3-D boundary model certifies it; 3-D
+images and 3-D composite marked sets are refused too.
 """
 
 from __future__ import annotations
@@ -29,14 +29,6 @@ import numpy as np
 from . import _kernels_py as kernels
 from .geometry import (Ball, Similarity, SimilarityArray, as_point, chord_segments, lens_angles,
                        unit_ball_volume)
-
-# The sampled 3-D check of balls_in_region: boundary directions, the multiples
-# of the radius they are tested at, and the balls per membership call, which
-# keep a large probe array's points to a few MB at a time.
-_BALL_DIRS = 64
-_BALL_RHOS = (1.0, 0.7, 0.35)
-_BALL_GROUP = 1024
-_MEASURE_SEED = 20_250_809
 
 
 @dataclass(frozen=True)
@@ -143,14 +135,6 @@ def _corners(p: Primitive) -> list:
     return list(p.vertices)
 
 
-def _fibonacci_sphere(n: int) -> np.ndarray:
-    i = np.arange(n) + 0.5
-    phi = math.pi * (3.0 - math.sqrt(5.0)) * i
-    z = 1.0 - 2.0 * i / n
-    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-
-
 # Relative padding of the kernel's culling boxes.  Rounding in the membership
 # tests (``s <= r**2``, a polygon edge crossing) errs by a few ulps of the
 # coordinates, far inside this margin, so a point outside a padded box is
@@ -207,46 +191,18 @@ class Region:
         return bool(self.contains_many(q[None, :])[0])
 
     def measure(self) -> float:
-        return self.measure_detail()[0]
+        """The exact measure, memoized: a primitive's closed form, or for a
+        2-D union ½∮ over its boundary pieces, the area inside a ball that
+        holds them all.  A 3-D union of several primitives is refused."""
+        return _cached(self, "_measure_cache", self._measure_uncached)
 
-    def measure_detail(self) -> tuple[float, float, str]:
-        """(value, standard error, method); stderr is 0 for exact paths.
-
-        The result is memoized: overlap terms and Monte Carlo passes run once
-        per region.
-        """
-        return _cached(self, "_measure_cache", self._measure_detail_uncached)
-
-    def _measure_detail_uncached(self) -> tuple[float, float, str]:
-        prims = self.primitives
-        if len(prims) == 1:
-            return _primitive_measure(prims[0]), 0.0, "exact"
-        if self.dim == 2:  # ½∮ over the boundary pieces: the area inside a ball that holds them all
-            lo, hi = self._bbox
-            area = ball_areas(self, 0.5 * (lo + hi)[None, :], np.asarray([float(np.hypot(*(hi - lo)))]))
-            return float(area[0]), 0.0, "exact"
-        kinds = {(i, j): _pair_overlap_kind(prims[i], prims[j])
-                 for i in range(len(prims)) for j in range(i + 1, len(prims))}
-        overlaps = [pair for pair, kind in kinds.items() if kind != "disjoint"]
-        if "unknown" in kinds.values() or _has_triple_overlap(overlaps):
-            return self._measure_mc()
-        total = sum(_primitive_measure(p) for p in prims)
-        for i, j in overlaps:
-            total -= _box_overlap_measure(prims[i], prims[j])
-        return total, 0.0, "inclusion-exclusion" if overlaps else "disjoint-sum"
-
-    def _measure_mc(self, n: int = 2_000_000) -> tuple[float, float, str]:
+    def _measure_uncached(self) -> float:
+        if len(self.primitives) == 1:
+            return _primitive_measure(self.primitives[0])
+        if self.dim != 2:
+            raise ValueError("a 3-D union of several primitives has no exact measure")
         lo, hi = self._bbox
-        vol_box = float(np.prod(hi - lo))
-        rng = np.random.Generator(np.random.PCG64(_MEASURE_SEED))
-        hits = 0
-        for _ in range(4):
-            pts = lo + rng.random((n // 4, self.dim)) * (hi - lo)
-            hits += int(self.contains_many(pts).sum())
-        p = hits / n
-        value = p * vol_box
-        stderr = vol_box * math.sqrt(max(p * (1.0 - p), 0.0) / n)
-        return value, stderr, "monte-carlo"
+        return float(ball_areas(self, 0.5 * (lo + hi)[None, :], np.asarray([float(np.hypot(*(hi - lo)))]))[0])
 
     def transformed(self, h: Similarity) -> "Region":
         """Image of the region under a similarity (rects may become polygons)."""
@@ -281,66 +237,18 @@ def _is_axis_aligned(h: Similarity) -> bool:
     return bool(np.all((T > 1.0 - 1e-12) | (T < 1e-12)))
 
 
-def _dist_point_rect(q: np.ndarray, r: Rect) -> float:
-    clamped = np.minimum(np.maximum(q, np.asarray(r.lo)), np.asarray(r.hi))
-    return float(np.linalg.norm(q - clamped))
-
-
-def _pair_overlap_kind(p: Primitive, q: Primitive) -> str:
-    """"disjoint", "box-box" (an overlap of exact measure), or "unknown"."""
-    if isinstance(p, Ball) and isinstance(q, Ball):
-        d = float(np.linalg.norm(np.asarray(p.center) - np.asarray(q.center)))
-        return "disjoint" if d >= p.radius + q.radius else "unknown"
-    if isinstance(p, Rect) and isinstance(q, Rect):
-        for k in range(p.dim):
-            if p.hi[k] <= q.lo[k] or q.hi[k] <= p.lo[k]:
-                return "disjoint"
-        return "box-box"
-    if isinstance(p, Ball) and isinstance(q, Rect) or isinstance(p, Rect) and isinstance(q, Ball):
-        ball, rect = (p, q) if isinstance(p, Ball) else (q, p)
-        if _dist_point_rect(np.asarray(ball.center), rect) >= ball.radius:
-            return "disjoint"
-        return "unknown"
-    lo1, hi1 = _primitive_bbox(p)
-    lo2, hi2 = _primitive_bbox(q)
-    if np.any(hi1 <= lo2) or np.any(hi2 <= lo1):
-        return "disjoint"
-    return "unknown"
-
-
-def _box_overlap_measure(p: Rect, q: Rect) -> float:
-    lo = np.maximum(np.asarray(p.lo), np.asarray(q.lo))
-    hi = np.minimum(np.asarray(p.hi), np.asarray(q.hi))
-    return float(np.prod(np.maximum(hi - lo, 0.0)))
-
-
-def _has_triple_overlap(overlaps) -> bool:
-    """Whether three primitives overlap pairwise, given the overlapping pairs."""
-    adj: dict[int, set[int]] = {}
-    for i, j in overlaps:
-        adj.setdefault(i, set()).add(j)
-        adj.setdefault(j, set()).add(i)
-    for i, nbrs in adj.items():
-        for j in nbrs:
-            if i < j and adj.get(j, set()) & nbrs:
-                return True
-    return False
-
-
 def balls_in_region(region: Region, centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Which closed balls, given as ``(P, dim)`` centers and ``(P,)`` radii, lie
     inside the region: ``(ok, directions)``, a bool per ball and a ``(P, dim)``
     array whose row for a refused ball is a direction that refutes it (zero
-    for an admitted ball, or when the center misses).
+    for an admitted ball, when the center misses, or when the ball is refused
+    uncertified).
 
     Exact for a ball that one primitive holds (``balls_in_one_primitive``).
     In 2-D every other ball is inside when its center is in the region and its
     distance to the boundary pieces exceeds its radius by the margin, and is
     refuted by the unit direction to its nearest boundary point.  In 3-D every
-    other ball is checked by sampling (approximate, documented): the points
-    ``(r*rho)*d + c`` of the ``_BALL_DIRS`` directions d at each rho of
-    ``_BALL_RHOS``, then the center; it is refuted by its first missing
-    direction at the first rho that misses.
+    other ball is refused with a zero direction: no boundary model certifies it.
     """
     ok = balls_in_one_primitive(region, centers, radii)
     way = np.zeros(centers.shape)
@@ -352,17 +260,6 @@ def balls_in_region(region: Region, centers: np.ndarray, radii: np.ndarray) -> t
         ok[rest] = inside & (dist > radii[rest] + _margin(region))
         with np.errstate(divide="ignore", invalid="ignore"):
             way[rest] = np.where((~ok[rest] & inside & (dist > 0.0))[:, None], (near - c) / dist[:, None], 0.0)
-    elif rest.size:
-        dirs = _fibonacci_sphere(_BALL_DIRS)
-        for lo in range(0, len(rest), _BALL_GROUP):
-            group = rest[lo:lo + _BALL_GROUP]
-            c = centers[group]
-            pts = (radii[group][:, None] * np.asarray(_BALL_RHOS))[:, :, None, None] * dirs + c[:, None, None, :]
-            inside = region.contains_many(pts.reshape(-1, region.dim)).reshape(len(group), len(_BALL_RHOS), _BALL_DIRS)
-            missed = inside.min(axis=2) == 0  # (ball, rho): some direction misses
-            first = inside[np.arange(len(group)), missed.argmax(axis=1)].argmin(axis=1)
-            ok[group] = ~missed.any(axis=1) & region.contains_many(c).astype(bool)
-            way[group] = np.where(missed.any(axis=1)[:, None], dirs[first], 0.0)
     return ok, way
 
 
@@ -774,8 +671,9 @@ class MarkedSet:
 
     ``outer_radius`` is the supremum of distances from the marked point to the
     set; ``inner_radius`` its distance to the complement of the interior, in
-    2-D its distance to the boundary pieces.  Both are exact; a 3-D marked
-    set must be a single ball or box.
+    2-D its distance to the boundary pieces.  Both are exact, and so is the
+    measure; a 3-D marked set must be a single ball or box, since a 3-D union
+    has neither an inner radius nor a measure here.
     """
 
     region: Region
@@ -795,9 +693,7 @@ class MarkedSet:
             raise ValueError("a 3-D marked set must be a single ball or box")
         object.__setattr__(self, "_outer", float(outer))
         object.__setattr__(self, "_inner", float(inner))
-        volume, stderr, method = self.region.measure_detail()
-        object.__setattr__(self, "_measure", float(volume))
-        object.__setattr__(self, "_measure_stderr", float(stderr))
+        object.__setattr__(self, "_measure", self.region.measure())
         if not (0.0 < inner <= outer):
             raise ValueError("marked set needs 0 < inner_radius <= outer_radius")
 

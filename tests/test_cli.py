@@ -2,11 +2,14 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from qnslab.cli import main
 from qnslab.geometry import lens_area
+from qnslab.qns_engine import BallProbeGrid
+from qnslab.regions import balls_in_one_primitive, region_from_json
 
 
 @pytest.fixture
@@ -191,6 +194,27 @@ class TestCheckQns:
         assert result.exit_code == 0
         doc_out = strip_stamp(result.output)
         assert doc_out["probes"]["used"] > 0
+
+    def test_3d_union_skips_balls_that_no_primitive_holds(self, runner, tmp_path):
+        # two unit balls at (+-0.9, 0, 0): a probe across their waist, such as B(0, 0.1), is
+        # refused and counted as skipped, since no 3-D boundary model certifies it
+        ball = {"type": "ball", "radius": "1.0"}
+        doc = {"region": {"dimension": 3, "primitives": [dict(ball, center=["-0.9", "0.0", "0.0"]),
+                                                         dict(ball, center=["0.9", "0.0", "0.0"])]},
+               "field": {"kind": "indicator",
+                         "support": {"dimension": 3, "primitives": [{"type": "ball", "center": ["0.9", "0.0", "0.0"],
+                                                                     "radius": "0.5", "closed": True}]}},
+               "probes": {"center_resolution": 5, "radii_per_center": 3, "radius_range": [0.1, 0.4]}}
+        result = runner.invoke(main, ["check-qns", "--config", write_json(tmp_path / "p.json", doc),
+                                      "--samples", "1000"])
+        assert result.exit_code == 0
+        probes = strip_stamp(result.output)["probes"]
+        omega, _ = region_from_json(doc["region"])
+        grid = BallProbeGrid(5, 3, (0.1, 0.4))
+        centers, radii = grid.centers(omega), grid.radii(omega)
+        held = balls_in_one_primitive(omega, np.repeat(centers, len(radii), axis=0), np.tile(radii, len(centers)))
+        assert not balls_in_one_primitive(omega, np.zeros((1, 3)), np.asarray([0.1]))[0]
+        assert probes["skipped"] == int((~held).sum()) > 0 and probes["used"] <= int(held.sum())
 
 
 class TestCounterexample:

@@ -31,7 +31,7 @@ from qnslab.quadrature import (
 )
 from qnslab.regions import MarkedSet, Polygon, Rect, Region, images_in_region, radial_bounds
 from test_qns_engine import reference_sample_mean
-from test_regions import RING, dense_points
+from test_regions import RING, WAIST_3D, dense_points
 
 OMEGA = Region((Ball((0.0, 0.0), 4.0),))
 SUPPORT = Region((Ball((0.0, 0.0), 1.0, closed=True),))
@@ -730,6 +730,25 @@ class TestMeanOverBall:
         with pytest.raises(ContainmentError) as err:
             mean_over_ball(CHI, Ball((3.5, 0.0), 1.0), QuadratureSpec(seed=1))
         assert err.value.direction is not None
+
+    def test_refusal_messages(self):
+        # a refuted ball names its direction; a zero direction (here a center outside the domain) is not a direction
+        with pytest.raises(ContainmentError) as err:
+            mean_over_ball(CHI, Ball((3.5, 0.0), 1.0))
+        assert str(err.value) == "ball at (3.5, 0.0) with radius 1.0 leaves the domain near direction (1.0, 0.0)"
+        with pytest.raises(ContainmentError) as err:
+            mean_over_ball(CHI, Ball((5.0, 0.0), 0.5))
+        assert err.value.direction == (0.0, 0.0)
+        assert str(err.value) == "ball at (5.0, 0.0) with radius 0.5 is not certified inside the domain"
+
+    def test_ball_across_a_3d_waist_is_refused(self):
+        # B(0, 0.44) reaches past the waist of the unit balls at (+-0.9, 0, 0) on its whole circle
+        # x = 0; no primitive holds it, so it is refused, not sampled
+        u = indicator_field(WAIST_3D, WAIST_3D)
+        with pytest.raises(ContainmentError) as err:
+            mean_over_ball(u, Ball((0.0, 0.0, 0.0), 0.44), QuadratureSpec(seed=1))
+        assert err.value.direction == (0.0, 0.0, 0.0)
+        assert str(err.value) == "ball at (0.0, 0.0, 0.0) with radius 0.44 is not certified inside the domain"
 
     def test_seed_determinism(self):
         spec = QuadratureSpec(method="stratified", seed=7, max_samples=50_000)

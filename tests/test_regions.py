@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from qnslab import regions
 from qnslab.counterexample import build_domain, default_sequences
-from qnslab.geometry import Ball, Similarity, SimilarityArray, as_point, lens_area
+from qnslab.geometry import Ball, Similarity, SimilarityArray, lens_area
 from qnslab.regions import (
     MarkedSet,
     Polygon,
@@ -92,42 +92,39 @@ class TestMeasure:
 
     def test_two_ball_union_inclusion_exclusion(self):
         expected = 2.0 * math.pi - lens_area(1.0, 1.0, 1.0)
-        value, stderr, method = TWO_BALL.measure_detail()
-        assert method == "exact"  # Green's theorem over the boundary pieces, as every 2-D union
-        assert stderr == 0.0
+        value = TWO_BALL.measure()  # Green's theorem over the boundary pieces, as every 2-D union
         assert math.isclose(value, expected, rel_tol=1e-12)
         assert math.isclose(value, 5.0548, abs_tol=1e-4)
 
     def test_disjoint_sum(self):
         r = Region((Ball((0.0, 0.0), 1.0), Ball((5.0, 0.0), 2.0)))
-        value, stderr, method = r.measure_detail()
-        assert method == "exact"
-        assert math.isclose(value, math.pi * (1 + 4), rel_tol=1e-12)
+        assert math.isclose(r.measure(), math.pi * (1 + 4), rel_tol=1e-12)
         r3 = Region((Ball((0.0, 0.0, 0.0), 1.0), Ball((5.0, 0.0, 0.0), 2.0)))
-        assert r3.measure_detail() == (pytest.approx(4.0 / 3.0 * math.pi * (1 + 8), rel=1e-12), 0.0, "disjoint-sum")
+        with pytest.raises(ValueError, match="no exact measure"):  # a 3-D union has no measure, even when disjoint
+            r3.measure()
 
     def test_3d_box_inclusion_exclusion(self):
         r = Region((Rect((0.0, 0.0, 0.0), (2.0, 1.0, 1.0)), Rect((1.0, 0.5, 0.0), (3.0, 2.0, 1.0))))
-        assert r.measure_detail() == (4.5, 0.0, "inclusion-exclusion")
+        with pytest.raises(ValueError, match="no exact measure"):
+            r.measure()
+        assert Region(r.primitives[:1]).measure() == 2.0  # one 3-D primitive keeps its closed form
 
     def test_mc_fallback_matches_inclusion_exclusion(self):
         # a ball overlapping a rectangle has no inclusion-exclusion term; its
         # area comes from Green's theorem over the boundary pieces
         r = Region((Ball((0.0, 0.0), 1.0), Rect((0.0, -1.0), (2.0, 1.0))))
-        value, stderr, method = r.measure_detail()
-        assert method == "exact" and stderr == 0.0
+        value = r.measure()
         # exact union area: rect (4) plus the left half-disk of B(0,1)
         assert math.isclose(value, 4.0 + math.pi / 2.0, rel_tol=1e-12)
 
     def test_three_way_overlap_mc(self):
         r = Region((Ball((0.0, 0.0), 1.0), Ball((0.5, 0.0), 1.0), Ball((0.25, 0.2), 1.0)))
-        value, stderr, method = r.measure_detail()
-        assert method == "exact" and stderr == 0.0
+        value = r.measure()
         rng = np.random.Generator(np.random.PCG64(123))
         pts = rng.random((400_000, 2)) * 4.0 - 2.0
         hits = r.contains_many(pts).astype(bool).mean()
         oracle = hits * 16.0
-        assert abs(value - oracle) <= 3.0 * (stderr + 16.0 * math.sqrt(hits * (1 - hits) / 400_000))
+        assert abs(value - oracle) <= 3.0 * 16.0 * math.sqrt(hits * (1 - hits) / 400_000)
 
     def test_pairwise_mc_consistency(self):
         # inclusion-exclusion value for two disks agrees with plain sampling
@@ -258,23 +255,6 @@ class TestBallInRegion:
             assert got == one_ball(Region((Polygon(square.vertices), region.primitives[1])), c, r)
 
 
-def ball_in_region_oracle(region, center, radius):
-    """The per-ball sampled containment check as it stood before the array form:
-    the oracle of the sampled 3-D check."""
-    c = as_point(center, region.dim)
-    if balls_in_one_primitive(region, c[None, :], np.asarray([radius], dtype=np.float64))[0]:
-        return True, (0.0,) * region.dim
-    dirs = regions._fibonacci_sphere(64)
-    for rho in (1.0, 0.7, 0.35):
-        pts = c + radius * rho * dirs
-        mask = region.contains_many(pts).astype(bool)
-        if not mask.all():
-            return False, tuple(dirs[int(np.argmin(mask))].tolist())
-    if not region.contains(c):
-        return False, (0.0,) * region.dim
-    return True, (0.0,) * region.dim
-
-
 # Two overlapping disks joined by a rect (as in tests/test_quadrature.py).
 SPANNED = Region((Ball((-1.0, 0.0), 1.5), Ball((1.0, 0.0), 1.5), Rect((-1.0, -0.5), (3.0, 0.5))))
 # The check-qns benchmark domain: two unit disks at (+-1.35, 0) joined by a bridge of half-height 0.25.
@@ -290,6 +270,10 @@ RING = Region(tuple(Ball((math.cos(t), math.sin(t)), 0.5) for t in np.linspace(0
 # the origin, bridges of half-height 6.4e-7 and 4e-13, and neighbor disks.
 CHAIN = build_domain(default_sequences(3, 5)).components[1].omega_local
 BALL_BOX = Region((Ball((0.0, 0.0, 0.0), 1.0), Rect((0.5, -0.4, -0.4), (2.0, 0.4, 0.4))))
+# Three unit balls around the z axis, and two along the x axis whose waist is the circle
+# x = 0, |(y, z)| = sqrt(0.19) ~ 0.436.
+THREE_BALLS = Region(tuple(Ball((0.8 * math.cos(t), 0.8 * math.sin(t), 0.0), 1.0) for t in (0.0, 2.1, 4.2)))
+WAIST_3D = Region((Ball((-0.9, 0.0, 0.0), 1.0), Ball((0.9, 0.0, 0.0), 1.0)))
 # each 2-D domain with the box its random shapes are drawn in: the chain
 # component's is the junction of its center disk and its left bridge
 DOMAINS_2D = {"bridged": (BRIDGED, BRIDGED.bbox), "spanned": (SPANNED, SPANNED.bbox), "holed": (HOLED, HOLED.bbox),
@@ -655,11 +639,10 @@ class TestBallAreas:
             want, stderr = disk_area_mc(region, centers, radii, 100_000, seed=10)
             stderr = np.maximum(stderr, math.pi * radii**2 * math.sqrt(3e-5))  # three expected hits
             assert np.all(np.abs(regions.ball_areas(region, centers, radii) - want) <= 5.0 * stderr)
-            value, _, method = region.measure_detail()
+            value = region.measure()
             pts = lo + rng.random((100_000, 2)) * (hi - lo)
             p = region.contains_many(pts).mean()
             box = float(np.prod(hi - lo))
-            assert method != "monte-carlo"
             assert abs(value - p * box) <= 5.0 * box * math.sqrt(max(p * (1.0 - p), 3e-5) / 100_000)
 
     def test_clockwise_polygon_support(self):
@@ -686,31 +669,38 @@ class TestBallAreas:
         assert area == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
-class TestBallsInRegion:
-    """The sampled 3-D check equals the per-ball oracle, verdicts and witness directions bit for bit."""
+def sphere_points(n, seed):
+    """n points of the unit sphere in 3-D, normalized Gaussian vectors, and its six poles."""
+    g = np.random.Generator(np.random.PCG64(seed)).standard_normal((n, 3))
+    return np.concatenate([g / np.linalg.norm(g, axis=1, keepdims=True), np.eye(3), -np.eye(3)])
 
-    @pytest.mark.parametrize("region", [BALL_BOX], ids=["ball-box"])
-    def test_matches_the_per_ball_oracle(self, region):
+
+class TestBallsInRegion3D:
+    """3-D containment admits exactly the balls that one primitive holds, and no ball that leaves the region."""
+
+    def test_waist_of_two_balls_is_refused(self):
+        # B(0, 0.44) and B(0, 0.437) reach past the waist on their whole circle x = 0
+        t = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+        for r in (0.44, 0.437):
+            assert not WAIST_3D.contains_many(np.stack([0.0 * t, r * np.cos(t), r * np.sin(t)], axis=1)).any()
+        ok, directions = balls_in_region(WAIST_3D, np.zeros((2, 3)), np.asarray([0.44, 0.437]))
+        assert not ok.any() and not directions.any()
+
+    @pytest.mark.parametrize("region, spanning", [(BALL_BOX, ((0.7, 0.0, 0.0), 0.35)),
+                                                  (THREE_BALLS, ((0.0, 0.0, 0.0), 0.3))],
+                             ids=["ball-box", "three-balls"])
+    def test_admitted_balls_are_those_one_primitive_holds(self, region, spanning):
         centers, radii = random_balls(region.bbox, 1500, seed=1503)
         ok, directions = balls_in_region(region, centers, radii)
-        want = [ball_in_region_oracle(region, c, r) for c, r in zip(centers, radii.tolist())]
-        assert ok.dtype == bool and ok.tolist() == [w[0] for w in want]
-        assert [tuple(d) for d in directions.tolist()] == [w[1] for w in want]
-        sampled = ~balls_in_one_primitive(region, centers, radii)
-        assert ok.any() and (~ok).any() and (ok & sampled).any()  # some balls pass the sampled check
-
-    def test_sampled_balls_go_to_the_kernel_in_groups(self, monkeypatch):
-        centers, radii = random_balls(BALL_BOX.bbox, 3000, seed=3003)
-        rest = int((~balls_in_one_primitive(BALL_BOX, centers, radii)).sum())
-        calls = []
-        contains_many = Region.contains_many
-        monkeypatch.setattr(Region, "contains_many",
-                            lambda self, pts: calls.append(len(pts)) or contains_many(self, pts))
-        balls_in_region(BALL_BOX, centers, radii)
-        groups = [min(regions._BALL_GROUP, rest - lo) for lo in range(0, rest, regions._BALL_GROUP)]
-        assert len(groups) > 1
-        # per group, one call on the ring points and one on the centers
-        assert calls == [k for g in groups for k in (g * 3 * regions._BALL_DIRS, g)]
+        assert ok.dtype == bool and np.array_equal(ok, balls_in_one_primitive(region, centers, radii))
+        assert 0 < ok.sum() < len(ok) and not directions.any()
+        shell = np.concatenate([rho * sphere_points(2000, seed=len(region.primitives)) for rho in (1.0, 0.5)])
+        for c, r in zip(centers[ok], radii[ok]):
+            assert region.contains_many(c + r * shell).all()
+        # the refusal is conservative: a ball across two primitives, inside the region, is refused
+        c, r = np.asarray(spanning[0]), spanning[1]
+        assert region.contains_many(c + r * shell).all()
+        assert not balls_in_region(region, c[None, :], np.asarray([r]))[0][0]
 
 
 def ball_in_primitive_oracle(p, c, r):
