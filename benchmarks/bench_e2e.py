@@ -4,7 +4,7 @@ Run from the root of a checkout:
 
     python3 benchmarks/bench_e2e.py --parent <commit> --out BENCH_5.json \\
         [--pairs 10] [--seconds 30] [--seed 5150] [--workloads similarity-battery,...] \\
-        [--claim "similarity-battery wall_s"]
+        [--claim "similarity-battery wall_s"] [--digests]
     python3 benchmarks/bench_e2e.py --parent <commit> --out BENCH_5.json \\
         --pytest tests/test_acceptance.py::test_acceptance_3_counterexample_pass_side [--pairs 10]
 
@@ -28,6 +28,12 @@ how many pairs the change was better or worse (in the direction that
 ``BENCHMARK.json`` gives); also the runner's environment line, the CPU model,
 and both trace splits with their checks.  A run's operations must all be correct, else the
 script stops with the runner's output.
+
+With ``--digests``, before the pairs, each side runs one operation of every
+workload at ``--seed`` in a fresh interpreter, through the runner's own
+``run_op``, and the sha256 of each result goes under ``digests`` of the output,
+with ``"same"`` telling whether the two sides agree.  A mismatch is printed
+and recorded, not fatal: a change may move results on purpose.
 
 With ``--pytest NODEID`` the script times one Tier-1 target instead of the
 workloads: ``python -m pytest -q -p no:cacheprovider NODEID`` with ``src/`` on
@@ -55,6 +61,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PYTEST_ARGS = ("-m", "pytest", "-q", "-p", "no:cacheprovider")
+# One operation of a workload in the checkout that is the working directory:
+# prints the runner's result digest and the operation's failed checks as JSON.
+DIGEST_SCRIPT = """
+import json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, "e2ebench")
+import run
+_, _, workloads = run.import_checkout()
+workload = workloads.WORKLOADS[sys.argv[1]]
+with tempfile.TemporaryDirectory() as workdir:
+    digest, problems = run.run_op(workload, workload.setup(int(sys.argv[2]), Path(workdir)))
+print(json.dumps({"sha256": digest, "problems": problems}))
+"""
 ORDER = "parent first in even-numbered pairs (0, 2, ...), change first in odd-numbered pairs"
 
 
@@ -68,6 +87,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--workloads", default=None, help="comma-separated names (default: all of BENCHMARK.json)")
     p.add_argument("--claim", default=None, help='the claimed gain, e.g. "similarity-battery wall_s"')
     p.add_argument("--no-trace", action="store_true", help="skip the --trace 1 runs")
+    p.add_argument("--digests", action="store_true",
+                   help="record and compare both sides' result digests of one operation per workload")
     p.add_argument("--pytest", metavar="NODEID", default=None,
                    help="time this Tier-1 test target instead of the workloads")
     return p.parse_args(argv)
@@ -122,6 +143,32 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
         "attempted": result["attempted"],
         "failed": result["failed"],
     }
+
+
+def result_digest(checkout: Path, workload: str, seed: int) -> str:
+    """The sha256 of one operation's result of ``workload`` at ``seed`` in ``checkout``."""
+    cmd = [sys.executable, "-c", DIGEST_SCRIPT, workload, str(seed)]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise SystemExit(f"{checkout}: digest of {workload} exited {done.returncode}\n{done.stdout}\n{done.stderr}")
+    result = json.loads(lines[-1])
+    if result["sha256"] is None or result["problems"]:
+        raise SystemExit(f"{checkout}: {workload} had a failed operation\n{result['problems']}")
+    return result["sha256"]
+
+
+def compare_digests(sides: dict, names: list[str], seed: int) -> dict:
+    """Both sides' result digests per workload, each flagged ``"same"`` or not."""
+    out = {"seed": seed, "workloads": {}}
+    for name in names:
+        entry = {side: result_digest(sides[side], name, seed) for side in sides}
+        entry["same"] = entry["parent"] == entry["change"]
+        if not entry["same"]:
+            print(f"{name} result digest differs at seed {seed}: parent {entry['parent']}, "
+                  f"change {entry['change']}", file=sys.stderr)
+        out["workloads"][name] = entry
+    return out
 
 
 def run_pytest(checkout: Path, nodeid: str) -> float:
@@ -265,6 +312,8 @@ def main(argv=None) -> int:
                      "workloads": {}},
             "traces": {},
         }
+        if args.digests:
+            out["digests"] = compare_digests(sides, names, args.seed)
         ticks = cpu_ticks()
         for name in names:
             def run_side(side, i, _name=name):
@@ -300,6 +349,8 @@ def main(argv=None) -> int:
     for name, entry in out["runs"]["workloads"].items():
         for metric, m in entry["metrics"].items():
             print_summary(name, metric, m, args.pairs)
+    for name, entry in out.get("digests", {}).get("workloads", {}).items():
+        print(f"{name} result digest: {'same' if entry['same'] else 'DIFFERS'}")
     return 0
 
 

@@ -13,6 +13,9 @@ resolution of the absolute coordinates.  All certification therefore runs in
 per-component local frames (coordinates relative to the component center),
 where every length is well scaled.  The absolute-coordinate region is still
 built for export and coarse membership queries.
+
+Both pass sides decide each probe by the package's one verdict rule,
+``MeanResult.bound``: K * mean plus a rounding or 3 * K * stderr slack.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import numpy as np
 
 from .fields import Field, indicator_field
 from .geometry import Ball, SimilarityArray, lens_constant
+from .quadrature import EXACT_MEAN_REL_TOL  # noqa: F401  (the certificates' exact-mean slack, kept importable here)
 from .quadrature import QuadratureSpec, _ball_means, _image_means, _outcome, mean_over_ball
 from .radius_sets import GapComplementFamily, RadiusSet
 from .regions import MarkedSet, Rect, Region, region_to_json
@@ -337,10 +341,6 @@ def certify_failure(dom: CounterexampleDomain, spec: QuadratureSpec = Quadrature
 # -- certification: the restricted pass side --------------------------------------
 
 
-# Relative rounding slack on an exact probe mean in certify_restricted.
-# Exact lens-area means are good to a few ulps; 1e-12 is far below the gap
-# 1.2e-5 between 2.5575 and the sharp constant 1/lens_constant() = 2.5575302...
-EXACT_MEAN_REL_TOL = 1e-12
 # Probe radii below this fraction of a_m are not resolvable against the center offset.
 _MIN_RADIUS_REL = 1e-12
 # Radii from b_m up to twice the first gap top, checked per component by the containment dichotomy.
@@ -444,14 +444,13 @@ def certify_restricted(
     """Verify the mean inequality at K = 1/lens_constant() for admissible probes.
 
     Probes take centers in the inner disks and radii from the admissible set;
-    each must satisfy value <= K*mean + slack.  Probe means use ``spec.method``
+    each must satisfy 1 <= ``mean.bound(K)``.  Probe means use ``spec.method``
     and run as one probe array per component, each probe on its own label.
     Under the default ``"auto"`` they are the exact lens-area ratios, and the
-    slack is the floating-point tolerance
-    ``EXACT_MEAN_REL_TOL * K * mean``; the sharp probes (center on the inner
-    boundary, radius a_m) then reach the ratio 1/lens_constant() itself.
-    Sampled means (``"mc"`` or ``"stratified"``) draw at most
-    ``probes.samples_per_probe`` points each and get the slack 3*K*stderr.
+    sharp probes (center on the inner boundary, radius a_m) reach the ratio
+    1/lens_constant() itself.  Sampled means (``"mc"`` or ``"stratified"``)
+    draw at most ``probes.samples_per_probe`` points each.  ``max_ratio`` is
+    the largest 1/mean, at the first probe that attains it.
     Radii in [b_m, ∞) must be rejected by the geometry (the containment
     dichotomy): every such probe is certified non-containable by sequence
     arithmetic.  ``constant`` overrides the default K.
@@ -462,12 +461,9 @@ def certify_restricted(
                 f"admissible radius set intersects the avoided gap ({g_lo!r}, {g_hi!r})"
             )
     k_const = 1.0 / lens_constant() if constant is None else float(constant)
-    max_ratio = -math.inf
-    witness = None
-    violations = []
+    rows, means = [], []  # (m, cx, cy, r) and the mean of every probe, in probe order
     dichotomy_checked = 0
     dichotomy_ok = True
-    idx = 0
     probe_spec = replace(spec, target_rel_error=0.1, max_samples=probes.samples_per_probe)
     for comp in dom.components:
         a_m = comp.inner_radius
@@ -476,31 +472,27 @@ def certify_restricted(
         centers = [(0.0, 0.0)] + [(rho * a_m * math.cos(theta), rho * a_m * math.sin(theta))
                                   for rho in probes.offsets if rho != 0.0 for theta in thetas]
         grid = [(cx, cy, r) for cx, cy in centers for r in radii]
-        labels = [f"restricted:{idx + i}" for i in range(1, len(grid) + 1)]
+        labels = [f"restricted:{i}" for i in range(len(rows) + 1, len(rows) + len(grid) + 1)]
         outcomes = _ball_means(comp.field_local, np.asarray([(cx, cy) for cx, cy, _ in grid]),
                                np.asarray([r for _, _, r in grid]), probe_spec, labels)
-        for (cx, cy, r), res in zip(grid, outcomes):
-            idx += 1
-            res = _outcome(res)
-            ratio = 1.0 / res.mean if res.mean > 0 else math.inf
-            if res.mean > 0 and (ratio, -idx) > (max_ratio, 0):
-                max_ratio = ratio
-                witness = {"m": comp.m, "center": [cx, cy], "radius": r,
-                           "mean": res.mean, "stderr": res.stderr, "ratio": ratio}
-            if res.method == "exact":
-                slack = EXACT_MEAN_REL_TOL * k_const * res.mean
-            else:  # a sampled mean keeps its 3-stderr slack, also when a zero-variance sample reports stderr 0
-                slack = 3.0 * k_const * res.stderr
-            if 1.0 > k_const * res.mean + slack:
-                violations.append({"m": comp.m, "center": [cx, cy], "radius": r,
-                                   "mean": res.mean, "stderr": res.stderr})
+        rows += [(comp.m, cx, cy, r) for cx, cy, r in grid]
+        means += map(_outcome, outcomes)
         # the containment dichotomy: admissible radii >= b_m never fit
         b_m = dom.sequences.b_of(comp.m)
         top = dom.avoided_gaps[0][1] * 2.0
         dichotomy_checked += _DICHOTOMY_RADII
         dichotomy_ok &= all(_certify_dichotomy(dom, comp, float(r))
                             for r in np.geomspace(b_m, max(top, b_m * 2), _DICHOTOMY_RADII))
-    return RestrictedReport(not violations and dichotomy_ok, max_ratio, witness, idx, violations,
+
+    def row(i):
+        (m, cx, cy, r), res = rows[i], means[i]
+        return {"m": m, "center": [cx, cy], "radius": r, "mean": res.mean, "stderr": res.stderr}
+
+    violations = [row(i) for i, res in enumerate(means) if 1.0 > res.bound(k_const)]
+    ratios = [1.0 / res.mean if res.mean > 0 else -math.inf for res in means]
+    max_ratio = max(ratios, default=-math.inf)
+    witness = {**row(ratios.index(max_ratio)), "ratio": max_ratio} if max_ratio > -math.inf else None
+    return RestrictedReport(not violations and dichotomy_ok, max_ratio, witness, len(means), violations,
                             dichotomy_checked, dichotomy_ok, k_const, spec.seed)
 
 
@@ -587,10 +579,10 @@ def certify_f1(
     """Certify both sides of the scale-function variant.
 
     Failure side: component means as in ``certify_failure``.  Pass side: for
-    sampled admissible similarities anchored at inner-set points, verify
-    f(scale)^2 <= K * integral of the indicator over the image, with
-    K = c^2 / (pi * min(r_D,1)^2 * lens_constant()), and confirm the scale
-    bound scale * r_D <= 2 m a_m / N0.
+    sampled admissible similarities h anchored at inner-set points, verify
+    f(scale)^2 <= ``mean.bound(K)`` * m(h(D)) (the image integral with its
+    slack) at K = c^2 / (pi * min(r_D,1)^2 * lens_constant()), and confirm
+    the scale bound scale * r_D <= 2 m a_m / N0.
     """
     s = dom.sequences
     failure = certify_failure(dom, spec)
@@ -618,12 +610,10 @@ def certify_f1(
             if k * d.inner_radius > 2.0 * comp.m * a_m / s.n0:
                 bound_ok = False
             res = _outcome(res)
-            integral = res.mean * k**2 * m_d
-            integral_err = res.stderr * k**2 * m_d
             lhs = rule(k) ** 2
-            if lhs > k_const * integral + 3.0 * k_const * integral_err:
+            if lhs > res.bound(k_const) * k**2 * m_d:
                 violations.append({"m": comp.m, "scale": k, "lhs": lhs,
-                                   "integral": integral, "stderr": integral_err})
+                                   "integral": res.mean * k**2 * m_d, "stderr": res.stderr * k**2 * m_d})
     return F1Report(failure, idx, violations, bound_ok, k_const,
                     failure.passed and not violations and bound_ok, spec.seed)
 

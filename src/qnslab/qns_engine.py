@@ -2,17 +2,21 @@
 
 Estimates the best multiplicative constant K for the ball-mean inequality
 ``u(x) <= K * mean_B u`` over finite probe grids (a certified lower bound for
-the true constant; pass verdicts carry standard-error slack), runs the
-analogous test over similarity images of a marked set, converts between the
-ball and image constants, measures indicator densities, checks scale-function
-admissibility, and evaluates scale-homogeneous shape functionals.
+the true constant), runs the analogous test over similarity images of a marked
+set, converts between the ball and image constants, measures indicator
+densities, checks scale-function admissibility, and evaluates
+scale-homogeneous shape functionals.
 
 Each probe battery (``estimate_K``/``check_K``, ``indicator_density``,
 ``generalized_test``) runs every probe on the battery's spec seed, as one
 probe array that draws each chunk's base sample once (common random numbers,
-see the ``quadrature`` module docstring).  u(x) is evaluated once per center that
-admits a probe.  A ball or an image h(D) that leaves the domain is skipped
-and counted; 2-D containment is exact (see ``regions``).
+see the ``quadrature`` module docstring).  u is evaluated in one call on the
+battery's centers.  A ball or an image h(D) that leaves the domain is skipped
+and counted; 2-D containment is exact (see ``regions``).  A battery's
+extreme is ``max`` or ``min`` over its admitted probes in probe order, whose
+first extreme is the witness.  Every K verdict is u(x) <= ``mean.bound(K)``:
+K * mean plus ``EXACT_MEAN_REL_TOL`` * K * mean for an exact mean, 3 * K *
+stderr for a sampled one.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-from .fields import DomainError, Field
+from .fields import DomainError, Field, indicator_field
 from .geometry import Ball, Similarity, SimilarityArray, unit_ball_volume
 from .quadrature import ContainmentError, MeanResult, QuadratureSpec, _ball_means, _image_means
 from .radius_sets import RadiusSet, log_eps_net
@@ -163,39 +167,32 @@ def estimate_K(
 ) -> KEstimate:
     """Largest observed ratio u(x) / mean over the probe grid.
 
-    Probes with u(x) = 0 = mean are vacuous and skipped.  The reduction is
-    order-independent: ties in the ratio break on the probe index.
+    Probes with u(x) = 0 = mean are vacuous and skipped.  Of tied ratios the
+    first probe in probe order is the witness.
     """
     if omega.dim != u.dim:
         raise ValueError("field and region dimensions differ")
-    best = (-math.inf, -1)
-    witness = None
-    used = 0
-    stderr_max = 0.0
     admitted, skipped = _ball_probes(u, probes.centers(omega), probes.radii(omega), spec)
-    provenance = _provenance([p.mean for p in admitted])
-    for idx, c, r, val, res in admitted:
-        if res.mean <= 0.0:
-            if val <= 0.0:
-                continue  # 0/0 probe: the inequality is vacuous there
-            ratio = math.inf
-        else:
-            ratio = val / res.mean
-        used += 1
-        stderr_max = max(stderr_max, res.stderr)
-        if (ratio, -idx) > (best[0], -best[1]):
-            best = (ratio, idx)
-            witness = {"center": list(c), "radius": r, "value": val, "mean": res.mean, "stderr": res.stderr}
-    if used == 0:
-        return KEstimate(0.0, None, 0, skipped, 0.0, True, spec.seed, spec.workers, spec.method, *provenance)
-    return KEstimate(best[0], witness, used, skipped, stderr_max, False, spec.seed, spec.workers, spec.method,
-                     *provenance)
+    return _sup_ratio([(p.value, p.value, p.mean.mean, p.mean, p) for p in admitted],
+                      lambda p, res: {"center": list(p.center), "radius": p.radius, "value": p.value,
+                                      "mean": res.mean, "stderr": res.stderr}, skipped, spec)
 
 
-def _provenance(means: list) -> tuple[int, int]:
-    """How many of the means are closed forms, and how many were sampled."""
-    exact = sum(res.method == "exact" for res in means)
-    return exact, len(means) - exact
+def _sup_ratio(probes: list, witness: Callable, skipped: int, spec: QuadratureSpec) -> KEstimate:
+    """A battery's ``KEstimate`` from ``(u(x), scaled, denominator, mean,
+    probe)`` per admitted probe in probe order.  The ratio is scaled over
+    denominator, inf where the denominator is 0 < u(x); a probe with
+    u(x) = 0 = denominator is vacuous.  K_hat is ``max`` over the ratios, the
+    first of ties, with ``witness(probe, mean)`` of that probe."""
+    exact = sum(res.method == "exact" for *_, res, _ in probes)
+    tail = (spec.seed, spec.workers, spec.method, exact, len(probes) - exact)
+    used = [(scaled / den if den > 0.0 else math.inf, res, p) for val, scaled, den, res, p in probes
+            if den > 0.0 or val > 0.0]
+    if not used:
+        return KEstimate(0.0, None, 0, skipped, 0.0, True, *tail)
+    k_hat, mean, best = max(used, key=lambda t: t[0])
+    stderr_max = max(res.stderr for _, res, _ in used)
+    return KEstimate(k_hat, witness(best, mean), len(used), skipped, stderr_max, False, *tail)
 
 
 @dataclass
@@ -232,23 +229,19 @@ def check_K(
     probes: BallProbeGrid = BallProbeGrid(),
     spec: QuadratureSpec = DEFAULT_PROBE_SPEC,
 ) -> CheckReport:
-    """Verify u(x) <= K * mean + 3 * stderr at every admissible probe."""
+    """Verify u(x) <= ``mean.bound(K)`` at every admissible probe: K * mean
+    plus 3 * K * stderr, or for an exact mean the rounding slack that lets
+    ``estimate_K``'s K_hat on the same grid pass."""
     if k < 1:
         raise ValueError("the mean-inequality constant must satisfy K >= 1")
-    failures = []
-    used = 0
-    stderr_max = 0.0
     admitted, skipped = _ball_probes(u, probes.centers(omega), probes.radii(omega), spec)
-    for idx, c, r, val, res in admitted:
-        used += 1
-        stderr_max = max(stderr_max, res.stderr)
-        if val > k * res.mean + 3.0 * res.stderr:
-            failures.append(
-                {"center": list(c), "radius": r, "value": val, "mean": res.mean,
-                 "stderr": res.stderr, "ratio": (val / res.mean if res.mean > 0 else math.inf)}
-            )
-    return CheckReport(not failures, k, failures, used, skipped, stderr_max, spec.seed, spec.workers, spec.method,
-                       *_provenance([p.mean for p in admitted]))
+    failures = [{"center": list(p.center), "radius": p.radius, "value": p.value, "mean": p.mean.mean,
+                 "stderr": p.mean.stderr, "ratio": (p.value / p.mean.mean if p.mean.mean > 0 else math.inf)}
+                for p in admitted if p.value > p.mean.bound(k)]
+    exact = sum(p.mean.method == "exact" for p in admitted)
+    return CheckReport(not failures, k, failures, len(admitted), skipped,
+                       max((p.mean.stderr for p in admitted), default=0.0), spec.seed, spec.workers, spec.method,
+                       exact, len(admitted) - exact)
 
 
 @dataclass
@@ -284,25 +277,15 @@ def indicator_density(
     constant; an infimum at 0 (within slack) reports the pair as not
     QNS-compatible.
     """
-    from .fields import indicator_field
-
     u = indicator_field(gamma, omega)
-    worst = (math.inf, -1)
-    witness = None
-    used = 0
     admitted, skipped = _ball_probes(u, probes.centers(gamma), probes.radii(omega), spec)
-    for idx, c, r, _, res in admitted:
-        used += 1
-        if (res.mean, idx) < (worst[0], worst[1]):
-            worst = (res.mean, idx)
-            witness = {"center": list(c), "radius": r, "mean": res.mean, "stderr": res.stderr}
-    inf_ratio = worst[0] if used else math.inf
-    tol = 3.0 * (witness["stderr"] if witness else 0.0)
-    compatible = used > 0 and inf_ratio > tol
-    return DensityReport(
-        inf_ratio, witness, (1.0 / inf_ratio if inf_ratio > 0 else math.inf),
-        compatible, used, skipped, spec.seed,
-    )
+    if not admitted:
+        return DensityReport(math.inf, None, 0.0, False, 0, skipped, spec.seed)
+    worst = min(admitted, key=lambda p: p.mean.mean)  # the first of tied means
+    inf_ratio = worst.mean.mean
+    witness = {"center": list(worst.center), "radius": worst.radius, "mean": inf_ratio, "stderr": worst.mean.stderr}
+    return DensityReport(inf_ratio, witness, (1.0 / inf_ratio if inf_ratio > 0 else math.inf),
+                         inf_ratio > 3.0 * worst.mean.stderr, len(admitted), skipped, spec.seed)
 
 
 # -- ball/image constant conversion ---------------------------------------------
@@ -412,49 +395,13 @@ def generalized_test(
     every = SimilarityArray(np.tile(probe_scale, len(centers)), probe_part,
                             (centers[:, None, :] - probe_offset).reshape(-1, 2))
     outcomes = _image_means(u, d, every, spec)
-    provenance = _provenance([res for res in outcomes if not isinstance(res, DomainError)])
-    best = (-math.inf, -1)
-    witness = None
-    used = 0
-    skipped = 0
-    stderr_max = 0.0
-    idx = 0
-    for c in centers:
-        x = np.asarray(c, dtype=np.float64)
-        val = None
-        for k in probe_scale.tolist():
-            res = outcomes[idx]
-            idx += 1
-            if isinstance(res, DomainError):
-                skipped += 1
-                continue
-            if val is None:
-                val = float(u.evaluate_many(x[None, :], check_domain=False)[0])
-            integral = res.mean * (k**2) * m_d
-            if f is None:
-                norm = (k**2) * m_d  # == m(h(D))
-            else:
-                norm = f.fn(k) ** 2
-            if integral <= 0.0:
-                if val <= 0.0:
-                    continue
-                ratio = math.inf
-            else:
-                ratio = val * norm / integral
-            used += 1
-            stderr_max = max(stderr_max, res.stderr)
-            if (ratio, -idx) > (best[0], -best[1]):
-                best = (ratio, idx)
-                witness = {
-                    "center": [float(v) for v in x],
-                    "scale": k,
-                    "mean": res.mean,
-                    "stderr": res.stderr,
-                }
-    if used == 0:
-        return KEstimate(0.0, None, 0, skipped, 0.0, True, spec.seed, spec.workers, spec.method, *provenance)
-    return KEstimate(best[0], witness, used, skipped, stderr_max, False, spec.seed, spec.workers, spec.method,
-                     *provenance)
+    values = u.values(centers).tolist()
+    norm = (lambda k: (k**2) * m_d) if f is None else (lambda k: f.fn(k) ** 2)  # (k**2) * m_d == m(h(D))
+    probes = [(c, k) for c in range(len(centers)) for k in probe_scale.tolist()]
+    rated = [(values[c], values[c] * norm(k), res.mean * (k**2) * m_d, res, (c, k))
+             for (c, k), res in zip(probes, outcomes) if not isinstance(res, DomainError)]
+    return _sup_ratio(rated, lambda p, res: {"center": centers[p[0]].tolist(), "scale": p[1], "mean": res.mean,
+                                             "stderr": res.stderr}, len(outcomes) - len(rated), spec)
 
 
 # -- scale-function admissibility -------------------------------------------------

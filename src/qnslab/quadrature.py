@@ -144,11 +144,23 @@ class QuadratureSpec:
         return replace(self, seed=derive_seed(self.seed, label))
 
 
+# Relative rounding slack of an exact mean in a K verdict: exact means are good to a few
+# ulps, and 1e-12 is far below the gap 1.2e-5 between 2.5575 and 1/lens_constant() = 2.5575302...
+EXACT_MEAN_REL_TOL = 1e-12
+
+
 class MeanResult(NamedTuple):
     mean: float
     stderr: float
     n_samples: int
     method: str
+
+    def bound(self, k: float) -> float:
+        """The largest value that passes ``value <= K * mean``: K * mean plus its
+        rounding slack for an exact mean, else 3 * K * stderr (also at stderr 0)."""
+        if self.method == "exact":
+            return k * self.mean + EXACT_MEAN_REL_TOL * k * self.mean
+        return k * self.mean + 3.0 * k * self.stderr
 
 
 class ContainmentError(ValueError):

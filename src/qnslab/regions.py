@@ -241,19 +241,29 @@ def balls_in_region(region: Region, centers: np.ndarray, radii: np.ndarray) -> t
     """Which closed balls, given as ``(P, dim)`` centers and ``(P,)`` radii, lie
     inside the region: ``(ok, directions)``, a bool per ball and a ``(P, dim)``
     array whose row for a refused ball is a direction that refutes it (zero
-    for an admitted ball, when the center misses, or when the ball is refused
-    uncertified).
+    for an admitted ball, when the center misses a 2-D region, or when the
+    ball is refused uncertified).
 
     Exact for a ball that one primitive holds (``balls_in_one_primitive``).
     In 2-D every other ball is inside when its center is in the region and its
     distance to the boundary pieces exceeds its radius by the margin, and is
     refuted by the unit direction to its nearest boundary point.  In 3-D every
-    other ball is refused with a zero direction: no boundary model certifies it.
+    other ball is refused: on a one-primitive region, exactly, with the radial
+    direction from a ball's center or the outward normal of a box's nearest
+    face; elsewhere with a zero direction, since no boundary model certifies it.
     """
     ok = balls_in_one_primitive(region, centers, radii)
     way = np.zeros(centers.shape)
     rest = np.flatnonzero(~ok)
-    if rest.size and region.dim == 2:
+    if rest.size and region.dim == 3 and len(region.primitives) == 1:
+        (p,), c = region.primitives, centers[rest]
+        if isinstance(p, Ball):  # zero at the primitive's center
+            v = c - np.asarray(p.center)
+            way[rest] = v / np.maximum(np.linalg.norm(v, axis=1), np.finfo(float).tiny)[:, None]
+        else:  # a box: the face with the least gap, which is negative past it
+            gaps = np.concatenate([c - np.asarray(p.lo), np.asarray(p.hi) - c], axis=1).argmin(axis=1)
+            way[rest, gaps % 3] = np.where(gaps < 3, -1.0, 1.0)
+    elif rest.size and region.dim == 2:
         c = centers[rest]
         dist, near = boundary_distance(region, c)
         inside = region.contains_many(c).astype(bool)

@@ -34,6 +34,7 @@ ONE = constant_field(1.0, OMEGA)
 # so each ball stays inside both the domain and the unit-disk geometry
 EXAMPLE_GRID = BallProbeGrid(center_resolution=13, radii_per_center=6, radius_range=(0.1, 0.999))
 FAST_SPEC = QuadratureSpec(method="mc", target_rel_error=0.1, max_samples=8192, seed=20)
+DEFAULT_SPEC = qns_engine.DEFAULT_PROBE_SPEC
 
 
 def lens_density_brute_force(n_centers=60, n_radii=40):
@@ -83,6 +84,15 @@ class TestEstimateK:
         with pytest.raises(ValueError):
             BallProbeGrid(**settings)
 
+    def test_first_probe_of_tied_ratios_is_the_witness(self):
+        # every ratio of a constant field is 1.0: the witness is the first admitted probe in probe order
+        grid = BallProbeGrid(center_resolution=5, radii_per_center=4, radius_range=(0.1, 1.5))
+        admitted, skipped = qns_engine._ball_probes(ONE, grid.centers(OMEGA), grid.radii(OMEGA), DEFAULT_SPEC)
+        assert skipped > 0 and admitted[0].idx > 1  # the first probe in probe order leaves the domain
+        est = estimate_K(ONE, OMEGA, grid)
+        assert (est.k_hat, est.probes_used, est.exact_means) == (1.0, len(admitted), len(admitted))
+        assert (est.witness["center"], est.witness["radius"]) == (list(admitted[0].center), admitted[0].radius)
+
     def test_report_schema(self):
         est = estimate_K(CHI, OMEGA, EXAMPLE_GRID, FAST_SPEC)
         doc = est.to_json()
@@ -117,6 +127,37 @@ class TestCheckK:
         with pytest.raises(ValueError):
             check_K(ONE, OMEGA, 0.5)
 
+    def test_exact_means_pass_at_their_own_supremum(self):
+        # the witness's value 1.0 exceeds K_hat * mean = 0.9999999999999999 by rounding alone; the
+        # exact-mean slack EXACT_MEAN_REL_TOL * K * mean covers it
+        omega = Region((Ball((0.0, 0.0), 1.5),))
+        u = indicator_field(GAMMA, omega)
+        grid = BallProbeGrid(center_resolution=9, radii_per_center=4, radius_range=(0.1, 0.999))
+        est = estimate_K(u, omega, grid)
+        assert est.sampled_means == 0 and est.witness["value"] > est.k_hat * est.witness["mean"]
+        rep = check_K(u, omega, est.k_hat, grid)
+        assert rep.passed and not rep.failures and rep.probes_used > est.probes_used
+
+    def test_sampled_failures_are_those_above_k_times_mean_plus_3_stderr(self, monkeypatch):
+        # at K just above the exact grid supremum, a sampled probe fails only when u(x) > K * (mean + 3 * stderr)
+        k = estimate_K(CHI, OMEGA, EXAMPLE_GRID).k_hat * (1.0 + 1e-9)
+        runs = []
+
+        def recording(*args, _original=qns_engine._ball_probes):
+            runs.append(_original(*args)[0])
+            return runs[-1], 0
+
+        monkeypatch.setattr(qns_engine, "_ball_probes", recording)
+        within_k_stderr = 0  # probes that only the K-scaled stderr slack passes
+        for seed in range(1000, 1040):
+            rep = check_K(CHI, OMEGA, k, EXAMPLE_GRID, replace(FAST_SPEC, seed=seed))
+            admitted = runs[-1]
+            assert all(p.mean.method == "mc" for p in admitted)
+            over = [p for p in admitted if p.value > k * p.mean.mean + 3.0 * k * p.mean.stderr]
+            assert [(f["center"], f["radius"]) for f in rep.failures] == [(list(p.center), p.radius) for p in over]
+            within_k_stderr += sum(k * p.mean.mean + 3.0 * p.mean.stderr < p.value for p in admitted) - len(over)
+        assert within_k_stderr > 0
+
 
 class TestIndicatorDensity:
     def test_gamma_equals_omega(self):
@@ -126,6 +167,16 @@ class TestIndicatorDensity:
                                 BallProbeGrid(center_resolution=5, radii_per_center=3,
                                               radius_range=(0.05, 0.2)), FAST_SPEC)
         assert rep.inf_ratio == 1.0 and rep.compatible
+
+    def test_first_probe_of_tied_means_is_the_witness(self):
+        # with Γ = Ω every mean is 1.0: the witness is the first admitted probe in probe order
+        grid = BallProbeGrid(center_resolution=5, radii_per_center=4, radius_range=(0.1, 1.5))
+        u = indicator_field(OMEGA, OMEGA)
+        admitted, skipped = qns_engine._ball_probes(u, grid.centers(OMEGA), grid.radii(OMEGA), DEFAULT_SPEC)
+        assert skipped > 0 and admitted[0].idx > 1
+        rep = indicator_density(OMEGA, OMEGA, grid)
+        assert (rep.inf_ratio, rep.probes_used, rep.compatible) == (1.0, len(admitted), True)
+        assert (rep.witness["center"], rep.witness["radius"]) == (list(admitted[0].center), admitted[0].radius)
 
     def test_disk_in_disk_attains_lens_constant(self):
         grid = BallProbeGrid(center_resolution=15, radii_per_center=6, radius_range=(0.1, 1.0))

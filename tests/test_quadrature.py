@@ -741,6 +741,15 @@ class TestMeanOverBall:
         assert err.value.direction == (0.0, 0.0)
         assert str(err.value) == "ball at (5.0, 0.0) with radius 0.5 is not certified inside the domain"
 
+    @pytest.mark.parametrize("domain", [Region((Ball((0.0, 0.0, 0.0), 3.0),)),
+                                        Region((Rect((-3.0, -3.0, -3.0), (3.0, 3.0, 3.0)),))], ids=["ball", "box"])
+    def test_3d_refusal_on_one_primitive_names_its_direction(self, domain):
+        # one ball or box refutes a ball exactly: the radial direction, or the outward normal of the nearest face
+        with pytest.raises(ContainmentError) as err:
+            mean_over_ball(indicator_field(domain, domain), Ball((2.5, 0.0, 0.0), 1.0))
+        assert str(err.value) == ("ball at (2.5, 0.0, 0.0) with radius 1.0 leaves the domain near direction "
+                                  "(1.0, 0.0, 0.0)")
+
     def test_ball_across_a_3d_waist_is_refused(self):
         # B(0, 0.44) reaches past the waist of the unit balls at (+-0.9, 0, 0) on its whole circle
         # x = 0; no primitive holds it, so it is refused, not sampled
@@ -917,6 +926,28 @@ class TestMeanOverImage:
         pulled = indicator_field(support.transformed(h_inv), omega.transformed(h_inv))
         pullback = mean_over_image(pulled, d, Similarity.identity(2), QuadratureSpec(seed=6, max_samples=300_000))
         assert abs(direct.mean - pullback.mean) <= 3.0 * (direct.stderr + pullback.stderr)
+
+
+class TestMeanResultBound:
+    """``MeanResult.bound`` is the one verdict rule: K * mean plus a slack."""
+
+    def test_exact_mean_gets_the_relative_rounding_slack(self):
+        res = quadrature.MeanResult(0.4, 0.0, 1, "exact")
+        assert res.bound(2.5) == 2.5 * 0.4 + quadrature.EXACT_MEAN_REL_TOL * 2.5 * 0.4
+        assert res.bound(2.5) > 1.0 > 2.5 * 0.4 * (1.0 - 1e-15)
+
+    def test_sampled_mean_gets_3_k_stderr(self):
+        assert quadrature.MeanResult(0.4, 0.01, 4096, "mc").bound(2.5) == 2.5 * 0.4 + 3.0 * 2.5 * 0.01
+        assert quadrature.MeanResult(0.4, 0.01, 4096, "stratified").bound(2.0) == 2.0 * 0.4 + 3.0 * 2.0 * 0.01
+
+    def test_zero_variance_sample_keeps_3_k_stderr(self):
+        # a sample whose points all hit reports stderr 0: it keeps its 3 * K * 0 slack, not the exact one
+        assert quadrature.MeanResult(0.4, 0.0, 4096, "mc").bound(2.5) == 2.5 * 0.4
+
+    def test_importable_from_counterexample(self):
+        from qnslab import counterexample
+
+        assert counterexample.EXACT_MEAN_REL_TOL is quadrature.EXACT_MEAN_REL_TOL == 1e-12
 
 
 class TestDeriveSeed:

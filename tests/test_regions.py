@@ -686,6 +686,18 @@ class TestBallsInRegion3D:
         ok, directions = balls_in_region(WAIST_3D, np.zeros((2, 3)), np.asarray([0.44, 0.437]))
         assert not ok.any() and not directions.any()
 
+    def test_one_primitive_refutes_with_its_direction(self):
+        # a ball domain refutes along the radius, a box along the normal of the nearest face; a ball
+        # concentric with the domain ball has no direction
+        centers = np.asarray([[2.5, 0.0, 0.0], [0.0, -2.5, 0.0], [0.0, 0.0, 5.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        radii = np.asarray([1.0, 1.0, 1.0, 3.5, 0.5])
+        ok, way = balls_in_region(Region((Ball((0.0, 0.0, 0.0), 3.0),)), centers, radii)
+        assert ok.tolist() == [False, False, False, False, True]
+        assert way.tolist() == [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        ok, way = balls_in_region(Region((Rect((-3.0, -3.0, -3.0), (3.0, 3.0, 4.0)),)), centers, radii)
+        assert ok.tolist() == [False, False, False, False, True]
+        assert way.tolist() == [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+
     @pytest.mark.parametrize("region, spanning", [(BALL_BOX, ((0.7, 0.0, 0.0), 0.35)),
                                                   (THREE_BALLS, ((0.0, 0.0, 0.0), 0.3))],
                              ids=["ball-box", "three-balls"])
