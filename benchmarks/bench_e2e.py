@@ -4,7 +4,7 @@ Run from the root of a checkout:
 
     python3 benchmarks/bench_e2e.py --parent <commit> --out BENCH_5.json \\
         [--pairs 10] [--seconds 30] [--seed 5150] [--workloads similarity-battery,...] \\
-        [--claim "similarity-battery wall_s"] [--digests]
+        [--claim "similarity-battery wall_s"]
     python3 benchmarks/bench_e2e.py --parent <commit> --out BENCH_5.json \\
         --pytest tests/test_acceptance.py::test_acceptance_3_counterexample_pass_side [--pairs 10]
 
@@ -29,10 +29,10 @@ how many pairs the change was better or worse (in the direction that
 and both trace splits with their checks.  A run's operations must all be correct, else the
 script stops with the runner's output.
 
-With ``--digests``, before the pairs, each side runs one operation of every
-workload at ``--seed`` in a fresh interpreter, through the runner's own
-``run_op``, and the sha256 of each result goes under ``digests`` of the output,
-with ``"same"`` telling whether the two sides agree.  A mismatch is printed
+Before the pairs, each side runs one operation of every workload at
+``--seed`` in a fresh interpreter, through the runner's own ``run_op``, and the
+sha256 of each result goes under ``digests`` of the output, with ``"same"``
+telling whether the two sides agree.  A mismatch is printed
 and recorded, not fatal: a change may move results on purpose.
 
 With ``--pytest NODEID`` the script times one Tier-1 target instead of the
@@ -87,8 +87,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--workloads", default=None, help="comma-separated names (default: all of BENCHMARK.json)")
     p.add_argument("--claim", default=None, help='the claimed gain, e.g. "similarity-battery wall_s"')
     p.add_argument("--no-trace", action="store_true", help="skip the --trace 1 runs")
-    p.add_argument("--digests", action="store_true",
-                   help="record and compare both sides' result digests of one operation per workload")
     p.add_argument("--pytest", metavar="NODEID", default=None,
                    help="time this Tier-1 test target instead of the workloads")
     return p.parse_args(argv)
@@ -311,9 +309,8 @@ def main(argv=None) -> int:
             "runs": {"seed": args.seed, "pairs": args.pairs, "seconds": args.seconds, "order": ORDER,
                      "workloads": {}},
             "traces": {},
+            "digests": compare_digests(sides, names, args.seed),
         }
-        if args.digests:
-            out["digests"] = compare_digests(sides, names, args.seed)
         ticks = cpu_ticks()
         for name in names:
             def run_side(side, i, _name=name):
@@ -349,7 +346,7 @@ def main(argv=None) -> int:
     for name, entry in out["runs"]["workloads"].items():
         for metric, m in entry["metrics"].items():
             print_summary(name, metric, m, args.pairs)
-    for name, entry in out.get("digests", {}).get("workloads", {}).items():
+    for name, entry in out["digests"]["workloads"].items():
         print(f"{name} result digest: {'same' if entry['same'] else 'DIFFERS'}")
     return 0
 

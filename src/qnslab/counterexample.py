@@ -461,8 +461,12 @@ def certify_restricted(
                 f"admissible radius set intersects the avoided gap ({g_lo!r}, {g_hi!r})"
             )
     k_const = 1.0 / lens_constant() if constant is None else float(constant)
-    rows, means = [], []  # (m, cx, cy, r) and the mean of every probe, in probe order
-    dichotomy_checked = 0
+    max_ratio, witness, violations, n_probes = -math.inf, None, [], 0
+
+    def row(m, probe, res):
+        cx, cy, r = probe
+        return {"m": m, "center": [cx, cy], "radius": r, "mean": res.mean, "stderr": res.stderr}
+
     dichotomy_ok = True
     probe_spec = replace(spec, target_rel_error=0.1, max_samples=probes.samples_per_probe)
     for comp in dom.components:
@@ -472,28 +476,23 @@ def certify_restricted(
         centers = [(0.0, 0.0)] + [(rho * a_m * math.cos(theta), rho * a_m * math.sin(theta))
                                   for rho in probes.offsets if rho != 0.0 for theta in thetas]
         grid = [(cx, cy, r) for cx, cy in centers for r in radii]
-        labels = [f"restricted:{i}" for i in range(len(rows) + 1, len(rows) + len(grid) + 1)]
-        outcomes = _ball_means(comp.field_local, np.asarray([(cx, cy) for cx, cy, _ in grid]),
-                               np.asarray([r for _, _, r in grid]), probe_spec, labels)
-        rows += [(comp.m, cx, cy, r) for cx, cy, r in grid]
-        means += map(_outcome, outcomes)
+        labels = [f"restricted:{i}" for i in range(n_probes + 1, n_probes + len(grid) + 1)]
+        means = list(map(_outcome, _ball_means(comp.field_local, np.asarray([(cx, cy) for cx, cy, _ in grid]),
+                                               np.asarray([r for _, _, r in grid]), probe_spec, labels)))
+        n_probes += len(grid)
+        violations += [row(comp.m, g, res) for g, res in zip(grid, means) if 1.0 > res.bound(k_const)]
+        ratios = [1.0 / res.mean if res.mean > 0 else -math.inf for res in means]
+        if max(ratios, default=-math.inf) > max_ratio:  # an earlier component keeps a tie
+            max_ratio = max(ratios)
+            i = ratios.index(max_ratio)
+            witness = {**row(comp.m, grid[i], means[i]), "ratio": max_ratio}
         # the containment dichotomy: admissible radii >= b_m never fit
         b_m = dom.sequences.b_of(comp.m)
         top = dom.avoided_gaps[0][1] * 2.0
-        dichotomy_checked += _DICHOTOMY_RADII
         dichotomy_ok &= all(_certify_dichotomy(dom, comp, float(r))
                             for r in np.geomspace(b_m, max(top, b_m * 2), _DICHOTOMY_RADII))
-
-    def row(i):
-        (m, cx, cy, r), res = rows[i], means[i]
-        return {"m": m, "center": [cx, cy], "radius": r, "mean": res.mean, "stderr": res.stderr}
-
-    violations = [row(i) for i, res in enumerate(means) if 1.0 > res.bound(k_const)]
-    ratios = [1.0 / res.mean if res.mean > 0 else -math.inf for res in means]
-    max_ratio = max(ratios, default=-math.inf)
-    witness = {**row(ratios.index(max_ratio)), "ratio": max_ratio} if max_ratio > -math.inf else None
-    return RestrictedReport(not violations and dichotomy_ok, max_ratio, witness, len(means), violations,
-                            dichotomy_checked, dichotomy_ok, k_const, spec.seed)
+    return RestrictedReport(not violations and dichotomy_ok, max_ratio, witness, n_probes, violations,
+                            _DICHOTOMY_RADII * len(dom.components), dichotomy_ok, k_const, spec.seed)
 
 
 # -- the scale-function variant ----------------------------------------------------

@@ -173,21 +173,24 @@ def estimate_K(
     if omega.dim != u.dim:
         raise ValueError("field and region dimensions differ")
     admitted, skipped = _ball_probes(u, probes.centers(omega), probes.radii(omega), spec)
-    return _sup_ratio([(p.value, p.value, p.mean.mean, p.mean, p) for p in admitted],
+    return _sup_ratio([(p.value, p.mean.mean, p.mean, p) for p in admitted],
                       lambda p, res: {"center": list(p.center), "radius": p.radius, "value": p.value,
                                       "mean": res.mean, "stderr": res.stderr}, skipped, spec)
 
 
+def _mean_counts(means: list) -> tuple[int, int]:
+    """How many of ``means`` are exact, and how many sampled."""
+    return sum(r.method == "exact" for r in means), sum(r.method != "exact" for r in means)
+
+
 def _sup_ratio(probes: list, witness: Callable, skipped: int, spec: QuadratureSpec) -> KEstimate:
-    """A battery's ``KEstimate`` from ``(u(x), scaled, denominator, mean,
-    probe)`` per admitted probe in probe order.  The ratio is scaled over
-    denominator, inf where the denominator is 0 < u(x); a probe with
-    u(x) = 0 = denominator is vacuous.  K_hat is ``max`` over the ratios, the
-    first of ties, with ``witness(probe, mean)`` of that probe."""
-    exact = sum(res.method == "exact" for *_, res, _ in probes)
-    tail = (spec.seed, spec.workers, spec.method, exact, len(probes) - exact)
-    used = [(scaled / den if den > 0.0 else math.inf, res, p) for val, scaled, den, res, p in probes
-            if den > 0.0 or val > 0.0]
+    """A battery's ``KEstimate`` from ``(u(x) * normalizer, denominator, mean,
+    probe)`` per admitted probe in probe order: K_hat is ``max`` of their
+    quotients (inf at a zero denominator, vacuous at 0/0), the first of ties,
+    with ``witness(probe, mean)`` of that probe."""
+    tail = (spec.seed, spec.workers, spec.method, *_mean_counts([res for _, _, res, _ in probes]))
+    used = [(scaled / den if den > 0.0 else math.inf, res, p) for scaled, den, res, p in probes
+            if den > 0.0 or scaled > 0.0]
     if not used:
         return KEstimate(0.0, None, 0, skipped, 0.0, True, *tail)
     k_hat, mean, best = max(used, key=lambda t: t[0])
@@ -238,10 +241,9 @@ def check_K(
     failures = [{"center": list(p.center), "radius": p.radius, "value": p.value, "mean": p.mean.mean,
                  "stderr": p.mean.stderr, "ratio": (p.value / p.mean.mean if p.mean.mean > 0 else math.inf)}
                 for p in admitted if p.value > p.mean.bound(k)]
-    exact = sum(p.mean.method == "exact" for p in admitted)
     return CheckReport(not failures, k, failures, len(admitted), skipped,
                        max((p.mean.stderr for p in admitted), default=0.0), spec.seed, spec.workers, spec.method,
-                       exact, len(admitted) - exact)
+                       *_mean_counts([p.mean for p in admitted]))
 
 
 @dataclass
@@ -398,7 +400,7 @@ def generalized_test(
     values = u.values(centers).tolist()
     norm = (lambda k: (k**2) * m_d) if f is None else (lambda k: f.fn(k) ** 2)  # (k**2) * m_d == m(h(D))
     probes = [(c, k) for c in range(len(centers)) for k in probe_scale.tolist()]
-    rated = [(values[c], values[c] * norm(k), res.mean * (k**2) * m_d, res, (c, k))
+    rated = [(values[c] * norm(k), res.mean * (k**2) * m_d, res, (c, k))
              for (c, k), res in zip(probes, outcomes) if not isinstance(res, DomainError)]
     return _sup_ratio(rated, lambda p, res: {"center": centers[p[0]].tolist(), "scale": p[1], "mean": res.mean,
                                              "stderr": res.stderr}, len(outcomes) - len(rated), spec)
