@@ -23,7 +23,8 @@ cross-check of the closed forms.  The closed forms, reported as method
 Every other mean, and every 3-D indicator or bump, samples (``"auto"`` as
 ``"stratified"``).  ``"auto"`` is resolved before any sampling, so no result
 reports it.  Image means have no closed form besides constants: they are plain Monte Carlo under
-every method (rejection sampling in D does not stratify) and report ``"mc"``.
+every method (rejection sampling in D does not stratify) and report ``"mc"``,
+decided probes included (below).
 Containment runs first, as one call over a whole probe array of ``(P, dim)``
 ball centers and ``(P,)`` radii (``balls_in_region``) or of images
 (``images_in_region``, 2-D only; a refused image's outcome is a
@@ -75,8 +76,26 @@ give the same bits on a subset, so every hit count equals that of testing
 every row.  A seed with one probe streams radial factors alone, and the
 probe builds the angle factors of its band rows.  A seed that several probes
 share builds them for whole blocks, once for all its probes, since building
-them per probe's band costs a battery more than it saves.  3-D balls, other
-fields and images take every row.
+them per probe's band costs a battery more than it saves.  3-D balls and
+other fields take every row.
+
+A 2-D indicator probe can be decided whole.  A ball B(c, r) whose lo exceeds
+r, and an image h(D) whose disk B(h(p_D), k R_D) has lo above k R_D (R_D is
+D's ``outer_radius`` about its marked point p_D, and every point of h(D) lies
+in that disk), has every point on the side of its center: every sample hits,
+or every one misses.  Its first batch then has variance 0 and stops it, so its
+outcome is ``_stat_result(n * inside, n * inside, n, method)`` with n the
+first batch size (``_FIRST_BATCH``, or the cap if lower), the bits sampling
+gives, reported under the sampled method with stderr 0.  An image's margin
+takes the scale |h(p_D)|_inf + k (R_D + |p_D|_inf), the size of the terms
+that mapping a point of D adds up, since k R_D alone misses the rounding of
+an image of a D far from the origin; the orthogonal part's tolerance, 1e-12,
+stretches k R_D by far less than the margin.  A decided probe with a seed of
+its own is settled before sampling and draws, places, maps and tests nothing.
+One that shares its seed with other probes runs its first batch on the chunk
+the seed draws for all of them, and only counts its rows; so a battery draws
+each chunk of its seed once up to its longest probe, as without deciding.
+Every other image probe maps and tests every row.
 
 A streamed block is freed stage by stage: its cube once the radial factors
 and angle steps are read from it, its base factors once placed, its points
@@ -95,14 +114,16 @@ Without labels every probe runs on the spec seed: each ``qns_engine`` battery
 is one such array, so its probes share common random numbers and their errors
 are correlated.  The ``counterexample`` certificates are arrays with per-probe
 labels: probe i runs on the seed of ``spec.child(labels[i])``, independent of
-the others, and only a probe that samples derives a seed.  Either way a probe's
-outcome equals a one-probe call on its spec bit for bit.
+the others.  Every probe that reports a sampled method derives its seed,
+decided ones included, and no other probe does.  Either way a probe's outcome
+equals a one-probe call on its spec bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
@@ -391,6 +412,8 @@ def _stat_result(s1: float, s2: float, n: int, method: str) -> MeanResult:
 # Samples per chunk of a batch.  The chunk layout depends on the batch size
 # alone, so the worker count schedules chunks and never changes a result.
 _CHUNK = 2**17
+# Samples in a mean's first batch (or the cap, if lower); each later batch doubles the total.
+_FIRST_BATCH = 4096
 
 
 def _sample_means(spec: QuadratureSpec, method: str, u: Field, base: Callable[[int, int, int, int, bool], object],
@@ -417,7 +440,7 @@ def _sample_means(spec: QuadratureSpec, method: str, u: Field, base: Callable[[i
     s2 = [0.0] * len(probes)
     running = list(range(len(probes)))
     n = 0
-    batch_size = min(4096, spec.max_samples)
+    batch_size = min(_FIRST_BATCH, spec.max_samples)
     batch_index = 0
     pool = None
     with ExitStack() as stack:
@@ -473,6 +496,31 @@ def _sample_means(spec: QuadratureSpec, method: str, u: Field, base: Callable[[i
             running = still
             batch_size = min(batch_size * 2, spec.max_samples - n)
     return out
+
+
+def _settle(out: list, spec: QuadratureSpec, method: str, idx: list, seeds: list[int], decided: np.ndarray,
+            inside: np.ndarray) -> list[int]:
+    """Set ``out[idx[j]]`` for each decided probe j (every point of it has the
+    membership ``inside[j]``) that has ``seeds[j]`` to itself, to what
+    ``_sample_means`` returns: its first batch, all hits or all misses, has
+    variance 0 and stops it.  Returns the positions j of the other probes,
+    which sample (see the module docstring).
+    """
+    n = min(_FIRST_BATCH, spec.max_samples)
+    probes_on = Counter(seeds)
+    rest = []
+    for j, (seed, d, hit) in enumerate(zip(seeds, decided.tolist(), inside.tolist())):
+        if d and probes_on[seed] == 1:
+            hits = float(n) if hit else 0.0
+            out[idx[j]] = _stat_result(hits, hits, n, method)
+        else:
+            rest.append(j)
+    return rest
+
+
+def _rows(hit: bool, block: np.ndarray) -> int:
+    """The hit count of a decided image probe's block: every row hits, or none does."""
+    return len(block) if hit else 0
 
 
 def _outcome(res):
@@ -547,7 +595,9 @@ def _ball_means(u: Field, centers: np.ndarray, radii: np.ndarray, spec: Quadratu
     a 3-D ball that no single primitive holds is refused), and the closed
     forms are one call too.  A mean is closed-form for a constant
     field under every method, and under ``"auto"`` for every field of
-    ``_closed_form``.  Without ``labels`` every probe runs on
+    ``_closed_form``.  A sampled 2-D indicator ball that lies wholly on one
+    side of its support's boundary is decided (see the module docstring).
+    Without ``labels`` every probe runs on
     ``spec``'s seed and the sampled ones share each chunk's base sample; with
     them, outcome i equals a one-probe call on ``spec.child(labels[i])``.
     """
@@ -570,22 +620,27 @@ def _ball_means(u: Field, centers: np.ndarray, radii: np.ndarray, spec: Quadratu
     method = "stratified" if spec.method == "auto" else spec.method
     stratified = method == "stratified"
     screened = u.kind == "indicator" and u.dim == 2
+    seeds = _seeds(spec, labels, contained)
 
     def base(seed: int, batch: int, chunk: int, size: int, shared: bool):  # _ball_base of each block, in two stages
         radial = map(_radial_factors, _cube_blocks(size, u.dim, _rng(seed, batch, chunk), stratified))
         # a screened probe with a seed of its own takes the angle factors of its band rows alone
         return radial if screened and not shared else map(_angle_factors, radial)
 
-    places = [partial(_place_in_ball, center=centers[i], radius=float(radii[i])) for i in contained]
     if screened:
         support = u.params["support"]
-        bounds = zip(*(b.tolist() for b in radial_bounds(support, centers[contained], radii[contained])))
+        lo, hi, inside = radial_bounds(support, centers[contained], radii[contained])
+        # a ball inside lo is decided: each of its rows is placed within its radius of the center (on a
+        # shared seed, _screened_hits then counts the rows by their radius alone)
+        rest = _settle(out, spec, method, contained, seeds, lo > radii[contained], inside)
+        contained, seeds = [contained[j] for j in rest], [seeds[j] for j in rest]
+        bounds = zip(lo[rest].tolist(), hi[rest].tolist(), inside[rest].tolist())
         probes = [partial(_screened_hits, support, centers[i], float(radii[i]), *b) for i, b in zip(contained, bounds)]
-    elif u.kind == "indicator":
-        probes = [partial(_hits, u.params["support"], place) for place in places]
     else:
-        probes = places
-    for i, mean in zip(contained, _sample_means(spec, method, u, base, _seeds(spec, labels, contained), probes)):
+        probes = [partial(_place_in_ball, center=centers[i], radius=float(radii[i])) for i in contained]
+        if u.kind == "indicator":
+            probes = [partial(_hits, u.params["support"], place) for place in probes]
+    for i, mean in zip(contained, _sample_means(spec, method, u, base, seeds, probes)):
         out[i] = mean
     return out
 
@@ -607,25 +662,42 @@ def _image_means(u: Field, d: MarkedSet, probes: SimilarityArray, spec: Quadratu
     probe: its ``MeanResult``, or the ``DomainError`` that refuses it.
 
     Containment is decided once, up front, for the whole array
-    (``images_in_region``), and only the admitted probes are sampled.
+    (``images_in_region``), and only the admitted probes are sampled; of an
+    indicator's, those whose disk B(h(p_D), k R_D) lies wholly on one side of
+    the support's boundary are decided (see the module docstring).
     Without ``labels`` every probe runs on ``spec``'s seed; with them, outcome
     i equals a one-probe call on ``spec.child(labels[i])``.
     """
     if d.dim != u.dim or probes.orthogonal.shape[1] != u.dim:
         raise ValueError("marked set, similarity and field dimensions must agree")
+    out: list = [None] * len(probes)
     admitted = np.flatnonzero(images_in_region(d.region, u.domain, probes)).tolist()
     if u.kind == "constant":
-        means = [MeanResult(u.params["value"], 0.0, 1, "exact")] * len(admitted)
+        for i in admitted:
+            out[i] = MeanResult(u.params["value"], 0.0, 1, "exact")
     else:
         def base(seed: int, batch: int, chunk: int, size: int, shared: bool) -> list:
             return [_image_base(d, seed, batch, chunk, size)[:size]]  # one block: a split draw would change the stream
 
-        places = [h.apply_many for h in probes.take(admitted).similarities()]
-        if u.kind == "indicator":
-            places = [partial(_hits, u.params["support"], place) for place in places]
-        means = _sample_means(spec, "mc", u, base, _seeds(spec, labels, admitted), places)
-    out = dict(zip(admitted, means))
-    return [out[i] if i in out else DomainError("the image h(D) leaves the field domain") for i in range(len(probes))]
+        seeds = _seeds(spec, labels, admitted)
+        sims = probes.take(admitted)
+        if u.kind == "indicator":  # images are 2-D
+            support = u.params["support"]
+            p = np.asarray([d.marked_point])
+            centers, rho = sims.apply_many(p)[:, 0], sims.scale * d.outer_radius
+            # h(D) lies in B(h(p_D), k R_D); mapping a point rounds by ulps of the terms it adds up
+            scale = np.abs(centers).max(axis=1) + sims.scale * (d.outer_radius + np.abs(p).max())
+            lo, _, inside = radial_bounds(support, centers, rho, scale)
+            decided = lo > rho
+            rest = _settle(out, spec, "mc", admitted, seeds, decided, inside)
+            admitted, seeds = [admitted[j] for j in rest], [seeds[j] for j in rest]
+            places = [partial(_rows, bool(inside[j])) if decided[j] else partial(_hits, support, h.apply_many)
+                      for j, h in zip(rest, sims.take(rest).similarities())]
+        else:
+            places = [h.apply_many for h in sims.similarities()]
+        for i, mean in zip(admitted, _sample_means(spec, "mc", u, base, seeds, places)):
+            out[i] = mean
+    return [DomainError("the image h(D) leaves the field domain") if res is None else res for res in out]
 
 
 def _image_base(d: MarkedSet, seed: int, batch: int, chunk: int, size: int) -> np.ndarray:

@@ -513,7 +513,7 @@ def boundary_distance(region: Region, pts: np.ndarray) -> tuple[np.ndarray, np.n
     return dist[rows, best], near[rows, best]
 
 
-def radial_bounds(region: Region, centers: np.ndarray, radii: np.ndarray) -> tuple:
+def radial_bounds(region: Region, centers: np.ndarray, radii: np.ndarray, scale: np.ndarray | None = None) -> tuple:
     """For the 2-D balls given as ``(P, 2)`` centers and ``(P,)`` radii, the
     distances ``(lo, hi)`` from each center and its membership ``inside``: a
     point nearer its center than lo has the center's membership, and one
@@ -521,13 +521,17 @@ def radial_bounds(region: Region, centers: np.ndarray, radii: np.ndarray) -> tup
 
     lo is the center's distance to the boundary pieces and hi its largest
     distance to them (|c - center| + rho for an arc, the farther end for a
-    segment), less and plus a margin: the region's, and at least 1e-9 of the
-    ball's |c|_inf + r, so that it dominates the rounding of placing a point
-    in the ball and of testing it, however small the ball is.
+    segment), less and plus a margin: the region's, and at least 1e-9 of
+    ``scale``, so that it dominates the rounding of computing a point of the
+    ball and of testing it, however small the ball is.  ``scale`` (``(P,)``)
+    is the size of the terms that computing a point adds up; it defaults to
+    the ball's |c|_inf + r, the scale of placing a point in the ball.
     """
     arcs, segs = _pieces(region)
     centers, radii = np.asarray(centers, dtype=np.float64), np.asarray(radii, dtype=np.float64)
-    m = np.maximum(_margin(region), _MARGIN * (np.abs(centers).max(axis=1, initial=0.0) + radii))
+    if scale is None:
+        scale = np.abs(centers).max(axis=1, initial=0.0) + radii
+    m = np.maximum(_margin(region), _MARGIN * scale)
     v = centers[:, None, :] - arcs[:, :2]
     far = np.concatenate([np.hypot(v[..., 0], v[..., 1]) + arcs[:, 2],
                           np.linalg.norm(centers[:, None, :] - segs[:, :2], axis=-1),

@@ -7,6 +7,8 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnslab.counterexample import build_domain, default_sequences
 from qnslab.fields import (
@@ -21,6 +23,7 @@ from qnslab.fields import (
 from qnslab.geometry import Ball, Similarity, SimilarityArray, lens_area, lens_constant
 from qnslab import quadrature, regions
 from qnslab.quadrature import (
+    EXACT_MEAN_REL_TOL,
     ContainmentError,
     QuadratureSpec,
     _cube_blocks,
@@ -29,7 +32,8 @@ from qnslab.quadrature import (
     mean_over_image,
     sample_in_ball,
 )
-from qnslab.regions import MarkedSet, Polygon, Rect, Region, images_in_region, radial_bounds
+from qnslab.radius_sets import GeometricFamily, RadiusSet, gap_constant
+from qnslab.regions import MarkedSet, Polygon, Rect, Region, ball_areas, images_in_region, radial_bounds
 from test_qns_engine import reference_sample_mean
 from test_regions import RING, WAIST_3D, dense_points
 
@@ -624,6 +628,186 @@ class TestRadialScreen:
         assert quadrature._screened_hits(region, center, radius, lo, hi, inside, full) == placed(slice(None))
 
 
+def ulps_around(x, k=3):
+    """x and the k floats on each side of it, in increasing order."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return np.asarray(below[:0:-1] + above)
+
+
+class TestDecidedProbes:
+    """A 2-D indicator probe whose ball, or whose image's disk B(h(p_D), k R_D),
+    lies within lo of its center is decided: its outcome is that of sampling
+    every row, and a decided probe with a seed of its own draws nothing."""
+
+    # the similarity-battery marked sets, and one whose marked point is far from the origin (and off D's center)
+    MARKED = {"unit-ball": MarkedSet(Region((Ball((0.0, 0.0), 1.0),)), (0.0, 0.0)),
+              "unit-square": MarkedSet(Region((Rect((-0.5, -0.5), (0.5, 0.5)),)), (0.0, 0.0)),
+              "two-ball": MarkedSet(Region((Ball((-0.5, 0.0), 1.0), Ball((0.5, 0.0), 1.0))), (0.0, 0.0)),
+              "far": MarkedSet(Region((Ball((1000.0, -600.0), 1.0),)), (1000.3, -600.0))}
+    # probe disks (center, radius) about the unit disk: wholly inside, wholly outside, straddling, then
+    # radii within 3 ulps of lo about (0.25, 0), where lo is 0.75 less the margin
+    DISKS = [((0.2, 0.1), 0.5), ((2.5, 0.5), 1.0), ((1.0, 0.0), 0.5)]
+    NEAR = (0.25, 0.0)
+
+    @staticmethod
+    def spec(method, workers, cap):
+        # a cap below the first batch of 4096, or two batches of 4096 and 8192 samples
+        return QuadratureSpec(method=method, target_rel_error=1e-6, max_samples=cap, seed=37, workers=workers)
+
+    @staticmethod
+    def seeds(spec, labels, n):
+        return [spec.seed] * n if labels is None else [derive_seed(spec.seed, label) for label in labels]
+
+    @staticmethod
+    def undecided_seeds(seeds, decided):
+        return {seed for seed, d in zip(seeds, decided.tolist()) if not d}
+
+    @classmethod
+    def balls(cls):
+        center = np.asarray([cls.NEAR])
+        lo = radial_bounds(SUPPORT, center, np.asarray([0.75]))[0][0]
+        centers = np.asarray([c for c, _ in cls.DISKS] + [cls.NEAR] * 7)
+        radii = np.concatenate([[r for _, r in cls.DISKS], ulps_around(lo)])
+        lo = radial_bounds(SUPPORT, centers, radii)[0]
+        return centers, radii, lo > radii
+
+    @classmethod
+    def images(cls, d):
+        """Rotated images of D, and whether each is decided: h(p_D) at each disk's center with k R_D
+        its radius, then k R_D at lo about (0.25, 0) and translations 1 to 3 ulps to either side
+        (for the far D an ulp of the translation moves h(p_D) by about 1e-13, 500 ulps of k R_D)."""
+        p, r_d = np.asarray(d.marked_point), d.outer_radius
+        rotation = Similarity.rotation(0.7).orthogonal
+
+        def bounds(scale, translation):
+            sims = SimilarityArray(np.asarray(scale), np.stack([rotation] * len(scale)), np.asarray(translation))
+            # the disk about h(p_D), with a margin on the scale of the terms that mapping a point adds up
+            centers, rho = sims.apply_many(p[None, :])[:, 0], sims.scale * r_d
+            margin_scale = np.abs(centers).max(axis=1) + sims.scale * (r_d + np.abs(p).max())
+            return sims, rho, radial_bounds(SUPPORT, centers, rho, margin_scale)[0]
+
+        def translation(c, k):
+            return np.asarray(c) - k * (rotation @ p)
+
+        k = 0.75 / r_d
+        for _ in range(3):  # k R_D = lo, to an ulp of h(p_D): lo moves with the margin, which moves with k
+            k = bounds([k], [translation(cls.NEAR, k)])[2][0] / r_d
+        t = translation(cls.NEAR, k)
+        steps = np.spacing(np.abs(t).max()) * np.arange(-3.0, 4.0)
+        scale = [rad / r_d for _, rad in cls.DISKS] + [k] * len(steps)
+        return bounds(scale, [translation(c, rad / r_d) for c, rad in cls.DISKS] + [t + [step, 0.0] for step in steps])
+
+    @staticmethod
+    @functools.cache
+    def reference_ball(method, seed, cap, center, radius):
+        """A ball's mean as ``_cube_blocks`` placed by ``_place_in_ball`` and tested row by row."""
+        def values(batch, chunk, size):
+            cube = np.concatenate(list(_cube_blocks(size, 2, quadrature._rng(seed, batch, chunk),
+                                                    method == "stratified")))
+            pts = quadrature._place_in_ball(quadrature._ball_base(cube), np.asarray(center), radius)
+            return SUPPORT.contains_many(pts).astype(np.float64)
+
+        return reference_sample_mean(TestDecidedProbes.spec(method, 1, cap), values, method)
+
+    @staticmethod
+    @functools.cache
+    def reference_image(marked, seed, cap, k, rotation, translation):
+        """An image's mean as ``_hits`` of every mapped row of the chunk's ``_image_base``."""
+        d, h = TestDecidedProbes.MARKED[marked], Similarity(k, np.asarray(rotation), translation)
+
+        def values(batch, chunk, size):
+            hits = quadrature._hits(SUPPORT, h.apply_many, quadrature._image_base(d, seed, batch, chunk, size)[:size])
+            return np.repeat([1.0, 0.0], [hits, size - hits])
+
+        return reference_sample_mean(TestDecidedProbes.spec("mc", 1, cap), values, "mc")
+
+    @staticmethod
+    def record_work(monkeypatch):
+        """Record the seeds of ``_rng``, the radii that ``_place_in_ball`` places, the (scale,
+        translation) of each ``Similarity.apply_many`` and the sizes of the support's membership tests."""
+        work = SimpleNamespace(seeds=[], radii=[], maps=[], tested=[])
+        rng, place, apply_many, contains_many = (quadrature._rng, quadrature._place_in_ball, Similarity.apply_many,
+                                                 Region.contains_many)
+        monkeypatch.setattr(quadrature, "_rng", lambda seed, *key: work.seeds.append(seed) or rng(seed, *key))
+        monkeypatch.setattr(quadrature, "_place_in_ball",
+                            lambda base, center, radius: work.radii.append(radius) or place(base, center, radius))
+        monkeypatch.setattr(Similarity, "apply_many",
+                            lambda self, pts: work.maps.append((self.scale, self.translation)) or apply_many(self, pts))
+        monkeypatch.setattr(Region, "contains_many", lambda self, pts: (
+            self is SUPPORT and work.tested.append(len(pts))) or contains_many(self, pts))
+        return work
+
+    @staticmethod
+    def assert_decided(outcomes, expected, decided, spec):
+        assert outcomes == expected
+        assert decided.any() and not decided.all()
+        for res, d in zip(outcomes, decided.tolist()):
+            if d:
+                assert res.stderr == 0.0 and res.n_samples == min(4096, spec.max_samples)
+                assert res.mean in (0.0, 1.0)
+
+    @pytest.mark.parametrize("cap", [3000, 12_288])
+    @pytest.mark.parametrize("labeled", [False, True], ids=["shared", "labeled"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("method", ["mc", "stratified"])
+    def test_ball_means_equal_sampling_every_row(self, method, workers, labeled, cap, monkeypatch):
+        spec = self.spec(method, workers, cap)
+        centers, radii, decided = self.balls()
+        # the radius that equals lo is not decided, nor are those above it
+        assert decided.tolist() == [True, True, False] + [True] * 3 + [False] * 4
+        labels = [f"ball:{i}" for i in range(len(radii))] if labeled else None
+        seeds = self.seeds(spec, labels, len(radii))
+        expected = [self.reference_ball(method, seed, cap, tuple(c), r)
+                    for seed, c, r in zip(seeds, centers.tolist(), radii.tolist())]
+        work = self.record_work(monkeypatch)
+        outcomes = quadrature._ball_means(CHI, centers, radii, spec, labels)
+        self.assert_decided(outcomes, expected, decided, spec)
+        # no decided ball is placed or tested; with labels, none draws
+        assert set(work.radii) <= set(radii[~decided].tolist())
+        assert set(work.seeds) == self.undecided_seeds(seeds, decided)
+
+    @pytest.mark.parametrize("cap", [3000, 12_288])
+    @pytest.mark.parametrize("labeled", [False, True], ids=["shared", "labeled"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("method", ["mc", "stratified"])
+    @pytest.mark.parametrize("marked", MARKED)
+    def test_image_means_equal_sampling_every_row(self, marked, method, workers, labeled, cap, monkeypatch):
+        spec = self.spec(method, workers, cap)
+        d = self.MARKED[marked]
+        sims, rho, lo = self.images(d)
+        decided = lo > rho
+        assert decided[:3].tolist() == [True, True, False] and decided[3:].any() and not decided[3:].all()
+        if marked == "unit-ball":  # h(p_D) = t and k R_D = k: the middle image has k R_D equal to lo
+            assert rho[6] == lo[6]
+        labels = [f"image:{i}" for i in range(len(sims))] if labeled else None
+        seeds = self.seeds(spec, labels, len(sims))
+        hs = sims.similarities()
+        expected = [self.reference_image(marked, seed, cap, h.scale, tuple(map(tuple, h.orthogonal.tolist())),
+                                         h.translation) for seed, h in zip(seeds, hs)]
+        work = self.record_work(monkeypatch)
+        outcomes = quadrature._image_means(CHI, d, sims, spec, labels)
+        self.assert_decided(outcomes, expected, decided, spec)
+        # every undecided image maps and tests its samples, and no decided one does; with labels, none draws
+        undecided = [(h.scale, h.translation) for h, dec in zip(hs, decided.tolist()) if not dec]
+        assert set(work.maps) == set(undecided)
+        assert sum(work.tested) == len(sims) + sum(res.n_samples for res, dec in zip(outcomes, decided) if not dec)
+        assert set(work.seeds) == self.undecided_seeds(seeds, decided)
+
+    def test_one_probe_calls_are_settled(self, monkeypatch):
+        # a one-probe call has its seed to itself: a decided ball or image draws nothing
+        spec = self.spec("mc", 1, 12_288)
+        d = self.MARKED["far"]
+        sims, rho, lo = self.images(d)
+        decided = lo > rho
+        work = self.record_work(monkeypatch)
+        assert mean_over_ball(CHI, Ball((0.2, 0.1), 0.5), spec) == (1.0, 0.0, 4096, "mc")
+        assert mean_over_image(CHI, d, sims.similarities()[1], spec) == (0.0, 0.0, 4096, "mc")
+        assert decided[1] and work.seeds == work.radii == work.maps == [] and work.tested == [1, 1]
+
+
 # Two overlapping disks joined by a rect: some probe balls fit one primitive,
 # some span two and take the sampled check, and some leave the domain.
 SPANNED = Region((Ball((-1.0, 0.0), 1.5), Ball((1.0, 0.0), 1.5), Rect((-1.0, -0.5), (3.0, 0.5))))
@@ -884,6 +1068,46 @@ class TestExactDiskMeans:
         res = mean_over_image(CHI, d, h, QuadratureSpec(seed=2, max_samples=50_000))
         stratified = mean_over_image(CHI, d, h, QuadratureSpec(method="stratified", seed=2, max_samples=50_000))
         assert res == stratified and res.method == "mc"
+
+
+# The sufficiency direction: B(x, r_A) lies in B(x, r), so for u >= 0 the integral over it is at most the
+# one over B(x, r), and mean_{r_A} <= (r / r_A)^2 * mean_r.  A favorable set A with gap constant C meets
+# [r / C, r] for every r, so r_A can be taken there and the factor is at most C^2.
+primitives = st.one_of(
+    st.builds(lambda x, y, rad: Ball((x, y), rad, closed=True), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+              st.floats(0.1, 1.5)),
+    st.builds(lambda x, y, w, h: Rect((x, y), (x + w, y + h)), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+              st.floats(0.1, 2.0), st.floats(0.1, 2.0)))
+
+
+class TestSufficiencyBound:
+    """Exact indicator means over nested balls, and the radius set that bounds their ratio."""
+
+    OMEGA = Region((Ball((0.0, 0.0), 8.0),))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(support=st.lists(primitives, min_size=1, max_size=3),
+           center=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+           radii=st.lists(st.floats(0.05, 3.0), min_size=2, max_size=6),
+           base=st.floats(0.1, 1.0), ratio=st.floats(1.2, 3.0))
+    def test_nested_ball_means(self, support, center, radii, base, ratio):
+        region = Region(tuple(support))
+        radii = np.sort(radii)
+        areas = ball_areas(region, np.tile(center, (len(radii), 1)), radii)
+        # ball_areas never decreases in r
+        assert (np.diff(areas) >= 0.0).all()
+        # each r against the largest point r_A <= r of a geometric radius set, which lies in [r / C, r]
+        a = RadiusSet(form="family", window=(0.01, 4.0), family=GeometricFamily(base, ratio))
+        c = gap_constant(a).value
+        r_a = np.asarray([a.family.largest_point_below(r) for r in radii])
+        assert (r_a <= radii * (1.0 + 1e-12)).all() and (r_a * c >= radii * (1.0 - 1e-12)).all()
+        u = indicator_field(region, self.OMEGA)
+        both = quadrature._ball_means(u, np.tile(center, (2 * len(radii), 1)), np.concatenate([radii, r_a]),
+                                      QuadratureSpec())
+        assert {res.method for res in both} == {"exact"}
+        mean_r, mean_a = np.asarray([res.mean for res in both]).reshape(2, -1)
+        assert (mean_a <= (radii / r_a) ** 2 * mean_r * (1.0 + EXACT_MEAN_REL_TOL)).all()
+        assert (mean_a <= c * c * mean_r * (1.0 + EXACT_MEAN_REL_TOL)).all()
 
 
 class TestMeanOverImage:
