@@ -343,8 +343,6 @@ def certify_failure(dom: CounterexampleDomain, spec: QuadratureSpec = Quadrature
 
 # Probe radii below this fraction of a_m are not resolvable against the center offset.
 _MIN_RADIUS_REL = 1e-12
-# Radii from b_m up to twice the first gap top, checked per component by the containment dichotomy.
-_DICHOTOMY_RADII = 8
 
 
 @dataclass(frozen=True)
@@ -401,11 +399,13 @@ def _component_probe_radii(dom: CounterexampleDomain, comp: LocalComponent, prob
 
 
 def _certify_dichotomy(dom: CounterexampleDomain, comp: LocalComponent, r: float) -> bool:
-    """Sequence-arithmetic proof that a probe with radius >= b_m cannot fit.
+    """Sequence-arithmetic proof that a probe with radius >= r cannot fit.
 
     The point straight above the probe center at height ~r clears every domain
     disk and rectangle: components at or past m are smaller than b_m - a_m,
     and earlier components are separated horizontally by at least 2*b_j.
+    Every test is free of r or reads q_height <= X, with q_height = r - a_m
+    growing in r, so a pass at r = b_m proves the whole ray [b_m, ∞).
     """
     s = dom.sequences
     idx = list(s.indices())
@@ -453,7 +453,8 @@ def certify_restricted(
     the largest 1/mean, at the first probe that attains it.
     Radii in [b_m, ∞) must be rejected by the geometry (the containment
     dichotomy): every such probe is certified non-containable by sequence
-    arithmetic.  ``constant`` overrides the default K.
+    arithmetic, one ``_certify_dichotomy`` call at b_m per component, which
+    covers the whole ray.  ``constant`` overrides the default K.
     """
     for g_lo, g_hi in dom.avoided_gaps:
         if admissible.intersects_open_interval(g_lo, g_hi):
@@ -487,12 +488,9 @@ def certify_restricted(
             i = ratios.index(max_ratio)
             witness = {**row(comp.m, grid[i], means[i]), "ratio": max_ratio}
         # the containment dichotomy: admissible radii >= b_m never fit
-        b_m = dom.sequences.b_of(comp.m)
-        top = dom.avoided_gaps[0][1] * 2.0
-        dichotomy_ok &= all(_certify_dichotomy(dom, comp, float(r))
-                            for r in np.geomspace(b_m, max(top, b_m * 2), _DICHOTOMY_RADII))
+        dichotomy_ok &= _certify_dichotomy(dom, comp, dom.sequences.b_of(comp.m))
     return RestrictedReport(not violations and dichotomy_ok, max_ratio, witness, n_probes, violations,
-                            _DICHOTOMY_RADII * len(dom.components), dichotomy_ok, k_const, spec.seed)
+                            len(dom.components), dichotomy_ok, k_const, spec.seed)
 
 
 # -- the scale-function variant ----------------------------------------------------

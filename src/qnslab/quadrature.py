@@ -90,12 +90,11 @@ gives, reported under the sampled method with stderr 0.  An image's margin
 takes the scale |h(p_D)|_inf + k (R_D + |p_D|_inf), the size of the terms
 that mapping a point of D adds up, since k R_D alone misses the rounding of
 an image of a D far from the origin; the orthogonal part's tolerance, 1e-12,
-stretches k R_D by far less than the margin.  A decided probe with a seed of
-its own is settled before sampling and draws, places, maps and tests nothing.
-One that shares its seed with other probes runs its first batch on the chunk
-the seed draws for all of them, and only counts its rows; so a battery draws
-each chunk of its seed once up to its longest probe, as without deciding.
-Every other image probe maps and tests every row.
+stretches k R_D by far less than the margin.  Every decided probe is settled
+before sampling, whatever its seed, and draws, places, maps and tests
+nothing: a chunk's base sample depends only on its seed, (batch, chunk) and
+size, so the other probes on its seed get the same bits.  Every other image
+probe maps and tests every row.
 
 A streamed block is freed stage by stage: its cube once the radial factors
 and angle steps are read from it, its base factors once placed, its points
@@ -123,7 +122,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
@@ -498,29 +496,22 @@ def _sample_means(spec: QuadratureSpec, method: str, u: Field, base: Callable[[i
     return out
 
 
-def _settle(out: list, spec: QuadratureSpec, method: str, idx: list, seeds: list[int], decided: np.ndarray,
+def _settle(out: list, spec: QuadratureSpec, method: str, idx: list, decided: np.ndarray,
             inside: np.ndarray) -> list[int]:
     """Set ``out[idx[j]]`` for each decided probe j (every point of it has the
-    membership ``inside[j]``) that has ``seeds[j]`` to itself, to what
-    ``_sample_means`` returns: its first batch, all hits or all misses, has
-    variance 0 and stops it.  Returns the positions j of the other probes,
-    which sample (see the module docstring).
+    membership ``inside[j]``) to what ``_sample_means`` returns: its first
+    batch, all hits or all misses, has variance 0 and stops it.  Returns the
+    positions j of the other probes, which sample.
     """
     n = min(_FIRST_BATCH, spec.max_samples)
-    probes_on = Counter(seeds)
     rest = []
-    for j, (seed, d, hit) in enumerate(zip(seeds, decided.tolist(), inside.tolist())):
-        if d and probes_on[seed] == 1:
+    for j, (d, hit) in enumerate(zip(decided.tolist(), inside.tolist())):
+        if d:
             hits = float(n) if hit else 0.0
             out[idx[j]] = _stat_result(hits, hits, n, method)
         else:
             rest.append(j)
     return rest
-
-
-def _rows(hit: bool, block: np.ndarray) -> int:
-    """The hit count of a decided image probe's block: every row hits, or none does."""
-    return len(block) if hit else 0
 
 
 def _outcome(res):
@@ -630,9 +621,8 @@ def _ball_means(u: Field, centers: np.ndarray, radii: np.ndarray, spec: Quadratu
     if screened:
         support = u.params["support"]
         lo, hi, inside = radial_bounds(support, centers[contained], radii[contained])
-        # a ball inside lo is decided: each of its rows is placed within its radius of the center (on a
-        # shared seed, _screened_hits then counts the rows by their radius alone)
-        rest = _settle(out, spec, method, contained, seeds, lo > radii[contained], inside)
+        # a ball inside lo is decided: each of its rows is placed within its radius of the center
+        rest = _settle(out, spec, method, contained, lo > radii[contained], inside)
         contained, seeds = [contained[j] for j in rest], [seeds[j] for j in rest]
         bounds = zip(lo[rest].tolist(), hi[rest].tolist(), inside[rest].tolist())
         probes = [partial(_screened_hits, support, centers[i], float(radii[i]), *b) for i, b in zip(contained, bounds)]
@@ -688,11 +678,9 @@ def _image_means(u: Field, d: MarkedSet, probes: SimilarityArray, spec: Quadratu
             # h(D) lies in B(h(p_D), k R_D); mapping a point rounds by ulps of the terms it adds up
             scale = np.abs(centers).max(axis=1) + sims.scale * (d.outer_radius + np.abs(p).max())
             lo, _, inside = radial_bounds(support, centers, rho, scale)
-            decided = lo > rho
-            rest = _settle(out, spec, "mc", admitted, seeds, decided, inside)
+            rest = _settle(out, spec, "mc", admitted, lo > rho, inside)
             admitted, seeds = [admitted[j] for j in rest], [seeds[j] for j in rest]
-            places = [partial(_rows, bool(inside[j])) if decided[j] else partial(_hits, support, h.apply_many)
-                      for j, h in zip(rest, sims.take(rest).similarities())]
+            places = [partial(_hits, support, h.apply_many) for h in sims.take(rest).similarities()]
         else:
             places = [h.apply_many for h in sims.similarities()]
         for i, mean in zip(admitted, _sample_means(spec, "mc", u, base, seeds, places)):

@@ -735,44 +735,6 @@ def similarity_image_measure(d: MarkedSet, h: Similarity) -> float:
     return h.scale**d.dim * d.measure
 
 
-@dataclass(frozen=True)
-class RadialProfile:
-    """Monotone profile r -> m(D ∩ B(p, r)) for an unbounded-support set D."""
-
-    profile: Callable[[float], float]
-    total: float
-
-    def __post_init__(self):
-        if not (self.total > 0 and math.isfinite(self.total)):
-            raise ValueError("profile total must be positive and finite")
-
-
-def truncation_radius(p: RadialProfile, t: float, rel_tol: float = 1e-9) -> float:
-    """Minimal radius r with t * profile(r) >= total, located by bisection.
-
-    Requires t > 1: at t <= 1 no finite radius can satisfy the condition for a
-    set with unbounded support.
-    """
-    if t <= 1:
-        raise ValueError("truncation requires t > 1")
-    target = p.total / t
-    hi = 1.0
-    for _ in range(2000):
-        if p.profile(hi) >= target:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError("profile never reaches total/t; is `total` correct?")
-    lo = 0.0
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if p.profile(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 # -- JSON round-tripping -----------------------------------------------------
 #
 # Coordinates are serialized as decimal strings (shortest round-trip repr), so

@@ -293,15 +293,21 @@ class TestCertifyRestricted:
         assert rep.passed
         assert len(labels) == (0 if method == "auto" else rep.probes)
 
-    def test_dichotomy_blocks_large_radii(self):
+    @pytest.mark.parametrize("sequences", [default_sequences(3, 5), f1_sequences(3, 5)], ids=["gap-chain", "f1"])
+    def test_dichotomy_blocks_large_radii(self, sequences):
         from qnslab.counterexample import _certify_dichotomy
 
-        s = default_sequences(3, 5)
-        dom = build_domain(s)
+        dom = build_domain(sequences)
+        top = dom.avoided_gaps[0][1] * 2.0
         for comp in dom.components:
-            j = list(s.indices()).index(comp.m)
-            assert _certify_dichotomy(dom, comp, s.b[j])
-            assert _certify_dichotomy(dom, comp, s.b[0] * 2.0)
+            b_m = sequences.b_of(comp.m)
+            # a pass at b_m covers the ray: 8 larger radii up to twice the first gap top are the reference
+            assert _certify_dichotomy(dom, comp, b_m)
+            assert all(_certify_dichotomy(dom, comp, float(r)) for r in np.geomspace(b_m, max(top, 2.0 * b_m), 8))
+            assert not _certify_dichotomy(dom, comp, 2.0 * comp.inner_radius)
+        rep = certify_restricted(dom, avoided_complement_set(dom), RestrictedProbeSpec(offsets=(0.0,), angles=1,
+                                                                                      radii_per_component=2))
+        assert rep.dichotomy_passed and rep.dichotomy_checked == len(dom.components)
 
 
 class TestF1Variant:

@@ -440,16 +440,35 @@ class TestCommonRandomNumbers:
                 return _original(*args)
 
             monkeypatch.setattr(quadrature, name, counting)
+        keys, rng = [], quadrature._rng
+        monkeypatch.setattr(quadrature, "_rng", lambda seed, *key: keys.append((seed, *key)) or rng(seed, *key))
+        # per probe array, the outcomes of the probes that sample: decided probes never reach _sample_means
+        sampled, sample_means = [], quadrature._sample_means
+
+        def recording(*args):
+            outcomes = sample_means(*args)
+            sampled.append(outcomes)
+            return outcomes
+
+        monkeypatch.setattr(quadrature, "_sample_means", recording)
         ball_calls = record_probe_arrays(monkeypatch, "_ball_means")
         image_calls = record_probe_arrays(monkeypatch, "_image_means")
         grid = BallProbeGrid(center_resolution=resolution, radii_per_center=4, radius_range=(0.1, 0.999))
         estimate_K(CHI, OMEGA, grid, spec)
+        ball_keys, keys[:] = keys[:], []
         sims = SimilarityProbeGrid(center_resolution=resolution, scales_per_center=3, scale_range=(0.2, 0.9))
         generalized_test(CHI, OMEGA, MarkedSet(Region((Ball((0.0, 0.0), 1.0),)), (0.0, 0.0)), None, sims, spec)
-        for name, calls in (("_cube_blocks", ball_calls), ("_image_base", image_calls)):
-            sampled = [res.n_samples for _, _, res in calls if not isinstance(res, Exception)]
-            assert len(sampled) > 1
-            assert draws[name] == self.chunk_pairs(spec, max(sampled))
+        assert len(sampled) == 2  # one probe array per battery
+        for name, calls, outcomes in (("_cube_blocks", ball_calls, sampled[0]), ("_image_base", image_calls, sampled[1])):
+            admitted = [res for _, _, res in calls if not isinstance(res, Exception)]
+            assert len(outcomes) < len(admitted)  # some probes are decided
+            # each chunk is drawn once per seed, up to the longest probe that samples
+            assert draws.get(name, 0) == self.chunk_pairs(spec, max((res.n_samples for res in outcomes), default=0))
+        # no (seed, batch, chunk) is drawn twice in a battery
+        assert len(set(ball_keys)) == len(ball_keys) == draws.get("_cube_blocks", 0)
+        assert len(set(keys)) == len(keys) == draws.get("_image_base", 0)
+        # at resolution 3 every probe of both batteries is decided, and neither draws
+        assert (sampled == [[], []] and draws == {}) == (resolution == 3)
 
     def test_battery_derives_no_seeds(self, monkeypatch):
         def no_seed(*args):

@@ -640,7 +640,7 @@ def ulps_around(x, k=3):
 class TestDecidedProbes:
     """A 2-D indicator probe whose ball, or whose image's disk B(h(p_D), k R_D),
     lies within lo of its center is decided: its outcome is that of sampling
-    every row, and a decided probe with a seed of its own draws nothing."""
+    every row, and it never reaches ``_sample_means``, whatever its seed."""
 
     # the similarity-battery marked sets, and one whose marked point is far from the origin (and off D's center)
     MARKED = {"unit-ball": MarkedSet(Region((Ball((0.0, 0.0), 1.0),)), (0.0, 0.0)),
@@ -727,10 +727,14 @@ class TestDecidedProbes:
     @staticmethod
     def record_work(monkeypatch):
         """Record the seeds of ``_rng``, the radii that ``_place_in_ball`` places, the (scale,
-        translation) of each ``Similarity.apply_many`` and the sizes of the support's membership tests."""
-        work = SimpleNamespace(seeds=[], radii=[], maps=[], tested=[])
+        translation) of each ``Similarity.apply_many``, the sizes of the support's membership tests
+        and the seeds of the probes that each ``_sample_means`` call runs."""
+        work = SimpleNamespace(seeds=[], radii=[], maps=[], tested=[], sampled=[])
         rng, place, apply_many, contains_many = (quadrature._rng, quadrature._place_in_ball, Similarity.apply_many,
                                                  Region.contains_many)
+        sample_means = quadrature._sample_means
+        monkeypatch.setattr(quadrature, "_sample_means", lambda spec, method, u, base, seeds, probes: (
+            work.sampled.append(list(seeds)) or sample_means(spec, method, u, base, seeds, probes)))
         monkeypatch.setattr(quadrature, "_rng", lambda seed, *key: work.seeds.append(seed) or rng(seed, *key))
         monkeypatch.setattr(quadrature, "_place_in_ball",
                             lambda base, center, radius: work.radii.append(radius) or place(base, center, radius))
@@ -765,7 +769,8 @@ class TestDecidedProbes:
         work = self.record_work(monkeypatch)
         outcomes = quadrature._ball_means(CHI, centers, radii, spec, labels)
         self.assert_decided(outcomes, expected, decided, spec)
-        # no decided ball is placed or tested; with labels, none draws
+        # no decided ball reaches the sampler or is placed or tested; with labels, none draws
+        assert work.sampled == [[seed for seed, d in zip(seeds, decided.tolist()) if not d]]
         assert set(work.radii) <= set(radii[~decided].tolist())
         assert set(work.seeds) == self.undecided_seeds(seeds, decided)
 
@@ -790,7 +795,9 @@ class TestDecidedProbes:
         work = self.record_work(monkeypatch)
         outcomes = quadrature._image_means(CHI, d, sims, spec, labels)
         self.assert_decided(outcomes, expected, decided, spec)
-        # every undecided image maps and tests its samples, and no decided one does; with labels, none draws
+        # every undecided image maps and tests its samples, and no decided one reaches the sampler or does;
+        # with labels, none draws
+        assert work.sampled == [[seed for seed, d in zip(seeds, decided.tolist()) if not d]]
         undecided = [(h.scale, h.translation) for h, dec in zip(hs, decided.tolist()) if not dec]
         assert set(work.maps) == set(undecided)
         assert sum(work.tested) == len(sims) + sum(res.n_samples for res, dec in zip(outcomes, decided) if not dec)
@@ -806,6 +813,23 @@ class TestDecidedProbes:
         assert mean_over_ball(CHI, Ball((0.2, 0.1), 0.5), spec) == (1.0, 0.0, 4096, "mc")
         assert mean_over_image(CHI, d, sims.similarities()[1], spec) == (0.0, 0.0, 4096, "mc")
         assert decided[1] and work.seeds == work.radii == work.maps == [] and work.tested == [1, 1]
+
+    @pytest.mark.parametrize("labeled", [False, True], ids=["shared", "labeled"])
+    def test_arrays_of_decided_probes_draw_nothing(self, labeled, monkeypatch):
+        # the decided probes alone: on a shared seed too, nothing is drawn, placed, mapped or sampled
+        spec = self.spec("stratified", 2, 12_288)
+        centers, radii, decided = self.balls()
+        d = self.MARKED["two-ball"]
+        sims, rho, lo = self.images(d)
+        images = sims.take(np.flatnonzero(lo > rho).tolist())
+        work = self.record_work(monkeypatch)
+        balls = quadrature._ball_means(CHI, centers[decided], radii[decided], spec,
+                                       [f"ball:{i}" for i in range(decided.sum())] if labeled else None)
+        means = quadrature._image_means(CHI, d, images, spec,
+                                        [f"image:{i}" for i in range(len(images))] if labeled else None)
+        assert set(balls) == {(0.0, 0.0, 4096, "stratified"), (1.0, 0.0, 4096, "stratified")}
+        assert set(means) == {(0.0, 0.0, 4096, "mc"), (1.0, 0.0, 4096, "mc")}
+        assert work.sampled == [[], []] and work.seeds == work.radii == work.maps == []
 
 
 # Two overlapping disks joined by a rect: some probe balls fit one primitive,
@@ -1081,7 +1105,8 @@ primitives = st.one_of(
 
 
 class TestSufficiencyBound:
-    """Exact indicator means over nested balls, and the radius set that bounds their ratio."""
+    """Exact means over nested balls, and the radius set that bounds their ratio: of an indicator, a
+    radial bump and a weighted sum of the two."""
 
     OMEGA = Region((Ball((0.0, 0.0), 8.0),))
 
@@ -1089,8 +1114,10 @@ class TestSufficiencyBound:
     @given(support=st.lists(primitives, min_size=1, max_size=3),
            center=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
            radii=st.lists(st.floats(0.05, 3.0), min_size=2, max_size=6),
-           base=st.floats(0.1, 1.0), ratio=st.floats(1.2, 3.0))
-    def test_nested_ball_means(self, support, center, radii, base, ratio):
+           base=st.floats(0.1, 1.0), ratio=st.floats(1.2, 3.0),
+           bump=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.1, 3.0), st.floats(0.1, 5.0)),
+           weights=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)))
+    def test_nested_ball_means(self, support, center, radii, base, ratio, bump, weights):
         region = Region(tuple(support))
         radii = np.sort(radii)
         areas = ball_areas(region, np.tile(center, (len(radii), 1)), radii)
@@ -1101,13 +1128,15 @@ class TestSufficiencyBound:
         c = gap_constant(a).value
         r_a = np.asarray([a.family.largest_point_below(r) for r in radii])
         assert (r_a <= radii * (1.0 + 1e-12)).all() and (r_a * c >= radii * (1.0 - 1e-12)).all()
-        u = indicator_field(region, self.OMEGA)
-        both = quadrature._ball_means(u, np.tile(center, (2 * len(radii), 1)), np.concatenate([radii, r_a]),
-                                      QuadratureSpec())
-        assert {res.method for res in both} == {"exact"}
-        mean_r, mean_a = np.asarray([res.mean for res in both]).reshape(2, -1)
-        assert (mean_a <= (radii / r_a) ** 2 * mean_r * (1.0 + EXACT_MEAN_REL_TOL)).all()
-        assert (mean_a <= c * c * mean_r * (1.0 + EXACT_MEAN_REL_TOL)).all()
+        indicator = indicator_field(region, self.OMEGA)
+        hill = radial_bump_field(bump[:2], bump[2], bump[3], self.OMEGA)
+        for u in (indicator, hill, sum_field([(weights[0], hill), (weights[1], indicator)], self.OMEGA)):
+            both = quadrature._ball_means(u, np.tile(center, (2 * len(radii), 1)), np.concatenate([radii, r_a]),
+                                          QuadratureSpec())
+            assert {res.method for res in both} == {"exact"}
+            mean_r, mean_a = np.asarray([res.mean for res in both]).reshape(2, -1)
+            assert (mean_a <= (radii / r_a) ** 2 * mean_r * (1.0 + EXACT_MEAN_REL_TOL)).all()
+            assert (mean_a <= c * c * mean_r * (1.0 + EXACT_MEAN_REL_TOL)).all()
 
 
 class TestMeanOverImage:

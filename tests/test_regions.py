@@ -16,7 +16,6 @@ from qnslab.geometry import Ball, Similarity, SimilarityArray, lens_area
 from qnslab.regions import (
     MarkedSet,
     Polygon,
-    RadialProfile,
     Rect,
     Region,
     balls_in_one_primitive,
@@ -28,19 +27,7 @@ from qnslab.regions import (
     region_from_json,
     region_to_json,
     similarity_image_measure,
-    truncation_radius,
 )
-
-
-def bisect_oracle(fn, target, lo, hi, iters=80):
-    """Independent bisection used to freeze truncation expectations."""
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 UNIT_DISK = Region((Ball((0.0, 0.0), 1.0),))
@@ -802,29 +789,6 @@ class TestBallsInOnePrimitive:
         assert held.tolist() == [True, True, False, True, False, False]
         assert held.tolist() == [any(ball_in_primitive_oracle(p, c, r) for p in region.primitives)
                                  for c, r in zip(centers, radii)]
-
-
-class TestRadialProfile:
-    def test_exponential_profile(self):
-        p = RadialProfile(lambda r: 1.0 - math.exp(-r), 1.0)
-        expected = bisect_oracle(lambda r: 2.0 * (1.0 - math.exp(-r)), 1.0, 0.0, 10.0)
-        r_t = truncation_radius(p, 2.0)
-        assert math.isclose(r_t, expected, rel_tol=1e-8)
-        assert math.isclose(r_t, math.log(2.0), rel_tol=1e-8)
-
-    def test_linear_profile(self):
-        p = RadialProfile(lambda r: min(r, 1.0), 1.0)
-        assert math.isclose(truncation_radius(p, 4.0), 0.25, rel_tol=1e-8)
-
-    def test_t_at_most_one_rejected(self):
-        p = RadialProfile(lambda r: min(r, 1.0), 1.0)
-        with pytest.raises(ValueError):
-            truncation_radius(p, 1.0)
-
-    def test_monotone_in_t(self):
-        p = RadialProfile(lambda r: 1.0 - math.exp(-r), 1.0)
-        rs = [truncation_radius(p, t) for t in (1.5, 2.0, 3.0, 5.0)]
-        assert all(a >= b for a, b in zip(rs, rs[1:]))
 
 
 class TestJson:
