@@ -309,6 +309,19 @@ class TestCertifyRestricted:
                                                                                       radii_per_component=2))
         assert rep.dichotomy_passed and rep.dichotomy_checked == len(dom.components)
 
+    @pytest.mark.parametrize("sequences", [default_sequences(3, 5), f1_sequences(3, 5)], ids=["gap-chain", "f1"])
+    def test_dichotomy_verdict_is_monotone_in_r(self, sequences):
+        from qnslab.counterexample import _certify_dichotomy
+
+        dom = build_domain(sequences)
+        for comp in dom.components:
+            b_m = sequences.b_of(comp.m)
+            radii = np.concatenate([np.linspace(0.0, b_m, 400), np.geomspace(b_m, 1e6 * b_m, 200)])
+            verdicts = [_certify_dichotomy(dom, comp, float(r)) for r in radii]
+            # fails below some radius at most b_m and passes from there on, so one check at b_m decides the ray
+            first = verdicts.index(True)
+            assert 0 < first and radii[first] <= b_m and all(verdicts[first:])
+
 
 class TestF1Variant:
     D = MarkedSet(Region((Ball((0.0, 0.0), 1.0),)), (0.0, 0.0))
