@@ -15,7 +15,8 @@ where every length is well scaled.  The absolute-coordinate region is still
 built for export and coarse membership queries.
 
 Both pass sides decide each probe by the package's one verdict rule,
-``MeanResult.bound``: K * mean plus a rounding or 3 * K * stderr slack.
+``MeanResult.bound``: K * mean plus a rounding or 3 * K * stderr slack,
+applied to a whole probe array at once by ``Means.bound``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .fields import Field, indicator_field
 from .geometry import Ball, SimilarityArray, lens_constant
 from .quadrature import EXACT_MEAN_REL_TOL  # noqa: F401  (the certificates' exact-mean slack, kept importable here)
-from .quadrature import QuadratureSpec, _ball_means, _image_means, _outcome, mean_over_ball
+from .quadrature import QuadratureSpec, _ball_means, _image_means, mean_over_ball
 from .radius_sets import GapComplementFamily, RadiusSet
 from .regions import MarkedSet, Rect, Region, region_to_json
 
@@ -341,6 +342,23 @@ def certify_failure(dom: CounterexampleDomain, spec: QuadratureSpec = Quadrature
 # -- certification: the restricted pass side --------------------------------------
 
 
+class _Labels:
+    """The labels ``f"{prefix}:{i}"`` of a probe array's probes, i counted from
+    ``first``, each formatted when read: only a probe that samples reads its
+    label, to derive its seed."""
+
+    __slots__ = ("prefix", "numbers")
+
+    def __init__(self, prefix: str, first: int, n: int):
+        self.prefix, self.numbers = prefix, range(first, first + n)
+
+    def __len__(self) -> int:
+        return len(self.numbers)
+
+    def __getitem__(self, i: int) -> str:
+        return f"{self.prefix}:{self.numbers[i]}"
+
+
 # Probe radii below this fraction of a_m are not resolvable against the center offset.
 _MIN_RADIUS_REL = 1e-12
 
@@ -368,6 +386,8 @@ class RestrictedReport:
     dichotomy_passed: bool
     constant: float
     seed: int
+    exact_means: int  # probes whose mean is a closed form
+    sampled_means: int
 
     def to_json(self) -> dict:
         return {
@@ -378,6 +398,7 @@ class RestrictedReport:
             "probes": self.probes,
             "violations": self.violations[:32],
             "dichotomy": {"checked": self.dichotomy_checked, "passed": self.dichotomy_passed},
+            "quadrature": {"exact_means": self.exact_means, "sampled_means": self.sampled_means},
             "seed": self.seed,
         }
 
@@ -462,12 +483,7 @@ def certify_restricted(
                 f"admissible radius set intersects the avoided gap ({g_lo!r}, {g_hi!r})"
             )
     k_const = 1.0 / lens_constant() if constant is None else float(constant)
-    max_ratio, witness, violations, n_probes = -math.inf, None, [], 0
-
-    def row(m, probe, res):
-        cx, cy, r = probe
-        return {"m": m, "center": [cx, cy], "radius": r, "mean": res.mean, "stderr": res.stderr}
-
+    max_ratio, witness, violations, n_probes, n_exact, n_sampled = -math.inf, None, [], 0, 0, 0
     dichotomy_ok = True
     probe_spec = replace(spec, target_rel_error=0.1, max_samples=probes.samples_per_probe)
     for comp in dom.components:
@@ -476,21 +492,28 @@ def certify_restricted(
         thetas = [2.0 * math.pi * t / probes.angles for t in range(probes.angles)]
         centers = [(0.0, 0.0)] + [(rho * a_m * math.cos(theta), rho * a_m * math.sin(theta))
                                   for rho in probes.offsets if rho != 0.0 for theta in thetas]
-        grid = [(cx, cy, r) for cx, cy in centers for r in radii]
-        labels = [f"restricted:{i}" for i in range(n_probes + 1, n_probes + len(grid) + 1)]
-        means = list(map(_outcome, _ball_means(comp.field_local, np.asarray([(cx, cy) for cx, cy, _ in grid]),
-                                               np.asarray([r for _, _, r in grid]), probe_spec, labels)))
-        n_probes += len(grid)
-        violations += [row(comp.m, g, res) for g, res in zip(grid, means) if 1.0 > res.bound(k_const)]
-        ratios = [1.0 / res.mean if res.mean > 0 else -math.inf for res in means]
-        if max(ratios, default=-math.inf) > max_ratio:  # an earlier component keeps a tie
-            max_ratio = max(ratios)
-            i = ratios.index(max_ratio)
-            witness = {**row(comp.m, grid[i], means[i]), "ratio": max_ratio}
+        # every (center, radius) probe, center-major
+        grid_c, grid_r = np.repeat(np.asarray(centers), len(radii), axis=0), np.tile(radii, len(centers))
+        means = _ball_means(comp.field_local, grid_c, grid_r, probe_spec,
+                            _Labels("restricted", n_probes + 1, len(grid_r))).admit_all()
+        n_probes += len(grid_r)
+        exact, sampled = means.counts()
+        n_exact, n_sampled = n_exact + exact, n_sampled + sampled
+
+        def row(i):
+            return {"m": comp.m, "center": grid_c[i].tolist(), "radius": float(grid_r[i]),
+                    "mean": float(means.mean[i]), "stderr": float(means.stderr[i])}
+
+        violations += [row(i) for i in np.flatnonzero(1.0 > means.bound(k_const)).tolist()]
+        ratios = np.divide(1.0, means.mean, out=np.full(len(grid_r), -math.inf), where=means.mean > 0.0)
+        best = int(np.argmax(ratios))  # the first of ties; an earlier component keeps a tie
+        if ratios[best] > max_ratio:
+            max_ratio = float(ratios[best])
+            witness = {**row(best), "ratio": max_ratio}
         # the containment dichotomy: admissible radii >= b_m never fit
         dichotomy_ok &= _certify_dichotomy(dom, comp, dom.sequences.b_of(comp.m))
     return RestrictedReport(not violations and dichotomy_ok, max_ratio, witness, n_probes, violations,
-                            len(dom.components), dichotomy_ok, k_const, spec.seed)
+                            len(dom.components), dichotomy_ok, k_const, spec.seed, n_exact, n_sampled)
 
 
 # -- the scale-function variant ----------------------------------------------------
@@ -550,6 +573,8 @@ class F1Report:
     constant: float
     passed: bool
     seed: int
+    exact_means: int  # scale-side image means that are a closed form
+    sampled_means: int
 
     def to_json(self) -> dict:
         return {
@@ -560,6 +585,7 @@ class F1Report:
                 "violations": self.scale_violations[:32],
                 "scale_radius_bound_checked": self.scale_bound_checked,
                 "K": self.constant,
+                "quadrature": {"exact_means": self.exact_means, "sampled_means": self.sampled_means},
             },
             "seed": self.seed,
         }
@@ -588,7 +614,7 @@ def certify_f1(
     probe_spec = replace(spec, method="mc", target_rel_error=0.1, max_samples=4096)
     violations = []
     bound_ok = True
-    idx = 0
+    idx = n_exact = n_sampled = 0
     m_d = d.measure
     for comp in dom.components:
         a_m = comp.inner_radius
@@ -601,18 +627,19 @@ def certify_f1(
         ks = np.tile(scales, len(offsets))
         xs = np.stack([np.repeat(offsets, len(scales)), np.zeros(len(ks))], axis=1)
         sims = SimilarityArray(ks, np.broadcast_to(np.eye(2), (len(ks), 2, 2)), xs - ks[:, None] * p_d)
-        labels = [f"f1:{idx + i}" for i in range(1, len(ks) + 1)]
-        for k, res in zip(ks.tolist(), _image_means(comp.field_local, d, sims, probe_spec, labels)):
-            idx += 1
-            if k * d.inner_radius > 2.0 * comp.m * a_m / s.n0:
-                bound_ok = False
-            res = _outcome(res)
-            lhs = rule(k) ** 2
-            if lhs > res.bound(k_const) * k**2 * m_d:
-                violations.append({"m": comp.m, "scale": k, "lhs": lhs,
-                                   "integral": res.mean * k**2 * m_d, "stderr": res.stderr * k**2 * m_d})
+        means = _image_means(comp.field_local, d, sims, probe_spec, _Labels("f1", idx + 1, len(ks))).admit_all()
+        idx += len(ks)
+        exact, sampled = means.counts()
+        n_exact, n_sampled = n_exact + exact, n_sampled + sampled
+        bound_ok = bound_ok and not (ks * d.inner_radius > 2.0 * comp.m * a_m / s.n0).any()
+        # k**2 and rule(k)**2 per probe in Python, as one probe at a time computes them
+        k2, lhs = zip(*[(k**2, rule(k) ** 2) for k in ks.tolist()])
+        for i in np.flatnonzero(np.asarray(lhs) > means.bound(k_const) * k2 * m_d).tolist():
+            violations.append({"m": comp.m, "scale": float(ks[i]), "lhs": lhs[i],
+                               "integral": float(means.mean[i]) * k2[i] * m_d,
+                               "stderr": float(means.stderr[i]) * k2[i] * m_d})
     return F1Report(failure, idx, violations, bound_ok, k_const,
-                    failure.passed and not violations and bound_ok, spec.seed)
+                    failure.passed and not violations and bound_ok, spec.seed, n_exact, n_sampled)
 
 
 # -- export ------------------------------------------------------------------------

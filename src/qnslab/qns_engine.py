@@ -12,11 +12,12 @@ Each probe battery (``estimate_K``/``check_K``, ``indicator_density``,
 probe array that draws each chunk's base sample once (common random numbers,
 see the ``quadrature`` module docstring).  u is evaluated in one call on the
 battery's centers.  A ball or an image h(D) that leaves the domain is skipped
-and counted; 2-D containment is exact (see ``regions``).  A battery's
-extreme is ``max`` or ``min`` over its admitted probes in probe order, whose
-first extreme is the witness.  Every K verdict is u(x) <= ``mean.bound(K)``:
-K * mean plus ``EXACT_MEAN_REL_TOL`` * K * mean for an exact mean, 3 * K *
-stderr for a sampled one.
+and counted; 2-D containment is exact (see ``regions``).  A battery reads its
+array's ``Means`` as arrays: its extreme is the ``argmax`` or ``argmin`` over
+its admitted probes in probe order, which keeps the first of ties as the
+witness, and only the witness's report entry is built.  Every K verdict is
+u(x) <= ``Means.bound(K)``, elementwise: K * mean plus ``EXACT_MEAN_REL_TOL``
+* K * mean for an exact mean, 3 * K * stderr for a sampled one.
 """
 
 from __future__ import annotations
@@ -24,15 +25,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 log = logging.getLogger(__name__)
 
-from .fields import DomainError, Field, indicator_field
+from .fields import Field, indicator_field
 from .geometry import Ball, Similarity, SimilarityArray, unit_ball_volume
-from .quadrature import ContainmentError, MeanResult, QuadratureSpec, _ball_means, _image_means
+from .quadrature import Means, QuadratureSpec, _ball_means, _image_means
 from .radius_sets import RadiusSet, log_eps_net
 from .regions import MarkedSet, Region, _pieces
 
@@ -130,33 +131,20 @@ class KEstimate:
         }
 
 
-class BallProbe(NamedTuple):
-    """One admitted ball probe: its index in probe order, the ball, u(center) and the mean."""
-
-    idx: int
-    center: tuple[float, ...]
-    radius: float
-    value: float
-    mean: MeanResult
-
-
-def _ball_probes(u: Field, centers: np.ndarray, radii: list[float], spec: QuadratureSpec) -> tuple[list, int]:
+def _ball_probes(u: Field, centers: np.ndarray, radii: list[float],
+                 spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, Means]:
     """Run every (center, radius) probe of a ball battery as one ``_ball_means`` array.
 
-    Returns the admitted probes in probe order and the count of probes whose
-    ball left the domain.  u is evaluated at every center of the battery in
-    one call.
+    Returns each probe's center, radius and u(center), in probe order
+    (center-major), and the probes' ``Means``.  u is evaluated at every
+    center of the battery in one call.
     """
-    outcomes = _ball_means(u, np.repeat(centers, len(radii), axis=0), np.tile(radii, len(centers)), spec)
-    values = u.values(centers).tolist()
-    pairs = [(c, v, float(r)) for c, v in zip(map(tuple, centers.tolist()), values) for r in radii]
-    admitted = []
-    for idx, ((c, v, r), res) in enumerate(zip(pairs, outcomes), start=1):
-        if isinstance(res, ContainmentError):
-            log.debug("probe %d skipped: %s", idx, res)
-            continue
-        admitted.append(BallProbe(idx, c, r, v, res))
-    return admitted, len(pairs) - len(admitted)
+    probe_centers, probe_radii = np.repeat(centers, len(radii), axis=0), np.tile(radii, len(centers))
+    means = _ball_means(u, probe_centers, probe_radii, spec)
+    if log.isEnabledFor(logging.DEBUG):
+        for i in np.flatnonzero(~means.admitted).tolist():
+            log.debug("probe %d skipped: %s", i + 1, means.refusal(i))
+    return probe_centers, probe_radii, np.repeat(u.values(centers), len(radii)), means
 
 
 def estimate_K(
@@ -172,30 +160,28 @@ def estimate_K(
     """
     if omega.dim != u.dim:
         raise ValueError("field and region dimensions differ")
-    admitted, skipped = _ball_probes(u, probes.centers(omega), probes.radii(omega), spec)
-    return _sup_ratio([(p.value, p.mean.mean, p.mean, p) for p in admitted],
-                      lambda p, res: {"center": list(p.center), "radius": p.radius, "value": p.value,
-                                      "mean": res.mean, "stderr": res.stderr}, skipped, spec)
+    centers, radii, values, means = _ball_probes(u, probes.centers(omega), probes.radii(omega), spec)
+    return _sup_ratio(values, means.mean, means, lambda i: {
+        "center": centers[i].tolist(), "radius": float(radii[i]), "value": float(values[i]),
+        "mean": float(means.mean[i]), "stderr": float(means.stderr[i])}, spec)
 
 
-def _mean_counts(means: list) -> tuple[int, int]:
-    """How many of ``means`` are exact, and how many sampled."""
-    return sum(r.method == "exact" for r in means), sum(r.method != "exact" for r in means)
-
-
-def _sup_ratio(probes: list, witness: Callable, skipped: int, spec: QuadratureSpec) -> KEstimate:
-    """A battery's ``KEstimate`` from ``(u(x) * normalizer, denominator, mean,
-    probe)`` per admitted probe in probe order: K_hat is ``max`` of their
-    quotients (inf at a zero denominator, vacuous at 0/0), the first of ties,
-    with ``witness(probe, mean)`` of that probe."""
-    tail = (spec.seed, spec.workers, spec.method, *_mean_counts([res for _, _, res, _ in probes]))
-    used = [(scaled / den if den > 0.0 else math.inf, res, p) for scaled, den, res, p in probes
-            if den > 0.0 or scaled > 0.0]
-    if not used:
+def _sup_ratio(scaled: np.ndarray, den: np.ndarray, means: Means, witness: Callable[[int], dict],
+               spec: QuadratureSpec) -> KEstimate:
+    """A battery's ``KEstimate`` from each probe's u(x) * normalizer and
+    denominator, in probe order: K_hat is the ``argmax`` of their quotients
+    over the admitted probes (inf at a zero denominator; a 0/0 probe is
+    vacuous and left out), the first of ties, with ``witness(i)`` of that
+    probe i."""
+    tail = (spec.seed, spec.workers, spec.method, *means.counts())
+    skipped = len(means) - int(np.count_nonzero(means.admitted))
+    used = means.admitted & ((den > 0.0) | (scaled > 0.0))
+    if not used.any():
         return KEstimate(0.0, None, 0, skipped, 0.0, True, *tail)
-    k_hat, mean, best = max(used, key=lambda t: t[0])
-    stderr_max = max(res.stderr for _, res, _ in used)
-    return KEstimate(k_hat, witness(best, mean), len(used), skipped, stderr_max, False, *tail)
+    ratio = np.divide(scaled, den, out=np.full(len(den), math.inf), where=den > 0.0)
+    best = int(np.argmax(np.where(used, ratio, -math.inf)))
+    return KEstimate(float(ratio[best]), witness(best), int(np.count_nonzero(used)), skipped,
+                     float(means.stderr[used].max()), False, *tail)
 
 
 @dataclass
@@ -237,13 +223,16 @@ def check_K(
     ``estimate_K``'s K_hat on the same grid pass."""
     if k < 1:
         raise ValueError("the mean-inequality constant must satisfy K >= 1")
-    admitted, skipped = _ball_probes(u, probes.centers(omega), probes.radii(omega), spec)
-    failures = [{"center": list(p.center), "radius": p.radius, "value": p.value, "mean": p.mean.mean,
-                 "stderr": p.mean.stderr, "ratio": (p.value / p.mean.mean if p.mean.mean > 0 else math.inf)}
-                for p in admitted if p.value > p.mean.bound(k)]
-    return CheckReport(not failures, k, failures, len(admitted), skipped,
-                       max((p.mean.stderr for p in admitted), default=0.0), spec.seed, spec.workers, spec.method,
-                       *_mean_counts([p.mean for p in admitted]))
+    centers, radii, values, means = _ball_probes(u, probes.centers(omega), probes.radii(omega), spec)
+    failures = []
+    for i in np.flatnonzero(values > means.bound(k)).tolist():
+        value, mean = float(values[i]), float(means.mean[i])
+        failures.append({"center": centers[i].tolist(), "radius": float(radii[i]), "value": value, "mean": mean,
+                         "stderr": float(means.stderr[i]), "ratio": (value / mean if mean > 0 else math.inf)})
+    used = int(np.count_nonzero(means.admitted))
+    return CheckReport(not failures, k, failures, used, len(means) - used,
+                       float(means.stderr[means.admitted].max(initial=0.0)), spec.seed, spec.workers, spec.method,
+                       *means.counts())
 
 
 @dataclass
@@ -255,6 +244,8 @@ class DensityReport:
     probes_used: int
     probes_skipped: int
     seed: int
+    exact_means: int
+    sampled_means: int
 
     def to_json(self) -> dict:
         return {
@@ -263,6 +254,7 @@ class DensityReport:
             "K": self.k if self.compatible else "inf",
             "witness": self.witness,
             "probes": {"used": self.probes_used, "skipped": self.probes_skipped},
+            "quadrature": {"exact_means": self.exact_means, "sampled_means": self.sampled_means},
             "seed": self.seed,
         }
 
@@ -280,14 +272,15 @@ def indicator_density(
     QNS-compatible.
     """
     u = indicator_field(gamma, omega)
-    admitted, skipped = _ball_probes(u, probes.centers(gamma), probes.radii(omega), spec)
-    if not admitted:
-        return DensityReport(math.inf, None, 0.0, False, 0, skipped, spec.seed)
-    worst = min(admitted, key=lambda p: p.mean.mean)  # the first of tied means
-    inf_ratio = worst.mean.mean
-    witness = {"center": list(worst.center), "radius": worst.radius, "mean": inf_ratio, "stderr": worst.mean.stderr}
+    centers, radii, _, means = _ball_probes(u, probes.centers(gamma), probes.radii(omega), spec)
+    used = int(np.count_nonzero(means.admitted))
+    if not used:
+        return DensityReport(math.inf, None, 0.0, False, 0, len(means), spec.seed, 0, 0)
+    worst = int(np.argmin(np.where(means.admitted, means.mean, math.inf)))  # the first of tied means
+    inf_ratio, stderr = float(means.mean[worst]), float(means.stderr[worst])
+    witness = {"center": centers[worst].tolist(), "radius": float(radii[worst]), "mean": inf_ratio, "stderr": stderr}
     return DensityReport(inf_ratio, witness, (1.0 / inf_ratio if inf_ratio > 0 else math.inf),
-                         inf_ratio > 3.0 * worst.mean.stderr, len(admitted), skipped, spec.seed)
+                         inf_ratio > 3.0 * stderr, used, len(means) - used, spec.seed, *means.counts())
 
 
 # -- ball/image constant conversion ---------------------------------------------
@@ -396,14 +389,15 @@ def generalized_test(
     probe_offset = probe_scale[:, None] * np.tile(np.asarray([T @ p_d for T in parts]), (len(scales), 1))
     every = SimilarityArray(np.tile(probe_scale, len(centers)), probe_part,
                             (centers[:, None, :] - probe_offset).reshape(-1, 2))
-    outcomes = _image_means(u, d, every, spec)
-    values = u.values(centers).tolist()
-    norm = (lambda k: (k**2) * m_d) if f is None else (lambda k: f.fn(k) ** 2)  # (k**2) * m_d == m(h(D))
-    probes = [(c, k) for c in range(len(centers)) for k in probe_scale.tolist()]
-    rated = [(values[c] * norm(k), res.mean * (k**2) * m_d, res, (c, k))
-             for (c, k), res in zip(probes, outcomes) if not isinstance(res, DomainError)]
-    return _sup_ratio(rated, lambda p, res: {"center": centers[p[0]].tolist(), "scale": p[1], "mean": res.mean,
-                                             "stderr": res.stderr}, len(outcomes) - len(rated), spec)
+    means = _image_means(u, d, every, spec)
+    # per (scale, part) of a center, in Python, as one probe at a time computes them: (k**2) * m_d == m(h(D))
+    ks = probe_scale.tolist()
+    norm = [(k**2) * m_d for k in ks] if f is None else [f.fn(k) ** 2 for k in ks]
+    scaled = np.outer(u.values(centers), norm).ravel()
+    den = means.mean * np.tile([k**2 for k in ks], len(centers)) * m_d
+    return _sup_ratio(scaled, den, means, lambda i: {"center": centers[i // len(ks)].tolist(), "scale": ks[i % len(ks)],
+                                                     "mean": float(means.mean[i]), "stderr": float(means.stderr[i])},
+                      spec)
 
 
 # -- scale-function admissibility -------------------------------------------------

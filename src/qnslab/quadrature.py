@@ -27,7 +27,7 @@ every method (rejection sampling in D does not stratify) and report ``"mc"``,
 decided probes included (below).
 Containment runs first, as one call over a whole probe array of ``(P, dim)``
 ball centers and ``(P,)`` radii (``balls_in_region``) or of images
-(``images_in_region``, 2-D only; a refused image's outcome is a
+(``images_in_region``, 2-D only; a refused image's refusal is a
 ``DomainError``), and so do the closed forms.  2-D containment is exact up to
 a margin (see ``regions``); a 3-D ball that no single primitive holds is
 refused.
@@ -106,7 +106,13 @@ the index array of the band rows and its two radial factors while the band's
 copies go through those stages: about nine block arrays when the band is
 most of the block (1.1 MiB at 1 worker, measured), fewer as it narrows.  Means
 take an array of probes (``_ball_means``, ``_image_means``); ``mean_over_ball``
-and ``mean_over_image`` are their one-probe cases.  The loop runs batch-major and
+and ``mean_over_image`` are their one-probe cases.  A probe array's outcome is
+one ``Means`` record of ``(P,)`` arrays (mean, stderr, sample count, exact
+mask, admitted mask), which the closed forms, the decided probes and the
+sampling loop write in place; a battery reads it as arrays, its verdicts
+through ``Means.bound`` and its extreme through ``argmax`` or ``argmin``, and
+no ``MeanResult`` is built per probe.  Indexing it builds one probe's
+``MeanResult``, or returns its refusal.  The loop runs batch-major and
 draws each chunk's base sample once per seed: a seed with one probe in a task
 streams its blocks, and a seed that several probes share is held as a list.
 Without labels every probe runs on the spec seed: each ``qns_engine`` battery
@@ -114,8 +120,8 @@ is one such array, so its probes share common random numbers and their errors
 are correlated.  The ``counterexample`` certificates are arrays with per-probe
 labels: probe i runs on the seed of ``spec.child(labels[i])``, independent of
 the others.  Every probe that reports a sampled method derives its seed,
-decided ones included, and no other probe does.  Either way a probe's outcome
-equals a one-probe call on its spec bit for bit.
+decided ones included, and no other probe reads its label.  Either way a
+probe's row equals a one-probe call on its spec bit for bit.
 """
 
 from __future__ import annotations
@@ -180,6 +186,57 @@ class MeanResult(NamedTuple):
         if self.method == "exact":
             return k * self.mean + EXACT_MEAN_REL_TOL * k * self.mean
         return k * self.mean + 3.0 * k * self.stderr
+
+
+class Means:
+    """The outcomes of a probe array, one row per probe in probe order.
+
+    ``mean``, ``stderr``, ``n_samples`` and ``exact`` are ``(P,)`` arrays,
+    ``admitted`` marks the probes whose ball or image lies in the domain, and
+    ``refusal(i)`` builds the error that refuses probe i.  An exact row
+    reports method ``"exact"`` and a sampled one ``method``.  A refused row
+    holds NaN, so that it fails every comparison.  Indexing builds one row's
+    ``MeanResult`` (or returns its refusal); a battery reads the arrays.
+    """
+
+    __slots__ = ("mean", "stderr", "n_samples", "exact", "method", "admitted", "refusal")
+
+    def __init__(self, admitted: np.ndarray, exact: bool, method: str, refusal: Callable[[int], Exception]):
+        self.admitted, self.method, self.refusal = admitted, method, refusal
+        self.exact = admitted & exact
+        self.mean = np.where(admitted, 0.0, math.nan)
+        self.stderr = self.mean.copy()
+        self.n_samples = admitted.astype(np.int64)  # 1 for an exact mean; a sampled row takes its count
+
+    def __len__(self) -> int:
+        return len(self.mean)
+
+    def __getitem__(self, i: int):
+        i = range(len(self.mean))[i]  # past the last row, IndexError ends an iteration
+        if not self.admitted[i]:
+            return self.refusal(i)
+        return MeanResult(float(self.mean[i]), float(self.stderr[i]), int(self.n_samples[i]),
+                          "exact" if self.exact[i] else self.method)
+
+    def __eq__(self, other) -> bool:  # row by row, as a list of outcomes compares
+        return list(self) == list(other)
+
+    def admit_all(self) -> "Means":
+        """``self`` when every probe was admitted; else the first refusal is raised."""
+        refused = np.flatnonzero(~self.admitted)
+        if refused.size:
+            raise self.refusal(int(refused[0]))
+        return self
+
+    def counts(self) -> tuple[int, int]:
+        """How many admitted means are exact, and how many sampled."""
+        exact = int(np.count_nonzero(self.exact))
+        return exact, int(np.count_nonzero(self.admitted)) - exact
+
+    def bound(self, k: float) -> np.ndarray:
+        """``MeanResult.bound(k)`` of every row, by the same operations in the same order."""
+        return np.where(self.exact, k * self.mean + EXACT_MEAN_REL_TOL * k * self.mean,
+                        k * self.mean + 3.0 * k * self.stderr)
 
 
 class ContainmentError(ValueError):
@@ -398,13 +455,11 @@ def sample_in_ball(center, radius: float, n: int, rng: np.random.Generator, stra
     return _place_in_ball(_ball_base(np.concatenate([*_cube_blocks(n, center.size, rng, stratified)])), center, radius)
 
 
-def _stat_result(s1: float, s2: float, n: int, method: str) -> MeanResult:
+def _stat_result(s1, s2, n: int) -> tuple:
+    """The mean and its standard error from the sums of n > 1 values and of
+    their squares, elementwise over arrays of sums."""
     mean = s1 / n
-    if n > 1:
-        var = max(s2 - n * mean * mean, 0.0) / (n - 1)
-    else:
-        var = 0.0
-    return MeanResult(mean, math.sqrt(var / n), n, method)
+    return mean, np.sqrt(np.maximum(s2 - n * mean * mean, 0.0) / (n - 1) / n)
 
 
 # Samples per chunk of a batch.  The chunk layout depends on the batch size
@@ -414,8 +469,8 @@ _CHUNK = 2**17
 _FIRST_BATCH = 4096
 
 
-def _sample_means(spec: QuadratureSpec, method: str, u: Field, base: Callable[[int, int, int, int, bool], object],
-                  seeds: list[int], probes: list[Callable[[object], object]]) -> list:
+def _sample_means(spec: QuadratureSpec, u: Field, base: Callable[[int, int, int, int, bool], object],
+                  seeds: list[int], probes: list[Callable[[object], object]], out: Means, rows: np.ndarray) -> None:
     """The batching loop of every sampled mean, batch-major over a probe array.
 
     ``base(seed, batch, chunk, size, shared)`` returns one chunk's base sample
@@ -430,29 +485,30 @@ def _sample_means(spec: QuadratureSpec, method: str, u: Field, base: Callable[[i
     takes no buffer: ``probes[i]`` maps a block to its hit count, and both of
     the chunk's sums of 0/1 values are the sum of those counts, exactly (it is
     below 2^53).  Every probe sees the same chunk layout and stops on its own
-    error target or at the sample cap, with its ``MeanResult``.
+    error target or at the sample cap; its mean, stderr and sample count go to
+    row ``rows[i]`` of ``out``.
     """
     counted = u.kind == "indicator"
-    out: list = [None] * len(probes)
-    s1 = [0.0] * len(probes)
-    s2 = [0.0] * len(probes)
-    running = list(range(len(probes)))
+    s1 = np.zeros(len(probes))
+    s2 = np.zeros(len(probes))
+    running = np.arange(len(probes))
     n = 0
     batch_size = min(_FIRST_BATCH, spec.max_samples)
     batch_index = 0
     pool = None
     with ExitStack() as stack:
-        while running:
+        while running.size:
             n_chunks = max(batch_size // _CHUNK, 1)
             sizes = [batch_size // n_chunks] * n_chunks
             sizes[-1] += batch_size - sum(sizes)
-            last = {seeds[p]: p for p in running}  # the last running probe on each seed
+            order = running.tolist()
+            last = {seeds[p]: p for p in order}  # the last running probe on each seed
 
             def run(i: int) -> list:  # chunk i of this batch, for every running probe
                 held = {}
                 vals = None if counted else np.empty(sizes[i])
                 sums = []
-                for p in running:
+                for p in order:
                     seed = seeds[p]
                     if seed not in held:  # probes that share a seed share a list of its blocks; a lone one streams
                         shared = last[seed] != p
@@ -479,46 +535,31 @@ def _sample_means(spec: QuadratureSpec, method: str, u: Field, base: Callable[[i
                 tasks = pool.map(run, range(n_chunks))
             # tasks come back in chunk order, so each probe's chunk sums add in that order
             for task_sums in tasks:
-                for p, sums in zip(running, task_sums):
-                    s1[p] += sums[0]
-                    s2[p] += sums[1]
+                task_sums = np.asarray(task_sums)
+                s1[running] += task_sums[:, 0]
+                s2[running] += task_sums[:, 1]
             n += batch_size
             batch_index += 1
-            still = []
-            for p in running:
-                result = _stat_result(s1[p], s2[p], n, method)
-                if n >= spec.max_samples or result.stderr <= spec.target_rel_error * abs(result.mean):
-                    out[p] = result
-                else:
-                    still.append(p)
-            running = still
+            mean, stderr = _stat_result(s1[running], s2[running], n)
+            done = (stderr <= spec.target_rel_error * np.abs(mean)) | (n >= spec.max_samples)
+            at = rows[running[done]]
+            out.mean[at], out.stderr[at], out.n_samples[at] = mean[done], stderr[done], n
+            running = running[~done]
             batch_size = min(batch_size * 2, spec.max_samples - n)
-    return out
 
 
-def _settle(out: list, spec: QuadratureSpec, method: str, idx: list, decided: np.ndarray,
-            inside: np.ndarray) -> list[int]:
-    """Set ``out[idx[j]]`` for each decided probe j (every point of it has the
-    membership ``inside[j]``) to what ``_sample_means`` returns: its first
-    batch, all hits or all misses, has variance 0 and stops it.  Returns the
-    positions j of the other probes, which sample.
+def _settle(out: Means, spec: QuadratureSpec, rows: np.ndarray, decided: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Set row ``rows[j]`` of ``out`` for each decided probe j (every point of
+    it has the membership ``inside[j]``) to what ``_sample_means`` gives: its
+    first batch, all hits or all misses, has variance 0 and stops it.  Returns
+    the positions j of the other probes, which sample.
     """
     n = min(_FIRST_BATCH, spec.max_samples)
-    rest = []
-    for j, (d, hit) in enumerate(zip(decided.tolist(), inside.tolist())):
-        if d:
-            hits = float(n) if hit else 0.0
-            out[idx[j]] = _stat_result(hits, hits, n, method)
-        else:
-            rest.append(j)
-    return rest
-
-
-def _outcome(res):
-    """A probe's ``MeanResult``; a probe that failed raises its error."""
-    if isinstance(res, Exception):
-        raise res
-    return res
+    hits = np.where(inside[decided], float(n), 0.0)
+    at = rows[decided]
+    out.mean[at], out.stderr[at] = _stat_result(hits, hits, n)
+    out.n_samples[at] = n
+    return np.flatnonzero(~decided)
 
 
 def _closed_form(u: Field) -> bool:
@@ -556,12 +597,12 @@ def _exact_ball_means(u: Field, centers: np.ndarray, radii: np.ndarray) -> np.nd
     return out
 
 
-def _seeds(spec: QuadratureSpec, labels: list[str] | None, indices) -> list[int]:
-    """The seed of each probe i in ``indices``: the spec seed, or with labels
-    the seed of ``spec.child(labels[i])``."""
+def _seeds(spec: QuadratureSpec, labels, rows: np.ndarray) -> list[int]:
+    """The seed of each probe i in ``rows``: the spec seed, or with labels
+    the seed of ``spec.child(labels[i])``.  Only these labels are read."""
     if labels is None:
-        return [spec.seed] * len(indices)
-    return [derive_seed(spec.seed, labels[i]) for i in indices]
+        return [spec.seed] * len(rows)
+    return [derive_seed(spec.seed, labels[i]) for i in rows.tolist()]
 
 
 def mean_over_ball(u: Field, ball: Ball, spec: QuadratureSpec = QuadratureSpec()) -> MeanResult:
@@ -573,14 +614,13 @@ def mean_over_ball(u: Field, ball: Ball, spec: QuadratureSpec = QuadratureSpec()
     Under ``"auto"`` the closed forms of the module docstring are used where
     they apply; otherwise the mean is sampled.
     """
-    return _outcome(_ball_means(u, np.asarray([ball.center]), np.asarray([ball.radius]), spec)[0])
+    return _ball_means(u, np.asarray([ball.center]), np.asarray([ball.radius]), spec).admit_all()[0]
 
 
-def _ball_means(u: Field, centers: np.ndarray, radii: np.ndarray, spec: QuadratureSpec,
-                labels: list[str] | None = None) -> list:
+def _ball_means(u: Field, centers: np.ndarray, radii: np.ndarray, spec: QuadratureSpec, labels=None) -> Means:
     """Means of ``u`` over an array of balls, given as ``(P, dim)`` centers and
-    ``(P,)`` radii: one outcome per ball, its ``MeanResult`` or the
-    ``ContainmentError`` that refuses it.
+    ``(P,)`` radii; a ball that the domain refuses has the refusal
+    ``ContainmentError``.
 
     Containment is one ``balls_in_region`` call over the whole array (exact;
     a 3-D ball that no single primitive holds is refused), and the closed
@@ -590,7 +630,8 @@ def _ball_means(u: Field, centers: np.ndarray, radii: np.ndarray, spec: Quadratu
     side of its support's boundary is decided (see the module docstring).
     Without ``labels`` every probe runs on
     ``spec``'s seed and the sampled ones share each chunk's base sample; with
-    them, outcome i equals a one-probe call on ``spec.child(labels[i])``.
+    them (a sequence of strings, read only for the probes that sample), row i
+    equals a one-probe call on ``spec.child(labels[i])``.
     """
     centers, radii = np.asarray(centers, dtype=np.float64), np.asarray(radii, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[1] != u.dim or radii.shape != (len(centers),):
@@ -599,19 +640,17 @@ def _ball_means(u: Field, centers: np.ndarray, radii: np.ndarray, spec: Quadratu
         raise ValueError("ball center must be finite")
     if not (np.isfinite(radii) & (radii > 0)).all():
         raise ValueError("ball radius must be positive and finite")
-    out: list = [None] * len(radii)
     ok, directions = balls_in_region(u.domain, centers, radii)
-    for i in np.flatnonzero(~ok).tolist():
-        out[i] = ContainmentError(tuple(centers[i].tolist()), float(radii[i]), tuple(directions[i].tolist()))
-    contained = [i for i, res in enumerate(out) if res is None]
-    if u.kind == "constant" or spec.method == "auto" and _closed_form(u):
-        for i, mean in zip(contained, _exact_ball_means(u, centers[contained], radii[contained]).tolist()):
-            out[i] = MeanResult(mean, 0.0, 1, "exact")
+    exact = u.kind == "constant" or spec.method == "auto" and _closed_form(u)
+    out = Means(ok, exact, "stratified" if spec.method == "auto" else spec.method, lambda i: ContainmentError(
+        tuple(centers[i].tolist()), float(radii[i]), tuple(directions[i].tolist())))
+    rows = np.flatnonzero(ok)
+    if exact:
+        out.mean[rows] = _exact_ball_means(u, centers[rows], radii[rows])
         return out
-    method = "stratified" if spec.method == "auto" else spec.method
-    stratified = method == "stratified"
+    stratified = out.method == "stratified"
     screened = u.kind == "indicator" and u.dim == 2
-    seeds = _seeds(spec, labels, contained)
+    seeds = _seeds(spec, labels, rows)
 
     def base(seed: int, batch: int, chunk: int, size: int, shared: bool):  # _ball_base of each block, in two stages
         radial = map(_radial_factors, _cube_blocks(size, u.dim, _rng(seed, batch, chunk), stratified))
@@ -620,18 +659,17 @@ def _ball_means(u: Field, centers: np.ndarray, radii: np.ndarray, spec: Quadratu
 
     if screened:
         support = u.params["support"]
-        lo, hi, inside = radial_bounds(support, centers[contained], radii[contained])
+        lo, hi, inside = radial_bounds(support, centers[rows], radii[rows])
         # a ball inside lo is decided: each of its rows is placed within its radius of the center
-        rest = _settle(out, spec, method, contained, lo > radii[contained], inside)
-        contained, seeds = [contained[j] for j in rest], [seeds[j] for j in rest]
+        rest = _settle(out, spec, rows, lo > radii[rows], inside)
+        rows, seeds = rows[rest], [seeds[j] for j in rest.tolist()]
         bounds = zip(lo[rest].tolist(), hi[rest].tolist(), inside[rest].tolist())
-        probes = [partial(_screened_hits, support, centers[i], float(radii[i]), *b) for i, b in zip(contained, bounds)]
+        probes = [partial(_screened_hits, support, centers[i], float(radii[i]), *b) for i, b in zip(rows, bounds)]
     else:
-        probes = [partial(_place_in_ball, center=centers[i], radius=float(radii[i])) for i in contained]
+        probes = [partial(_place_in_ball, center=centers[i], radius=float(radii[i])) for i in rows]
         if u.kind == "indicator":
             probes = [partial(_hits, u.params["support"], place) for place in probes]
-    for i, mean in zip(contained, _sample_means(spec, method, u, base, seeds, probes)):
-        out[i] = mean
+    _sample_means(spec, u, base, seeds, probes, out, rows)
     return out
 
 
@@ -643,49 +681,48 @@ def mean_over_image(u: Field, d: MarkedSet, h: Similarity, spec: QuadratureSpec 
     bounding box and rejected to D, and the field is evaluated on the first
     ``size`` mapped candidates of each chunk.
     """
-    return _outcome(_image_means(u, d, SimilarityArray.of(h), spec)[0])
+    return _image_means(u, d, SimilarityArray.of(h), spec).admit_all()[0]
 
 
-def _image_means(u: Field, d: MarkedSet, probes: SimilarityArray, spec: QuadratureSpec,
-                 labels: list[str] | None = None) -> list:
-    """Means of ``u`` over the images h_i(D) of a probe array, one outcome per
-    probe: its ``MeanResult``, or the ``DomainError`` that refuses it.
+def _image_means(u: Field, d: MarkedSet, probes: SimilarityArray, spec: QuadratureSpec, labels=None) -> Means:
+    """Means of ``u`` over the images h_i(D) of a probe array; an image that
+    leaves the domain has the refusal ``DomainError``.
 
     Containment is decided once, up front, for the whole array
     (``images_in_region``), and only the admitted probes are sampled; of an
     indicator's, those whose disk B(h(p_D), k R_D) lies wholly on one side of
     the support's boundary are decided (see the module docstring).
-    Without ``labels`` every probe runs on ``spec``'s seed; with them, outcome
+    Without ``labels`` every probe runs on ``spec``'s seed; with them, row
     i equals a one-probe call on ``spec.child(labels[i])``.
     """
     if d.dim != u.dim or probes.orthogonal.shape[1] != u.dim:
         raise ValueError("marked set, similarity and field dimensions must agree")
-    out: list = [None] * len(probes)
-    admitted = np.flatnonzero(images_in_region(d.region, u.domain, probes)).tolist()
+    ok = images_in_region(d.region, u.domain, probes)
+    out = Means(ok, u.kind == "constant", "mc", lambda i: DomainError("the image h(D) leaves the field domain"))
+    rows = np.flatnonzero(ok)
     if u.kind == "constant":
-        for i in admitted:
-            out[i] = MeanResult(u.params["value"], 0.0, 1, "exact")
-    else:
-        def base(seed: int, batch: int, chunk: int, size: int, shared: bool) -> list:
-            return [_image_base(d, seed, batch, chunk, size)[:size]]  # one block: a split draw would change the stream
+        out.mean[rows] = u.params["value"]
+        return out
 
-        seeds = _seeds(spec, labels, admitted)
-        sims = probes.take(admitted)
-        if u.kind == "indicator":  # images are 2-D
-            support = u.params["support"]
-            p = np.asarray([d.marked_point])
-            centers, rho = sims.apply_many(p)[:, 0], sims.scale * d.outer_radius
-            # h(D) lies in B(h(p_D), k R_D); mapping a point rounds by ulps of the terms it adds up
-            scale = np.abs(centers).max(axis=1) + sims.scale * (d.outer_radius + np.abs(p).max())
-            lo, _, inside = radial_bounds(support, centers, rho, scale)
-            rest = _settle(out, spec, "mc", admitted, lo > rho, inside)
-            admitted, seeds = [admitted[j] for j in rest], [seeds[j] for j in rest]
-            places = [partial(_hits, support, h.apply_many) for h in sims.take(rest).similarities()]
-        else:
-            places = [h.apply_many for h in sims.similarities()]
-        for i, mean in zip(admitted, _sample_means(spec, "mc", u, base, seeds, places)):
-            out[i] = mean
-    return [DomainError("the image h(D) leaves the field domain") if res is None else res for res in out]
+    def base(seed: int, batch: int, chunk: int, size: int, shared: bool) -> list:
+        return [_image_base(d, seed, batch, chunk, size)[:size]]  # one block: a split draw would change the stream
+
+    seeds = _seeds(spec, labels, rows)
+    sims = probes.take(rows)
+    if u.kind == "indicator":  # images are 2-D
+        support = u.params["support"]
+        p = np.asarray([d.marked_point])
+        centers, rho = sims.apply_many(p)[:, 0], sims.scale * d.outer_radius
+        # h(D) lies in B(h(p_D), k R_D); mapping a point rounds by ulps of the terms it adds up
+        scale = np.abs(centers).max(axis=1) + sims.scale * (d.outer_radius + np.abs(p).max())
+        lo, _, inside = radial_bounds(support, centers, rho, scale)
+        rest = _settle(out, spec, rows, lo > rho, inside)
+        rows, seeds = rows[rest], [seeds[j] for j in rest.tolist()]
+        places = [partial(_hits, support, h.apply_many) for h in sims.take(rest).similarities()]
+    else:
+        places = [h.apply_many for h in sims.similarities()]
+    _sample_means(spec, u, base, seeds, places, out, rows)
+    return out
 
 
 def _image_base(d: MarkedSet, seed: int, batch: int, chunk: int, size: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from qnslab.counterexample import (
 )
 from qnslab.geometry import Ball, lens_area, lens_constant
 from qnslab import counterexample
-from qnslab.quadrature import MeanResult, QuadratureSpec, derive_seed
+from qnslab.quadrature import QuadratureSpec, derive_seed
 from qnslab.radius_sets import RadiusSet, classify
 from qnslab.regions import MarkedSet, Region
 
@@ -230,8 +230,9 @@ class TestCertifyRestricted:
 
         def one_probe_below(u, centers, radii, spec, labels=None, _original=counterexample._ball_means):
             out = _original(u, centers, radii, spec, labels)
-            if u is dom.components[0].field_local:
-                out[0] = MeanResult((1.0 / k) * (1.0 - 5e-13), 0.0, 4096, method)
+            if u is dom.components[0].field_local:  # probe 0 becomes a mean 5e-13 below 1/K, with stderr 0
+                out.mean[0], out.stderr[0], out.n_samples[0] = (1.0 / k) * (1.0 - 5e-13), 0.0, 4096
+                out.exact[0] = method == "exact"
             return out
 
         dom = build_domain(default_sequences(3, 3))

@@ -87,11 +87,12 @@ class TestEstimateK:
     def test_first_probe_of_tied_ratios_is_the_witness(self):
         # every ratio of a constant field is 1.0: the witness is the first admitted probe in probe order
         grid = BallProbeGrid(center_resolution=5, radii_per_center=4, radius_range=(0.1, 1.5))
-        admitted, skipped = qns_engine._ball_probes(ONE, grid.centers(OMEGA), grid.radii(OMEGA), DEFAULT_SPEC)
-        assert skipped > 0 and admitted[0].idx > 1  # the first probe in probe order leaves the domain
+        centers, radii, _, means = qns_engine._ball_probes(ONE, grid.centers(OMEGA), grid.radii(OMEGA), DEFAULT_SPEC)
+        admitted = np.flatnonzero(means.admitted)
+        assert admitted[0] > 0  # the first probe in probe order leaves the domain
         est = estimate_K(ONE, OMEGA, grid)
         assert (est.k_hat, est.probes_used, est.exact_means) == (1.0, len(admitted), len(admitted))
-        assert (est.witness["center"], est.witness["radius"]) == (list(admitted[0].center), admitted[0].radius)
+        assert (est.witness["center"], est.witness["radius"]) == (centers[admitted[0]].tolist(), radii[admitted[0]])
 
     def test_report_schema(self):
         est = estimate_K(CHI, OMEGA, EXAMPLE_GRID, FAST_SPEC)
@@ -144,18 +145,20 @@ class TestCheckK:
         runs = []
 
         def recording(*args, _original=qns_engine._ball_probes):
-            runs.append(_original(*args)[0])
-            return runs[-1], 0
+            runs.append(_original(*args))
+            return runs[-1]
 
         monkeypatch.setattr(qns_engine, "_ball_probes", recording)
         within_k_stderr = 0  # probes that only the K-scaled stderr slack passes
         for seed in range(1000, 1040):
             rep = check_K(CHI, OMEGA, k, EXAMPLE_GRID, replace(FAST_SPEC, seed=seed))
-            admitted = runs[-1]
-            assert all(p.mean.method == "mc" for p in admitted)
-            over = [p for p in admitted if p.value > k * p.mean.mean + 3.0 * k * p.mean.stderr]
-            assert [(f["center"], f["radius"]) for f in rep.failures] == [(list(p.center), p.radius) for p in over]
-            within_k_stderr += sum(k * p.mean.mean + 3.0 * p.mean.stderr < p.value for p in admitted) - len(over)
+            centers, radii, values, means = runs[-1]
+            # each admitted probe's (index, u(x), MeanResult), checked one at a time
+            admitted = [(i, float(values[i]), means[i]) for i in np.flatnonzero(means.admitted).tolist()]
+            assert all(res.method == "mc" for _, _, res in admitted)
+            over = [i for i, v, res in admitted if v > k * res.mean + 3.0 * k * res.stderr]
+            assert [(f["center"], f["radius"]) for f in rep.failures] == [(centers[i].tolist(), radii[i]) for i in over]
+            within_k_stderr += sum(k * res.mean + 3.0 * res.stderr < v for _, v, res in admitted) - len(over)
         assert within_k_stderr > 0
 
 
@@ -172,11 +175,12 @@ class TestIndicatorDensity:
         # with Γ = Ω every mean is 1.0: the witness is the first admitted probe in probe order
         grid = BallProbeGrid(center_resolution=5, radii_per_center=4, radius_range=(0.1, 1.5))
         u = indicator_field(OMEGA, OMEGA)
-        admitted, skipped = qns_engine._ball_probes(u, grid.centers(OMEGA), grid.radii(OMEGA), DEFAULT_SPEC)
-        assert skipped > 0 and admitted[0].idx > 1
+        centers, radii, _, means = qns_engine._ball_probes(u, grid.centers(OMEGA), grid.radii(OMEGA), DEFAULT_SPEC)
+        admitted = np.flatnonzero(means.admitted)
+        assert admitted[0] > 0
         rep = indicator_density(OMEGA, OMEGA, grid)
         assert (rep.inf_ratio, rep.probes_used, rep.compatible) == (1.0, len(admitted), True)
-        assert (rep.witness["center"], rep.witness["radius"]) == (list(admitted[0].center), admitted[0].radius)
+        assert (rep.witness["center"], rep.witness["radius"]) == (centers[admitted[0]].tolist(), radii[admitted[0]])
 
     def test_disk_in_disk_attains_lens_constant(self):
         grid = BallProbeGrid(center_resolution=15, radii_per_center=6, radius_range=(0.1, 1.0))
@@ -409,14 +413,16 @@ class TestCommonRandomNumbers:
 
         monkeypatch.setattr(Field, "values", recording)
         centers, radii = self.GRID.centers(OMEGA), self.GRID.radii(OMEGA)
-        admitted, skipped = qns_engine._ball_probes(CHI, centers, radii, self.SPEC)
-        assert skipped > 0 and skipped + len(admitted) == len(centers) * len(radii)
-        assert [p.idx for p in admitted] == sorted({p.idx for p in admitted})
+        probe_centers, _, probe_values, means = qns_engine._ball_probes(CHI, centers, radii, self.SPEC)
+        used = int(np.count_nonzero(means.admitted))
+        assert 0 < used < len(means) == len(centers) * len(radii)
+        # probe order is center-major: each center's radii in turn
+        assert (probe_centers == np.repeat(centers, len(radii), axis=0)).all()
         assert sum(pts.shape == centers.shape and bool((pts == centers).all()) for pts in evaluated) == 1
         assert not any(len(pts) < len(centers) for pts in evaluated)
-        assert all(p.value == float(values(CHI, np.asarray([p.center]))[0]) for p in admitted)
+        assert all(v == float(values(CHI, c[None, :])[0]) for c, v in zip(probe_centers, probe_values.tolist()))
         rep = check_K(CHI, OMEGA, 3.0, self.GRID, self.SPEC)
-        assert (rep.probes_used, rep.probes_skipped) == (len(admitted), skipped)
+        assert (rep.probes_used, rep.probes_skipped) == (used, len(means) - used)
 
     @staticmethod
     def chunk_pairs(spec, n_samples):
@@ -445,10 +451,9 @@ class TestCommonRandomNumbers:
         # per probe array, the outcomes of the probes that sample: decided probes never reach _sample_means
         sampled, sample_means = [], quadrature._sample_means
 
-        def recording(*args):
-            outcomes = sample_means(*args)
-            sampled.append(outcomes)
-            return outcomes
+        def recording(spec, u, base, seeds, probes, out, rows):
+            sample_means(spec, u, base, seeds, probes, out, rows)
+            sampled.append([out[i] for i in rows.tolist()])
 
         monkeypatch.setattr(quadrature, "_sample_means", recording)
         ball_calls = record_probe_arrays(monkeypatch, "_ball_means")
@@ -598,7 +603,7 @@ def reference_sample_mean(spec, draw_values, method):
             s2 += cs2
             n += cn
         batch_index += 1
-        result = quadrature._stat_result(s1, s2, n, method)
+        result = quadrature.MeanResult(*map(float, quadrature._stat_result(s1, s2, n)), n, method)
         if n >= spec.max_samples:
             return result
         if result.stderr <= spec.target_rel_error * abs(result.mean):

@@ -733,8 +733,8 @@ class TestDecidedProbes:
         rng, place, apply_many, contains_many = (quadrature._rng, quadrature._place_in_ball, Similarity.apply_many,
                                                  Region.contains_many)
         sample_means = quadrature._sample_means
-        monkeypatch.setattr(quadrature, "_sample_means", lambda spec, method, u, base, seeds, probes: (
-            work.sampled.append(list(seeds)) or sample_means(spec, method, u, base, seeds, probes)))
+        monkeypatch.setattr(quadrature, "_sample_means", lambda spec, u, base, seeds, *rest: (
+            work.sampled.append(list(seeds)) or sample_means(spec, u, base, seeds, *rest)))
         monkeypatch.setattr(quadrature, "_rng", lambda seed, *key: work.seeds.append(seed) or rng(seed, *key))
         monkeypatch.setattr(quadrature, "_place_in_ball",
                             lambda base, center, radius: work.radii.append(radius) or place(base, center, radius))
